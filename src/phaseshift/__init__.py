@@ -31,7 +31,6 @@ from .potential import (
     PotentialSpec,
     combine_samples,
     cumulative_from_right,
-    evaluate_potential,
     sample_potential,
     simpson_weights,
 )
@@ -116,7 +115,6 @@ __all__ = [
     "delta3_direct",
     "divergence_flag",
     "enumerate_partitions",
-    "evaluate_potential",
     "evaluate_truncated",
     "integrand_factors",
     "log_derivative_coefficient",

@@ -42,14 +42,13 @@ from .refwave import ReferenceWave
 
 @dataclass(frozen=True)
 class HierarchyResult:
-    """Correction functions f_1 ... f_order and their values at x = 0."""
+    """Values f_1(0) ... f_order(0) of the correction functions."""
 
     order: int
-    functions: tuple
     values_at_zero: tuple
 
     def __post_init__(self) -> None:
-        if len(self.functions) != self.order or len(self.values_at_zero) != self.order:
+        if len(self.values_at_zero) != self.order:
             raise ValueError("hierarchy length disagrees with declared order")
 
 
@@ -61,9 +60,8 @@ def apply_recursion_step(ref: ReferenceWave, u,
     ----------
     ref : ReferenceWave
         Reference wave bundle; supplies k, density and ratio_shift.
-    u : PotentialSamples, PotentialSpec or ndarray
-        Perturbing potential.  Plain arrays are treated as one-sided node
-        samples; PotentialSamples carry one-sided limits so jump
+    u : PotentialSamples or PotentialSpec
+        Perturbing potential.  Its samples carry one-sided limits, so jump
         discontinuities at grid nodes cost no accuracy.
     g : ComplexGridFunction
         Function to advance one order.
@@ -99,15 +97,11 @@ def compute_hierarchy(ref: ReferenceWave, u, order: int) -> HierarchyResult:
     grid = ref.grid
     samples = as_samples(u, grid)
     g = ComplexGridFunction(grid, np.ones(grid.n_points, dtype=complex))
-    functions = []
+    values = []
     for _ in range(order):
         g = apply_recursion_step(ref, samples, g)
-        functions.append(g)
-    return HierarchyResult(
-        order=order,
-        functions=tuple(functions),
-        values_at_zero=tuple(f.at_zero for f in functions),
-    )
+        values.append(g.at_zero)
+    return HierarchyResult(order=order, values_at_zero=tuple(values))
 
 
 def step_by_double_integral(ref: ReferenceWave, u,

@@ -21,14 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateSweep, NonpositiveK
+from .errors import DegenerateSweep
 from .potential import Grid, PotentialSpec, combine_samples, sample_potential
-from .refwave import (
-    DEFAULT_WRONSKIAN_TOL,
-    integrate_wave_inward,
-    phase_from_wave,
-    wronskian_residual,
-)
+from .refwave import DEFAULT_WRONSKIAN_TOL, certified_wave, phase_from_wave
 from .series import PhaseSeries, evaluate_truncated
 
 #: oracle grids refine the series grid by this factor
@@ -59,21 +54,12 @@ def solve_exact(V: PotentialSpec, U: PotentialSpec, coupling: float, k: float,
     NonpositiveK
         If k <= 0.
     WronskianViolation
-        If the integration cannot be certified (same invariant as the
+        If the integration cannot be certified (same certificate as the
         reference wave, which the perturbed wave also obeys).
     """
-    if k <= 0.0:
-        raise NonpositiveK(f"k must be positive, got {k}")
     combined = combine_samples(sample_potential(V, grid),
                                sample_potential(U, grid), coupling)
-    psi, dpsi = integrate_wave_inward(k, grid, combined)
-    residual = wronskian_residual(k, psi, dpsi)
-    if residual > tol_wronskian * k:
-        from .errors import WronskianViolation
-        raise WronskianViolation(
-            f"perturbed-wave residual {residual:.3e} exceeds "
-            f"{tol_wronskian * k:.3e}"
-        )
+    psi, _, _ = certified_wave(k, grid, combined, tol_wronskian)
     return OracleResult(
         coupling=coupling,
         delta_exact=phase_from_wave(complex(psi[0])),

@@ -1,14 +1,13 @@
 """Grids, quadrature weights, and potential definitions.
 
 Everything downstream (wave integration, the correction hierarchy, the exact
-oracle) consumes potentials through the sampling helpers here.  Two sampling
-views exist:
-
-* :func:`evaluate_potential` — plain node values, the user-facing view.
-* :func:`sample_potential` — a :class:`PotentialSamples` bundle carrying node
-  values as one-sided limits plus cell-midpoint values.  Piecewise-constant
-  potentials jump at segment edges; integrating them accurately requires
-  knowing the value on *each side* of a node, not a single number at it.
+oracle) consumes potentials through one sampling view:
+:func:`sample_potential` returns a :class:`PotentialSamples` bundle carrying
+node values as one-sided limits plus cell-midpoint values.  Piecewise-constant
+potentials jump at segment edges; integrating them accurately requires knowing
+the value on *each side* of a node, not a single number at it.  Segments are
+half-open, [x_lo, x_hi): the right limit at a node is ``at_nodes``, the left
+limit ``at_nodes_left``.
 
 Units are dimensionless throughout (hbar = m = 1).
 """
@@ -243,23 +242,26 @@ class PotentialSamples:
                 raise GridMismatch(f"{name}: expected {length} values")
             object.__setattr__(self, name, arr)
 
-    @classmethod
-    def from_array(cls, grid: Grid, values: np.ndarray) -> "PotentialSamples":
-        """Wrap plain node samples (one-sided; midpoints by averaging)."""
-        values = np.asarray(values, dtype=float)
-        mid = 0.5 * (values[:-1] + values[1:])
-        return cls(grid, values, values, mid, support_hi=grid.x_max)
-
 
 def as_samples(u, grid: Grid) -> PotentialSamples:
-    """Coerce a PotentialSamples / PotentialSpec / plain array to samples."""
+    """Samples of a PotentialSamples or PotentialSpec `u` on `grid`.
+
+    Raises
+    ------
+    GridMismatch
+        If `u` is samples on another grid.
+    TypeError
+        If `u` is neither (plain arrays carry no one-sided limits).
+    """
     if isinstance(u, PotentialSamples):
         if u.grid != grid:
             raise GridMismatch(f"{u.grid} != {grid}")
         return u
     if isinstance(u, PotentialSpec):
         return sample_potential(u, grid)
-    return PotentialSamples.from_array(grid, u)
+    raise TypeError(
+        f"expected PotentialSpec or PotentialSamples, got {type(u).__name__}"
+    )
 
 
 def combine_samples(a: PotentialSamples, b: PotentialSamples,
@@ -273,35 +275,6 @@ def combine_samples(a: PotentialSamples, b: PotentialSamples,
         a.at_midpoints + weight_b * b.at_midpoints,
         support_hi=max(a.support_hi, b.support_hi if weight_b != 0.0 else 0.0),
     )
-
-
-def evaluate_potential(spec: PotentialSpec, grid: Grid) -> np.ndarray:
-    """Node values of the potential.
-
-    Piecewise segments are applied over closed intervals in order, so at a
-    boundary shared by two segments the later segment wins; the isolated
-    upper edge of a run of segments keeps the segment value.  Integration
-    code never consumes these node values at a jump — it goes through
-    :func:`sample_potential`, which carries one-sided limits.
-
-    Raises
-    ------
-    TabulatedGridMismatch
-        If a tabulated spec declares a different grid than `grid`.
-    """
-    if spec.kind == "tabulated":
-        if spec.declared_grid != grid:
-            raise TabulatedGridMismatch(
-                f"tabulated on {spec.declared_grid}, requested {grid}"
-            )
-        return np.array(spec.samples)
-    if spec.kind == "piecewise_constant":
-        x = grid.nodes
-        out = np.zeros_like(x)
-        for lo, hi, v in spec.segments:
-            out[(x >= lo) & (x <= hi)] = v
-        return out
-    return spec.values_at(grid.nodes)
 
 
 def sample_potential(spec: PotentialSpec, grid: Grid) -> PotentialSamples:

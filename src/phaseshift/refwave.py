@@ -136,28 +136,36 @@ def wronskian_residual(k: float, psi: np.ndarray, dpsi: np.ndarray) -> float:
     return float(np.max(np.abs(w - 2j * k)))
 
 
-def _build(k: float, grid: Grid, psi: np.ndarray, dpsi: np.ndarray,
-           tol_wronskian: float) -> ReferenceWave:
-    residual = wronskian_residual(k, psi, dpsi)
-    if residual > tol_wronskian * k:
-        raise WronskianViolation(
-            f"residual {residual:.3e} exceeds {tol_wronskian:.1e} * k = "
-            f"{tol_wronskian * k:.3e}; refine the grid or check the potential"
-        )
-    if np.min(np.abs(psi)) <= 0.0:
-        raise WronskianViolation("wave has a node; solution untrustworthy")
+def certified_wave(k: float, grid: Grid, samples: PotentialSamples,
+                   tol_wronskian: float) -> tuple[np.ndarray, np.ndarray, float]:
+    """Integrate the wave inward and certify it; returns (psi, dpsi, residual).
 
-    ratio = np.conj(psi) / psi
-    ratio_shift = ratio - ratio[0]  # exactly zero at x = 0
-    return ReferenceWave(
-        k=k,
-        psi=ComplexGridFunction(grid, psi),
-        dpsi=ComplexGridFunction(grid, dpsi),
-        density=ComplexGridFunction(grid, psi * psi),
-        ratio_shift=ComplexGridFunction(grid, ratio_shift),
-        delta0=phase_from_wave(complex(psi[0])),
-        wronskian_residual=residual,
-    )
+    The one certificate every solve goes through: the Wronskian residual
+    must be finite and at most ``tol_wronskian * k``, and the wave must have
+    no node.  A NaN or inf residual fails the comparison.
+
+    Raises
+    ------
+    NonpositiveK
+        If k <= 0.
+    WronskianViolation
+        If the residual is non-finite or over the bound, or psi has a node.
+    """
+    if k <= 0.0:
+        raise NonpositiveK(f"k must be positive, got {k}")
+    psi, dpsi = integrate_wave_inward(k, grid, samples)
+    # an overflowed wave gives a NaN residual, which fails the check below
+    with np.errstate(over="ignore", invalid="ignore"):
+        residual = wronskian_residual(k, psi, dpsi)
+    bound = tol_wronskian * k
+    if not residual <= bound:
+        raise WronskianViolation(
+            f"residual {residual:.3e} is not within {tol_wronskian:.1e} * k = "
+            f"{bound:.3e}; refine the grid or check the potential"
+        )
+    if not np.min(np.abs(psi)) > 0.0:
+        raise WronskianViolation("wave has a node; solution untrustworthy")
+    return psi, dpsi, residual
 
 
 def solve_reference(V: PotentialSpec, k: float, grid: Grid,
@@ -182,11 +190,18 @@ def solve_reference(V: PotentialSpec, k: float, grid: Grid,
     WronskianViolation
         If the integration cannot be certified at the requested tolerance.
     """
-    if k <= 0.0:
-        raise NonpositiveK(f"k must be positive, got {k}")
-    samples = sample_potential(V, grid)
-    psi, dpsi = integrate_wave_inward(k, grid, samples)
-    return _build(k, grid, psi, dpsi, tol_wronskian)
+    psi, dpsi, residual = certified_wave(k, grid, sample_potential(V, grid),
+                                         tol_wronskian)
+    ratio = np.conj(psi) / psi
+    return ReferenceWave(
+        k=k,
+        psi=ComplexGridFunction(grid, psi),
+        dpsi=ComplexGridFunction(grid, dpsi),
+        density=ComplexGridFunction(grid, psi * psi),
+        ratio_shift=ComplexGridFunction(grid, ratio - ratio[0]),  # zero at x = 0
+        delta0=phase_from_wave(complex(psi[0])),
+        wronskian_residual=residual,
+    )
 
 
 def analytic_free_reference(k: float, grid: Grid) -> ReferenceWave:

@@ -234,6 +234,27 @@ def test_exit_codes(tmp_path, capsys):
     assert main(["phases", "--config", str(guarded)]) == 1
     assert "WronskianViolation" in capsys.readouterr().err
 
+    # waves that overflow to NaN must fail the certificate, not crash
+    overflow = {
+        "sweep": {"lambda": [1e6],
+                  "U": {"kind": "piecewise_constant",
+                        "segments": [[0.0, 1.0, 1.0]]}},
+        "phases": {"V": {"kind": "piecewise_constant",
+                         "segments": [[0.0, 1.0, 1e6]]},
+                   "U": {"kind": "piecewise_constant",
+                         "segments": [[0.0, 1.0, 1.0]]}},
+    }
+    for command, extra in overflow.items():
+        path = tmp_path / f"overflow_{command}.json"
+        path.write_text(json.dumps({
+            "command": command, "k": 1.0, "max_order": 1,
+            "grid": {"x_max": 2.0, "n_points": 401}, **extra,
+        }))
+        assert main([command, "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "ComputationFailed: WronskianViolation" in err
+        assert "Traceback" not in err
+
     ok = tmp_path / "ok.json"
     ok.write_text(json.dumps({
         "command": "phases", "k": 1.0, "max_order": 1,

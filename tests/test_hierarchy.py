@@ -20,11 +20,21 @@ def unit_function(grid):
     return ComplexGridFunction(grid, np.ones(grid.n_points, dtype=complex))
 
 
+def correction_functions(ref, u, order):
+    """f_1 ... f_order by iterating the recursion step from the constant 1."""
+    g = unit_function(ref.grid)
+    functions = []
+    for _ in range(order):
+        g = apply_recursion_step(ref, u, g)
+        functions.append(g)
+    return functions
+
+
 def test_zero_perturbation_gives_identically_zero_functions():
     ref = analytic_free_reference(1.0, Grid(2.0, 201))
     res = compute_hierarchy(ref, PotentialSpec.zero(), 3)
     assert res.order == 3
-    for f in res.functions:
+    for f in correction_functions(ref, PotentialSpec.zero(), 3):
         assert np.all(f.values == 0.0)
     assert res.values_at_zero == (0.0, 0.0, 0.0)
 
@@ -38,9 +48,8 @@ def test_first_order_barrier_anchor(fine_free_ref, barrier):
 
 
 def test_functions_vanish_exactly_beyond_support(fine_free_ref, barrier):
-    res = compute_hierarchy(fine_free_ref, barrier, 3)
     beyond = fine_free_ref.grid.nodes >= barrier.support_hi
-    for f in res.functions:
+    for f in correction_functions(fine_free_ref, barrier, 3):
         assert np.all(f.values[beyond] == 0.0)
         assert f.values[-1] == 0.0
 
@@ -50,18 +59,18 @@ def test_hierarchy_equals_manual_composition(barrier):
     res = compute_hierarchy(ref, barrier, 2)
     f1 = apply_recursion_step(ref, barrier, unit_function(ref.grid))
     f2 = apply_recursion_step(ref, barrier, f1)
-    assert np.array_equal(res.functions[0].values, f1.values)
-    assert np.array_equal(res.functions[1].values, f2.values)
+    assert res.values_at_zero[0] == f1.at_zero
     assert res.values_at_zero[1] == f2.at_zero
 
 
 def test_first_order_is_linear_in_the_potential():
     # scaling by 2 is exact in floating point, so f1 doubles bitwise
     ref = analytic_free_reference(1.0, Grid(2.0, 2001))
-    f1 = compute_hierarchy(
-        ref, PotentialSpec.piecewise_constant([(0.0, 1.0, 1.0)]), 1).functions[0]
-    f1_doubled = compute_hierarchy(
-        ref, PotentialSpec.piecewise_constant([(0.0, 1.0, 2.0)]), 1).functions[0]
+    one = unit_function(ref.grid)
+    f1 = apply_recursion_step(
+        ref, PotentialSpec.piecewise_constant([(0.0, 1.0, 1.0)]), one)
+    f1_doubled = apply_recursion_step(
+        ref, PotentialSpec.piecewise_constant([(0.0, 1.0, 2.0)]), one)
     assert np.array_equal(f1_doubled.values, 2.0 * f1.values)
 
 

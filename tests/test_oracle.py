@@ -9,6 +9,7 @@ from phaseshift import (
     Grid,
     NonpositiveK,
     PotentialSpec,
+    WronskianViolation,
     analytic_free_reference,
     assemble_series,
     convergence_order_check,
@@ -140,3 +141,13 @@ def test_zero_perturbation_check_is_vacuous():
 def test_oracle_rejects_nonpositive_k(barrier):
     with pytest.raises(NonpositiveK):
         solve_exact(ZERO, barrier, 0.1, 0.0, Grid(2.0, 101))
+
+
+def test_oracle_certificate_rejects_overflow_and_tight_tolerance(barrier):
+    grid = Grid(2.0, 401)
+    # the wave overflows to NaN at this coupling; NaN must not pass
+    with pytest.raises(WronskianViolation):
+        sweep_exact(ZERO, barrier, (1e6,), 1.0, grid)
+    # a bound no double-precision solve can meet
+    with pytest.raises(WronskianViolation):
+        solve_exact(ZERO, barrier, 0.1, 1.0, grid, tol_wronskian=1e-30)

@@ -10,7 +10,6 @@ from phaseshift import (
     TabulatedGridMismatch,
     combine_samples,
     cumulative_from_right,
-    evaluate_potential,
     sample_potential,
     simpson_weights,
 )
@@ -75,28 +74,23 @@ def test_simpson_exact_on_cubics():
         assert abs(got - exact) <= 1e-12 * max(1.0, abs(exact))
 
 
-def test_evaluate_piecewise_keeps_segment_edge():
-    spec = PotentialSpec.piecewise_constant([(0.0, 1.0, 1.0)])
-    vals = evaluate_potential(spec, Grid(2.0, 5))
-    assert np.array_equal(vals, [1.0, 1.0, 1.0, 0.0, 0.0])
-
-
 def test_evaluate_empty_segment_list_is_zero():
-    vals = evaluate_potential(PotentialSpec.zero(), Grid(2.0, 5))
-    assert np.array_equal(vals, np.zeros(5))
+    s = sample_potential(PotentialSpec.zero(), Grid(2.0, 5))
+    assert np.array_equal(s.at_nodes, np.zeros(5))
+    assert np.array_equal(s.at_nodes_left, np.zeros(5))
     assert PotentialSpec.zero().support_hi == 0.0
 
 
 def test_gaussian_peak_value():
     spec = PotentialSpec.gaussian_sum([(1.0, 0.2, 0.5)])
-    vals = evaluate_potential(spec, Grid(2.0, 5))
+    vals = sample_potential(spec, Grid(2.0, 5)).at_nodes
     assert vals[2] == 0.5  # node exactly at the bump center
 
 
 def test_gaussian_clipped_to_zero_beyond_support():
     spec = PotentialSpec.gaussian_sum([(0.5, 0.1, 1.0)])
     g = Grid(5.0, 201)
-    vals = evaluate_potential(spec, g)
+    vals = sample_potential(spec, g).at_nodes
     beyond = g.nodes > spec.support_hi
     assert beyond.any()
     assert np.all(vals[beyond] == 0.0)
@@ -107,9 +101,10 @@ def test_gaussian_clipped_to_zero_beyond_support():
 def test_piecewise_beyond_support_is_zero():
     spec = PotentialSpec.piecewise_constant([(0.5, 1.25, -2.0)])
     g = Grid(4.0, 17)
-    vals = evaluate_potential(spec, g)
+    s = sample_potential(spec, g)
     assert spec.support_hi == 1.25
-    assert np.all(vals[g.nodes > 1.25] == 0.0)
+    assert np.all(s.at_nodes[g.nodes > 1.25] == 0.0)
+    assert np.all(s.at_nodes_left[g.nodes > 1.25] == 0.0)
 
 
 def test_spec_constructors_validate():
@@ -126,10 +121,10 @@ def test_spec_constructors_validate():
 def test_tabulated_requires_declared_grid():
     g = Grid(2.0, 5)
     spec = PotentialSpec.tabulated([0.0, 1.0, 0.5, 0.0, 0.0], g)
-    assert np.array_equal(evaluate_potential(spec, g), [0.0, 1.0, 0.5, 0.0, 0.0])
+    s = sample_potential(spec, g)
+    assert np.array_equal(s.at_nodes, [0.0, 1.0, 0.5, 0.0, 0.0])
+    assert np.array_equal(s.at_nodes_left, [0.0, 1.0, 0.5, 0.0, 0.0])
     assert spec.support_hi == 1.0
-    with pytest.raises(TabulatedGridMismatch):
-        evaluate_potential(spec, Grid(2.0, 9))
     with pytest.raises(TabulatedGridMismatch):
         PotentialSpec.tabulated([1.0, 2.0], g)
 
@@ -184,11 +179,12 @@ def test_combine_samples_is_affine(barrier):
     assert c.support_hi == max(a.support_hi, b.support_hi)
 
 
-def test_as_samples_coerces_plain_arrays():
+def test_as_samples_rejects_plain_arrays(barrier):
     g = Grid(2.0, 5)
-    s = as_samples(np.array([1.0, 2.0, 3.0, 4.0, 5.0]), g)
-    assert np.array_equal(s.at_nodes, s.at_nodes_left)
-    assert np.array_equal(s.at_midpoints, [1.5, 2.5, 3.5, 4.5])
+    with pytest.raises(TypeError):
+        as_samples(np.array([1.0, 2.0, 3.0, 4.0, 5.0]), g)
+    s = sample_potential(barrier, g)
+    assert as_samples(s, g) is s
     with pytest.raises(GridMismatch):
         as_samples(s, Grid(2.0, 9))
 

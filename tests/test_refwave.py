@@ -98,6 +98,10 @@ def test_wronskian_violation_on_coarse_strong_potential():
     # the same potential is fine once the grid resolves it
     ref = solve_reference(strong, 1.0, Grid(2.0, 401))
     assert ref.wronskian_residual <= 1e-8
+    # psi overflows inside this barrier; its NaN residual must not pass
+    with pytest.raises(WronskianViolation):
+        solve_reference(PotentialSpec.piecewise_constant([(0.0, 1.0, 1e6)]),
+                        1.0, Grid(2.0, 401))
 
 
 def test_reduce_phase_branch_convention():
