@@ -537,7 +537,3 @@ def main(argv=None) -> int:
         return 2
 
     return run(config, degrees=args.degrees, out_override=args.out)
-
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())

@@ -22,7 +22,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateSweep
-from .potential import Grid, PotentialSpec, combine_samples, sample_potential
+from .potential import (
+    Grid,
+    PotentialSamples,
+    PotentialSpec,
+    combine_samples,
+    sample_potential,
+)
 from .refwave import DEFAULT_WRONSKIAN_TOL, certified_wave, phase_from_wave
 from .series import PhaseSeries, evaluate_truncated
 
@@ -44,6 +50,18 @@ class OracleResult:
     psi_at_zero: complex
 
 
+def _solve_sampled(v: PotentialSamples, u: PotentialSamples, coupling: float,
+                   k: float, grid: Grid, tol_wronskian: float) -> OracleResult:
+    """One certified solve of V + coupling*U from samples already taken."""
+    psi, _, _ = certified_wave(k, grid, combine_samples(v, u, coupling),
+                               tol_wronskian)
+    return OracleResult(
+        coupling=coupling,
+        delta_exact=phase_from_wave(complex(psi[0])),
+        psi_at_zero=complex(psi[0]),
+    )
+
+
 def solve_exact(V: PotentialSpec, U: PotentialSpec, coupling: float, k: float,
                 grid: Grid,
                 tol_wronskian: float = DEFAULT_WRONSKIAN_TOL) -> OracleResult:
@@ -57,14 +75,8 @@ def solve_exact(V: PotentialSpec, U: PotentialSpec, coupling: float, k: float,
         If the integration cannot be certified (same certificate as the
         reference wave, which the perturbed wave also obeys).
     """
-    combined = combine_samples(sample_potential(V, grid),
-                               sample_potential(U, grid), coupling)
-    psi, _, _ = certified_wave(k, grid, combined, tol_wronskian)
-    return OracleResult(
-        coupling=coupling,
-        delta_exact=phase_from_wave(complex(psi[0])),
-        psi_at_zero=complex(psi[0]),
-    )
+    return _solve_sampled(sample_potential(V, grid), sample_potential(U, grid),
+                          coupling, k, grid, tol_wronskian)
 
 
 def sweep_exact(V: PotentialSpec, U: PotentialSpec, couplings, k: float,
@@ -72,14 +84,18 @@ def sweep_exact(V: PotentialSpec, U: PotentialSpec, couplings, k: float,
                 tol_wronskian: float = DEFAULT_WRONSKIAN_TOL) -> list:
     """Solve a list of couplings and unwrap phases to a continuous branch.
 
+    V and U are sampled once for the whole sweep; each coupling is then one
+    certified solve, the same as :func:`solve_exact` at that coupling.
+
     The phase is only defined mod pi; each sweep point picks the
     representative closest to the previous one, starting from `seed_delta`
     (normally the background phase, the exact coupling -> 0 limit).
     """
+    v, u = sample_potential(V, grid), sample_potential(U, grid)
     results = []
     previous = seed_delta
     for c in couplings:
-        raw = solve_exact(V, U, c, k, grid, tol_wronskian)
+        raw = _solve_sampled(v, u, c, k, grid, tol_wronskian)
         shifted = raw.delta_exact + math.pi * round(
             (previous - raw.delta_exact) / math.pi)
         results.append(OracleResult(c, shifted, raw.psi_at_zero))

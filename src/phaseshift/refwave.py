@@ -84,6 +84,25 @@ def phase_from_wave(value: complex) -> float:
     return reduce_phase(d)
 
 
+def _rk4_increment(s, ch, cm, cl, y0, y1):
+    """Increment y_new - y of one RK4 step of psi'' = c psi with step `s`.
+
+    The stages read c from the three channels of the cell being crossed:
+    `ch` at the start of the step, `cm` at the half step, `cl` at its end.
+    Linear in (y0, y1), so applying it to the unit states gives the columns
+    of the step's deviation from the identity.
+    """
+    a0, a1 = y1, ch * y0
+    b0 = y1 + 0.5 * s * a1
+    b1 = cm * (y0 + 0.5 * s * a0)
+    d0 = y1 + 0.5 * s * b1
+    d1 = cm * (y0 + 0.5 * s * b0)
+    e0 = y1 + s * d1
+    e1 = cl * (y0 + s * d0)
+    return ((s / 6.0) * (a0 + 2.0 * (b0 + d0) + e0),
+            (s / 6.0) * (a1 + 2.0 * (b1 + d1) + e1))
+
+
 def integrate_wave_inward(k: float, grid: Grid,
                           samples: PotentialSamples) -> tuple[np.ndarray, np.ndarray]:
     """Fixed-step RK4 integration of the wave from x_max down to 0.
@@ -94,40 +113,66 @@ def integrate_wave_inward(k: float, grid: Grid,
     node.  That choice keeps the integrator at full fourth order when the
     potential jumps exactly at grid nodes.
 
+    On the linear system the step of cell i is a real 2x2 matrix M_i, and
+    the state at node i is M_i M_(i+1) ... M_(n-2) applied to the state at
+    x_max.  Those suffix products come from a two-level scan over blocks of
+    about sqrt(cells) cells: sequential inside a block but vectorized across
+    blocks, then a carry of the block-top states from x_max down, then one
+    vectorized pass to every node.  Steps and partial products are held as
+    their deviation from the identity, N = M - I and
+    Q_j = N_j + Q_(j+1) + N_j Q_(j+1), so no stored entry is 1 + O(h^2)
+    and the small part keeps its relative precision.
+
     Returns the (psi, psi') node arrays.
     """
-    n = grid.n_points
-    h = grid.step
-    x_last = grid.nodes[-1]
+    cells = grid.n_points - 1
+    s = -grid.step  # stepping toward smaller x
 
     # coefficient c(x) = 2 V(x) - k^2 in psi'' = c psi, one channel per side
     ksq = k * k
-    c_hi = (2.0 * samples.at_nodes_left - ksq).tolist()  # upper cell edge
-    c_mid = (2.0 * samples.at_midpoints - ksq).tolist()  # cell center
-    c_lo = (2.0 * samples.at_nodes - ksq).tolist()       # lower cell edge
+    c_hi = 2.0 * samples.at_nodes_left[1:] - ksq  # upper cell edge
+    c_mid = 2.0 * samples.at_midpoints - ksq      # cell center
+    c_lo = 2.0 * samples.at_nodes[:-1] - ksq      # lower cell edge
 
-    psi = [0j] * n
-    dpsi = [0j] * n
-    psi[-1] = cmath.exp(-1j * k * x_last)
-    dpsi[-1] = -1j * k * psi[-1]
+    # entry (row, col) of N for cell j*width + t sits at [t, row, col, j];
+    # padding cells past x_max are identity steps (N = 0)
+    width = math.isqrt(cells)
+    blocks = -(-cells // width)
+    steps = np.zeros((2, 2, blocks * width))
+    steps[0, 0, :cells], steps[1, 0, :cells] = _rk4_increment(
+        s, c_hi, c_mid, c_lo, 1.0, 0.0)
+    steps[0, 1, :cells], steps[1, 1, :cells] = _rk4_increment(
+        s, c_hi, c_mid, c_lo, 0.0, 1.0)
+    steps = np.ascontiguousarray(
+        steps.reshape(2, 2, blocks, width).transpose(3, 0, 1, 2))
 
-    y0, y1 = psi[-1], dpsi[-1]
-    s = -h  # stepping toward smaller x
-    for i in range(n - 2, -1, -1):
-        ch, cm, cl = c_hi[i + 1], c_mid[i], c_lo[i]
-        a0, a1 = y1, ch * y0
-        b0 = y1 + 0.5 * s * a1
-        b1 = cm * (y0 + 0.5 * s * a0)
-        d0 = y1 + 0.5 * s * b1
-        d1 = cm * (y0 + 0.5 * s * b0)
-        e0 = y1 + s * d1
-        e1 = cl * (y0 + s * d0)
-        y0 = y0 + (s / 6.0) * (a0 + 2.0 * (b0 + d0) + e0)
-        y1 = y1 + (s / 6.0) * (a1 + 2.0 * (b1 + d1) + e1)
-        psi[i] = y0
-        dpsi[i] = y1
+    # suffix[t]: deviation of the product of cells j*width + t .. block top
+    suffix = np.empty_like(steps)
+    dev = np.zeros((2, 2, blocks))
+    for t in range(width - 1, -1, -1):
+        n = steps[t]
+        dev = n + dev + (n[:, 0, None] * dev[None, 0] + n[:, 1, None] * dev[None, 1])
+        suffix[t] = dev
 
-    return np.array(psi), np.array(dpsi)
+    # state at the top node of every block, carried down from x_max
+    top_psi = cmath.exp(-1j * k * grid.nodes[-1])
+    top_dpsi = -1j * k * top_psi
+    z0, z1 = [0j] * blocks, [0j] * blocks
+    f00, f01, f10, f11 = (suffix[0, r, c].tolist() for r in (0, 1) for c in (0, 1))
+    y0, y1 = top_psi, top_dpsi
+    for j in range(blocks - 1, -1, -1):
+        z0[j], z1[j] = y0, y1
+        y0, y1 = (y0 + (f00[j] * y0 + f01[j] * y1),
+                  y1 + (f10[j] * y0 + f11[j] * y1))
+    z0, z1 = np.array(z0), np.array(z1)
+
+    # every node from the top state of its block
+    psi = np.empty(cells + 1, dtype=complex)
+    dpsi = np.empty(cells + 1, dtype=complex)
+    psi[:cells] = (z0 + (suffix[:, 0, 0] * z0 + suffix[:, 0, 1] * z1)).T.ravel()[:cells]
+    dpsi[:cells] = (z1 + (suffix[:, 1, 0] * z0 + suffix[:, 1, 1] * z1)).T.ravel()[:cells]
+    psi[cells], dpsi[cells] = top_psi, top_dpsi
+    return psi, dpsi
 
 
 def wronskian_residual(k: float, psi: np.ndarray, dpsi: np.ndarray) -> float:
@@ -153,9 +198,9 @@ def certified_wave(k: float, grid: Grid, samples: PotentialSamples,
     """
     if k <= 0.0:
         raise NonpositiveK(f"k must be positive, got {k}")
-    psi, dpsi = integrate_wave_inward(k, grid, samples)
     # an overflowed wave gives a NaN residual, which fails the check below
     with np.errstate(over="ignore", invalid="ignore"):
+        psi, dpsi = integrate_wave_inward(k, grid, samples)
         residual = wronskian_residual(k, psi, dpsi)
     bound = tol_wronskian * k
     if not residual <= bound:

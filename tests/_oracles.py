@@ -95,3 +95,51 @@ def brute_force_two_factor(n_cells=400, k=1.0):
     f2 = rho
     weights = np.triu(np.ones((n_cells, n_cells)), 1) + 0.5 * np.eye(n_cells)
     return h * h * np.sum(f1[:, None] * f2[None, :] * weights)
+
+
+# The per-cell RK4 loop the package's blocked-scan propagator replaced, kept
+# verbatim as its reference: same stages and potential channels, one cell at
+# a time in Python complex arithmetic.
+def rk4_wave_loop(k, grid, samples):
+    """Fixed-step RK4 integration of the wave from x_max down to 0.
+
+    One RK4 step per grid cell.  The potential enters each stage through the
+    value valid *inside* the cell being crossed: the left limit at the upper
+    node, the midpoint value at the half step, the right limit at the lower
+    node.  That choice keeps the integrator at full fourth order when the
+    potential jumps exactly at grid nodes.
+
+    Returns the (psi, psi') node arrays.
+    """
+    n = grid.n_points
+    h = grid.step
+    x_last = grid.nodes[-1]
+
+    # coefficient c(x) = 2 V(x) - k^2 in psi'' = c psi, one channel per side
+    ksq = k * k
+    c_hi = (2.0 * samples.at_nodes_left - ksq).tolist()  # upper cell edge
+    c_mid = (2.0 * samples.at_midpoints - ksq).tolist()  # cell center
+    c_lo = (2.0 * samples.at_nodes - ksq).tolist()       # lower cell edge
+
+    psi = [0j] * n
+    dpsi = [0j] * n
+    psi[-1] = cmath.exp(-1j * k * x_last)
+    dpsi[-1] = -1j * k * psi[-1]
+
+    y0, y1 = psi[-1], dpsi[-1]
+    s = -h  # stepping toward smaller x
+    for i in range(n - 2, -1, -1):
+        ch, cm, cl = c_hi[i + 1], c_mid[i], c_lo[i]
+        a0, a1 = y1, ch * y0
+        b0 = y1 + 0.5 * s * a1
+        b1 = cm * (y0 + 0.5 * s * a0)
+        d0 = y1 + 0.5 * s * b1
+        d1 = cm * (y0 + 0.5 * s * b0)
+        e0 = y1 + s * d1
+        e1 = cl * (y0 + s * d0)
+        y0 = y0 + (s / 6.0) * (a0 + 2.0 * (b0 + d0) + e0)
+        y1 = y1 + (s / 6.0) * (a1 + 2.0 * (b1 + d1) + e1)
+        psi[i] = y0
+        dpsi[i] = y1
+
+    return np.array(psi), np.array(dpsi)

@@ -76,6 +76,25 @@ def test_small_coupling_sweep_stays_on_principal_branch(barrier):
         assert res.delta_exact == single.delta_exact
 
 
+def test_sweep_equals_unwrapped_single_solves(barrier):
+    # one sampling pass per sweep must not change a single bit
+    background = PotentialSpec.gaussian_sum([(0.5, 0.3, 0.4)])
+    well = PotentialSpec.piecewise_constant([(0.0, 1.0, -1.0)])
+    grid = Grid(2.0, 1001)
+    for U, lams in ((barrier, (0.4, 0.2, 0.1, 0.05)),
+                    (well, tuple(np.linspace(0.2, 3.5, 6)))):
+        swept = sweep_exact(background, U, lams, 1.0, grid, seed_delta=0.3)
+        previous = 0.3
+        for res, lam in zip(swept, lams):
+            single = solve_exact(background, U, lam, 1.0, grid)
+            expected = single.delta_exact + math.pi * round(
+                (previous - single.delta_exact) / math.pi)
+            assert res.coupling == lam
+            assert res.delta_exact == expected
+            assert res.psi_at_zero == single.psi_at_zero
+            previous = expected
+
+
 def test_first_order_slope(barrier, barrier_series):
     lam = 1e-3
     res = solve_exact(ZERO, barrier, lam, 1.0, Grid(2.0, 8001))

@@ -12,9 +12,15 @@ from phaseshift import (
     analytic_free_reference,
     solve_reference,
 )
-from phaseshift.refwave import phase_from_wave, reduce_phase
+from phaseshift.potential import combine_samples, sample_potential
+from phaseshift.refwave import (
+    integrate_wave_inward,
+    phase_from_wave,
+    reduce_phase,
+    wronskian_residual,
+)
 
-from _oracles import transfer_matrix_phase
+from _oracles import rk4_wave_loop, transfer_matrix_phase
 
 
 def test_analytic_free_wave_closed_forms():
@@ -117,3 +123,38 @@ def test_phase_from_wave_reads_off_the_argument():
     assert abs(phase_from_wave(2.5 * cmath.exp(-0.4j)) - (-0.4)) < 1e-15
     # pi-periodic: rotating the wave by pi leaves the phase unchanged
     assert abs(phase_from_wave(cmath.exp(1j * (0.3 + math.pi))) - 0.3) < 1e-14
+
+
+def _sampled_suite(grid):
+    """Potentials on `grid`: node-aligned barrier, gaussian, tabulated on a
+    coarser grid that `grid` refines (on itself when `grid` has 2 cells),
+    and a barrier background plus a gaussian perturbation."""
+    barrier = sample_potential(
+        PotentialSpec.piecewise_constant([(0.0, 1.0, 1.5)]), grid)
+    gauss = sample_potential(
+        PotentialSpec.gaussian_sum([(0.8, 0.25, -2.0), (1.3, 0.2, 0.7)]), grid)
+    cells = grid.n_points - 1
+    coarse_cells = max((c for c in range(2, min(cells // 2, 60) + 1, 2)
+                        if cells % c == 0), default=cells)
+    coarse = Grid(grid.x_max, coarse_cells + 1)
+    table = np.sin(3.0 * coarse.nodes) * (coarse.nodes < 1.5)
+    tabulated = sample_potential(PotentialSpec.tabulated(table, coarse), grid)
+    background = combine_samples(barrier, gauss, 0.6)
+    return {"barrier": barrier, "gaussian": gauss, "tabulated": tabulated,
+            "background": background}
+
+
+@pytest.mark.parametrize("n", (3, 5, 401, 4003))
+def test_blocked_scan_matches_the_rk4_loop_at_every_node(n):
+    # 4003 points: 4002 cells are not a multiple of isqrt(4002) = 63
+    grid = Grid(2.0, n)
+    for name, samples in _sampled_suite(grid).items():
+        for k in (0.7, 2.0):
+            psi, dpsi = integrate_wave_inward(k, grid, samples)
+            loop_psi, loop_dpsi = rk4_wave_loop(k, grid, samples)
+            assert psi.shape == dpsi.shape == (n,)
+            assert np.all(np.abs(psi - loop_psi) <= 1e-13 * np.abs(loop_psi)), name
+            assert np.all(np.abs(dpsi - loop_dpsi) <= 1e-13 * np.abs(loop_dpsi)), name
+            assert psi[-1] == cmath.exp(-1j * k * grid.x_max)
+            assert (wronskian_residual(k, psi, dpsi)
+                    <= 10.0 * wronskian_residual(k, loop_psi, loop_dpsi)), name
