@@ -537,3 +537,11 @@ def main(argv=None) -> int:
         return 2
 
     return run(config, degrees=args.degrees, out_override=args.out)
+
+
+if __name__ == "__main__":
+    # The package imports this module, so runpy would execute a second copy
+    # of it here; refuse loudly rather than exit 0 having done nothing.
+    print("phaseshift.cli is not a script; run `python -m phaseshift`",
+          file=sys.stderr)
+    raise SystemExit(2)

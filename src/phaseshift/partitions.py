@@ -9,15 +9,23 @@ tuple carries is the corresponding coefficient of the formal logarithm,
 
 Enumeration is by recursive descent over the largest part, which is both the
 standard partition algorithm and a stable deterministic order for golden
-tests.  Counts stay tiny at the supported orders (627 tuples at n = 20), so
-no generating-function machinery is warranted.
+tests; the descent carries j and prod(i_p!) along, so each coefficient is
+one correctly rounded integer division.  Counts stay tiny at the supported
+orders (627 tuples at n = 20), so no generating-function machinery is
+warranted.
+
+The tuples of an order depend on nothing but n, so each order is built once,
+the first time it is asked for, and kept as an immutable tuple: the only
+module-level state of the package.  Each tuple also carries its nonzero
+factors, so the series assembly touches only the parts that are present.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from fractions import Fraction
+from dataclasses import dataclass, field
+from functools import lru_cache
+from operator import itemgetter, mul
 
 from .errors import OrderOutOfRange
 
@@ -38,47 +46,48 @@ class PartitionTuple:
     coefficient : float
         (-1)^(j-1) (j-1)! / prod(i_p!), exact in double precision for
         n <= MAX_ORDER.
+    factors : tuple of (int, int)
+        The nonzero entries as (index, i_p) pairs with index = p - 1, in
+        increasing p; derived from `multiplicities`, not a constructor
+        argument, and left out of comparisons.
     """
 
     multiplicities: tuple
     j: int
     coefficient: float
+    factors: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         n = len(self.multiplicities)
-        weighted = sum(p * i for p, i in enumerate(self.multiplicities, start=1))
+        weighted = sum(map(mul, range(1, n + 1), self.multiplicities))
         if weighted != n:
             raise ValueError(
                 f"multiplicities {self.multiplicities} do not partition {n}"
             )
         if self.j != sum(self.multiplicities):
             raise ValueError("part count j disagrees with multiplicities")
+        object.__setattr__(self, "factors", tuple(
+            filter(itemgetter(1), enumerate(self.multiplicities))))
 
 
 def log_derivative_coefficient(t: PartitionTuple) -> float:
     """Coefficient (-1)^(j-1) (j-1)! / prod(i_p!) of a multiplicity tuple."""
-    denom = 1
-    for i in t.multiplicities:
-        denom *= math.factorial(i)
-    value = Fraction(math.factorial(t.j - 1), denom)
-    if t.j % 2 == 0:
-        value = -value
-    return float(value)
+    return _signed_ratio(t.j, math.prod(map(math.factorial, t.multiplicities)))
 
 
-def _make_tuple(n: int, counts: dict) -> PartitionTuple:
-    mult = tuple(counts.get(p, 0) for p in range(1, n + 1))
-    j = sum(mult)
-    raw = PartitionTuple(mult, j, 0.0)
-    return PartitionTuple(mult, j, log_derivative_coefficient(raw))
+def _signed_ratio(j: int, denom: int) -> float:
+    # int / int is correctly rounded, as float(Fraction(a, b)) is: same bits
+    value = math.factorial(j - 1) / denom
+    return -value if j % 2 == 0 else value
 
 
-def enumerate_partitions(n: int) -> list:
+def enumerate_partitions(n: int) -> tuple:
     """All multiplicity tuples for order `n`, largest part descending.
 
     The first tuple is always the single part (0, ..., 0, 1) and the last is
-    all ones (n, 0, ..., 0).  Every tuple appears exactly once; the list
-    length is the partition number p(n).
+    all ones (n, 0, ..., 0).  Every tuple appears exactly once; the length is
+    the partition number p(n).  The result is an immutable tuple, built on
+    the first call for `n` and returned as the same object afterwards.
 
     Raises
     ------
@@ -87,17 +96,25 @@ def enumerate_partitions(n: int) -> list:
     """
     if not 1 <= n <= MAX_ORDER:
         raise OrderOutOfRange(f"order must be in 1..{MAX_ORDER}, got {n}")
+    return _partition_table(n)
 
+
+# typed: a float order keeps raising TypeError instead of sharing the entry
+# of the equal int
+@lru_cache(maxsize=None, typed=True)
+def _partition_table(n: int) -> tuple:
     out = []
+    mult = [0] * n
 
-    def descend(remaining: int, largest: int, counts: dict) -> None:
+    # j and denom = prod(i_p!) are carried down with the parts
+    def descend(remaining: int, largest: int, j: int, denom: int) -> None:
         if remaining == 0:
-            out.append(_make_tuple(n, counts))
+            out.append(PartitionTuple(tuple(mult), j, _signed_ratio(j, denom)))
             return
         for part in range(min(remaining, largest), 0, -1):
-            counts[part] = counts.get(part, 0) + 1
-            descend(remaining - part, part, counts)
-            counts[part] -= 1
+            mult[part - 1] += 1
+            descend(remaining - part, part, j + 1, denom * mult[part - 1])
+            mult[part - 1] -= 1
 
-    descend(n, n, {})
-    return out
+    descend(n, n, 0, 1)
+    return tuple(out)

@@ -60,6 +60,9 @@ def _check_order(values_at_zero, n: int) -> None:
 def assemble_delta_n(values_at_zero, n: int) -> float:
     """Correction delta_n from hierarchy values via the partition sum.
 
+    Walks the memoised tuples of :func:`enumerate_partitions` and multiplies
+    only the factors each one has.
+
     Parameters
     ----------
     values_at_zero : sequence of complex
@@ -72,12 +75,12 @@ def assemble_delta_n(values_at_zero, n: int) -> float:
     OrderOutOfRange, InsufficientFValues
     """
     _check_order(values_at_zero, n)
+    f = [complex(v) for v in values_at_zero[:n]]
     total = 0j
     for t in enumerate_partitions(n):
         term = complex(t.coefficient)
-        for p, i in enumerate(t.multiplicities, start=1):
-            if i:
-                term *= complex(values_at_zero[p - 1]) ** i
+        for index, i in t.factors:
+            term *= f[index] ** i
         total += term
     return total.imag
 

@@ -4,13 +4,18 @@ Each helper here is either a closed form or a deliberately different
 discretization of the same quantity, so agreement with the package is
 evidence and not a tautology.  Frozen decimal constants were produced
 offline with arbitrary-precision tooling and are committed as literals;
-nothing in this file calls back into the package's numerical pipeline.
+nothing in this file calls back into the package's numerical pipeline.  The
+one exception is :func:`partition_sum_loop`, which walks the package's own
+partition enumeration (pinned by brute force in ``test_partitions``) because
+it is a reference for the arithmetic of the sum, not for the partitions.
 """
 
 import cmath
 import math
 
 import numpy as np
+
+from phaseshift import enumerate_partitions
 
 # Taylor coefficients (orders 1..6) of the exact phase of a unit-height
 # barrier on [0, 1] at k = 1, expanded around zero coupling.  Computed
@@ -143,3 +148,18 @@ def rk4_wave_loop(k, grid, samples):
         dpsi[i] = y1
 
     return np.array(psi), np.array(dpsi)
+
+
+# The per-tuple loop the package's partition sum replaced, kept verbatim as
+# its reference: every multiplicity is visited, zeros skipped, and each value
+# converted to complex where it is used.  The package must agree bit for bit.
+def partition_sum_loop(values, n):
+    """delta_n as the imaginary part of the partition sum over f_1 .. f_n."""
+    total = 0j
+    for t in enumerate_partitions(n):
+        term = complex(t.coefficient)
+        for p, i in enumerate(t.multiplicities, start=1):
+            if i:
+                term *= complex(values[p - 1]) ** i
+        total += term
+    return total.imag

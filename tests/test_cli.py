@@ -319,3 +319,22 @@ def test_console_script(tmp_path):
     out2 = tmp_path / "inproc.csv"
     assert run(config, out_override=str(out2)) == 0
     assert out.read_bytes() == out2.read_bytes()
+
+
+def test_cli_module_refuses_to_run_as_script(tmp_path):
+    # `python -m phaseshift` is the one module entry.  Run as a script,
+    # `phaseshift.cli` must fail with exit code 2 and a pointer to it, not
+    # exit 0 having written nothing.
+    package_root = str(Path(phaseshift.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (package_root, env.get("PYTHONPATH")) if p)
+    out = tmp_path / "cli.csv"
+    proc = subprocess.run(
+        [sys.executable, "-m", "phaseshift.cli", "selftest", "--config",
+         str(CONFIG_DIR / "selftest.json"), "--out", str(out)],
+        capture_output=True, text=True, timeout=120, env=env, cwd=tmp_path,
+    )
+    assert proc.returncode == 2
+    assert "run `python -m phaseshift`" in proc.stderr
+    assert not out.exists()

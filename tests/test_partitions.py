@@ -44,6 +44,17 @@ def test_named_coefficients():
     assert coeff[(3, 0, 0)] == 1.0 / 3.0
 
 
+def test_coefficients_are_the_rounded_exact_ratios():
+    # the builder carries j and prod(i_p!) down the descent; every stored
+    # coefficient must still be the exact ratio rounded once
+    for n in range(1, MAX_ORDER + 1):
+        for t in enumerate_partitions(n):
+            denom = math.prod(math.factorial(i) for i in t.multiplicities)
+            exact = Fraction((-1) ** (t.j - 1) * math.factorial(t.j - 1), denom)
+            assert t.coefficient == float(exact)
+            assert log_derivative_coefficient(t) == float(exact)
+
+
 def test_first_and_last_tuple_shape():
     for n in (2, 5, 9):
         tuples = [t.multiplicities for t in enumerate_partitions(n)]
@@ -111,6 +122,24 @@ def test_order_cap():
         enumerate_partitions(0)
     with pytest.raises(OrderOutOfRange):
         enumerate_partitions(21)
+
+
+def test_tables_are_memoised_tuples():
+    for n in range(1, MAX_ORDER + 1):
+        table = enumerate_partitions(n)
+        assert isinstance(table, tuple)
+        assert enumerate_partitions(n) is table
+
+
+def test_factors_are_the_nonzero_multiplicities():
+    for n in range(1, MAX_ORDER + 1):
+        for t in enumerate_partitions(n):
+            assert t.factors == tuple(
+                (index, i) for index, i in enumerate(t.multiplicities) if i)
+            assert all(i > 0 for _, i in t.factors)
+    # derived, not compared: a rebuilt tuple equals the memoised one
+    t = enumerate_partitions(4)[1]
+    assert PartitionTuple(t.multiplicities, t.j, t.coefficient) == t
 
 
 def test_tuple_validation():

@@ -16,7 +16,7 @@ from phaseshift import (
     log_expansion_reference,
 )
 
-from _oracles import BARRIER_TAYLOR
+from _oracles import BARRIER_TAYLOR, partition_sum_loop
 
 
 def random_f(rng, count=10):
@@ -45,6 +45,19 @@ def test_partition_sum_equals_log_recurrence():
             a = assemble_delta_n(f, n)
             b = log_expansion_reference(f, n)
             assert abs(a - b) < 1e-12
+
+
+def test_partition_sum_is_bit_identical_to_the_former_loop():
+    # same tuples, same products in the same order: every bit must agree
+    rng = np.random.default_rng(29)
+    for trial in range(40):
+        f = np.array(random_f(rng, 20)) * rng.choice([0.5, 1.0, 3.0], size=20)
+        f[rng.random(20) < 0.25] = 0.0
+        f[rng.random(20) < 0.1] *= 1j  # some purely imaginary entries
+        values = list(f) if trial % 2 else tuple(complex(v) for v in f)
+        for n in range(1, 21):
+            assert assemble_delta_n(values, n) == partition_sum_loop(values, n)
+        assert assemble_delta_n(f, 20) == partition_sum_loop(f, 20)
 
 
 def test_zero_values_give_zero_correction():
