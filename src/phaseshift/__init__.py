@@ -11,12 +11,12 @@ config-driven batch tool.
 """
 
 from .errors import (
-    ComputationFailed,
     ConfigInvalid,
     DegenerateSweep,
     EvenPointCount,
     GridMismatch,
     InsufficientFValues,
+    NonFiniteResult,
     NonpositiveK,
     OrderOutOfRange,
     PhaseshiftError,
@@ -45,7 +45,6 @@ from .partitions import (
     MAX_ORDER,
     PartitionTuple,
     enumerate_partitions,
-    log_derivative_coefficient,
 )
 from .series import (
     PhaseSeries,
@@ -77,7 +76,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ComplexGridFunction",
-    "ComputationFailed",
     "ConfigInvalid",
     "ConvergenceReport",
     "DegenerateSweep",
@@ -89,6 +87,7 @@ __all__ = [
     "JobConfig",
     "MAX_ORDER",
     "NestedIntegrandSet",
+    "NonFiniteResult",
     "NonpositiveK",
     "OracleResult",
     "OrderOutOfRange",
@@ -117,7 +116,6 @@ __all__ = [
     "enumerate_partitions",
     "evaluate_truncated",
     "integrand_factors",
-    "log_derivative_coefficient",
     "log_expansion_reference",
     "nested_integral",
     "parse_config",

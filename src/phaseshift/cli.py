@@ -10,8 +10,8 @@ report (12 significant digits, deterministic byte-for-byte):
 * ``converge`` — empirical remainder orders per truncation.
 * ``selftest`` — the built-in invariant suite, one PASS/FAIL row per check.
 
-Exit codes: 0 success, 1 a numerical guard tripped (ComputationFailed),
-2 the config failed validation (ConfigInvalid).
+Exit codes: 0 success; 1 a numerical guard tripped, printed on stderr as
+``ComputationFailed: <error type>: <message>``; 2 an invalid config.
 """
 
 from __future__ import annotations
@@ -24,19 +24,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    ComputationFailed,
-    ConfigInvalid,
-    DegenerateSweep,
-    PhaseshiftError,
-)
-from .potential import DEFAULT_TAIL_EPS, Grid, PotentialSpec
+from .errors import ConfigInvalid, DegenerateSweep, PhaseshiftError
+from .partitions import MAX_ORDER, enumerate_partitions
+from .potential import ComplexGridFunction, DEFAULT_TAIL_EPS, Grid, PotentialSpec
 from .refwave import (
     DEFAULT_WRONSKIAN_TOL,
     analytic_free_reference,
     solve_reference,
 )
-from .oracle import ORACLE_REFINEMENT, convergence_order_check, solve_exact, sweep_exact
+from .oracle import (ORACLE_REFINEMENT, convergence_order_check,
+                     halving_ladder, solve_exact, sweep_exact)
 from .series import assemble_series, divergence_flag, evaluate_truncated
 
 COMMANDS = ("phases", "sweep", "converge", "selftest")
@@ -60,16 +57,12 @@ class JobConfig:
     eps_tail: float
 
 
-def _fail(message: str) -> ConfigInvalid:
-    return ConfigInvalid(message)
-
-
 def _require_number(doc, key, positive=True):
     value = doc.get(key)
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise _fail(f"'{key}' must be a number")
+        raise ConfigInvalid(f"'{key}' must be a number")
     if positive and not value > 0:
-        raise _fail(f"'{key}' must be positive")
+        raise ConfigInvalid(f"'{key}' must be positive")
     return float(value)
 
 
@@ -79,7 +72,7 @@ def _number_list(value, key):
     if (not isinstance(value, list) or not value
             or any(isinstance(v, bool) or not isinstance(v, (int, float))
                    for v in value)):
-        raise _fail(f"'{key}' must be a number or a non-empty list of numbers")
+        raise ConfigInvalid(f"'{key}' must be a number or a non-empty list of numbers")
     return tuple(float(v) for v in value)
 
 
@@ -88,7 +81,7 @@ def _parse_potential(doc, key, grid, eps_tail) -> PotentialSpec:
     if sub is None:
         return PotentialSpec.zero()
     if not isinstance(sub, dict) or "kind" not in sub:
-        raise _fail(f"'{key}' must be an object with a 'kind'")
+        raise ConfigInvalid(f"'{key}' must be an object with a 'kind'")
     kind = sub["kind"]
     try:
         if kind == "piecewise_constant":
@@ -98,14 +91,12 @@ def _parse_potential(doc, key, grid, eps_tail) -> PotentialSpec:
                                               eps_tail=eps_tail)
         if kind == "tabulated":
             if grid is None:
-                raise _fail("tabulated potentials need a grid")
+                raise ConfigInvalid("tabulated potentials need a grid")
             return PotentialSpec.tabulated(sub.get("samples", []), grid,
                                            eps_tail=eps_tail)
-    except PhaseshiftError as exc:
-        raise _fail(f"'{key}': {exc}") from exc
-    except (TypeError, ValueError) as exc:
-        raise _fail(f"'{key}': {exc}") from exc
-    raise _fail(f"'{key}': unknown potential kind {kind!r}")
+    except (PhaseshiftError, TypeError, ValueError) as exc:
+        raise ConfigInvalid(f"'{key}': {exc}") from exc
+    raise ConfigInvalid(f"'{key}': unknown potential kind {kind!r}")
 
 
 def parse_config(doc: dict, command: str | None = None) -> JobConfig:
@@ -120,30 +111,30 @@ def parse_config(doc: dict, command: str | None = None) -> JobConfig:
         On any structural or range problem.
     """
     if not isinstance(doc, dict):
-        raise _fail("config root must be an object")
+        raise ConfigInvalid("config root must be an object")
     known = {"command", "k", "lambda", "max_order", "grid", "V", "U",
              "output_path", "tolerances"}
     unknown = set(doc) - known
     if unknown:
-        raise _fail(f"unknown config keys: {sorted(unknown)}")
+        raise ConfigInvalid(f"unknown config keys: {sorted(unknown)}")
 
     doc_command = doc.get("command")
     if doc_command is not None and doc_command not in COMMANDS:
-        raise _fail(f"command must be one of {COMMANDS}")
+        raise ConfigInvalid(f"command must be one of {COMMANDS}")
     if command is not None and doc_command is not None and command != doc_command:
-        raise _fail(
+        raise ConfigInvalid(
             f"config says command={doc_command!r} but {command!r} was requested"
         )
     effective = command or doc_command
     if effective is None:
-        raise _fail("no command given")
+        raise ConfigInvalid("no command given")
 
     tolerances = doc.get("tolerances", {})
     if not isinstance(tolerances, dict):
-        raise _fail("'tolerances' must be an object")
+        raise ConfigInvalid("'tolerances' must be an object")
     extra = set(tolerances) - {"tol_wronskian", "eps_tail"}
     if extra:
-        raise _fail(f"unknown tolerance keys: {sorted(extra)}")
+        raise ConfigInvalid(f"unknown tolerance keys: {sorted(extra)}")
     tol_wronskian = (_require_number(tolerances, "tol_wronskian")
                      if "tol_wronskian" in tolerances else DEFAULT_WRONSKIAN_TOL)
     eps_tail = (_require_number(tolerances, "eps_tail")
@@ -153,44 +144,48 @@ def parse_config(doc: dict, command: str | None = None) -> JobConfig:
     if "grid" in doc:
         gdoc = doc["grid"]
         if not isinstance(gdoc, dict) or set(gdoc) != {"x_max", "n_points"}:
-            raise _fail("'grid' must be {\"x_max\": ..., \"n_points\": ...}")
+            raise ConfigInvalid("'grid' must be {\"x_max\": ..., \"n_points\": ...}")
         x_max = _require_number(gdoc, "x_max")
         n_points = gdoc["n_points"]
         if isinstance(n_points, bool) or not isinstance(n_points, int):
-            raise _fail("'n_points' must be an integer")
+            raise ConfigInvalid("'n_points' must be an integer")
         try:
             grid = Grid(x_max, n_points)
         except PhaseshiftError as exc:
-            raise _fail(str(exc)) from exc
+            raise ConfigInvalid(str(exc)) from exc
 
     needs_run = effective != "selftest"
     if needs_run and grid is None:
-        raise _fail(f"'{effective}' needs a grid")
+        raise ConfigInvalid(f"'{effective}' needs a grid")
 
     max_order = doc.get("max_order", 0)
     if needs_run:
         if isinstance(max_order, bool) or not isinstance(max_order, int):
-            raise _fail("'max_order' must be an integer")
-        if not 1 <= max_order <= 20:
-            raise _fail(f"'max_order' must be in 1..20, got {max_order}")
+            raise ConfigInvalid("'max_order' must be an integer")
+        if not 1 <= max_order <= MAX_ORDER:
+            raise ConfigInvalid(
+                f"'max_order' must be in 1..{MAX_ORDER}, got {max_order}")
 
     k_values: tuple = ()
     if needs_run:
         if "k" not in doc:
-            raise _fail(f"'{effective}' needs 'k'")
+            raise ConfigInvalid(f"'{effective}' needs 'k'")
         k_values = _number_list(doc["k"], "k")
         if any(k <= 0 for k in k_values):
-            raise _fail("'k' values must be positive")
+            raise ConfigInvalid("'k' values must be positive")
         if effective in ("sweep", "converge") and len(k_values) != 1:
-            raise _fail(f"'{effective}' uses a single k")
+            raise ConfigInvalid(f"'{effective}' uses a single k")
 
     couplings: tuple = ()
     if "lambda" in doc:
         couplings = _number_list(doc["lambda"], "lambda")
     if effective == "sweep" and not couplings:
-        raise _fail("'sweep' needs 'lambda'")
-    if effective == "converge" and len(couplings) < 2:
-        raise _fail("'converge' needs at least two 'lambda' values")
+        raise ConfigInvalid("'sweep' needs 'lambda'")
+    if effective == "converge":
+        try:
+            couplings = halving_ladder(couplings)
+        except DegenerateSweep as exc:
+            raise ConfigInvalid(f"'lambda': {exc}") from exc
     if effective == "phases" and not couplings:
         couplings = (1.0,)  # coupling at which the divergence flag is evaluated
 
@@ -199,14 +194,14 @@ def parse_config(doc: dict, command: str | None = None) -> JobConfig:
     if grid is not None:
         for name, spec in (("V", V), ("U", U)):
             if spec.support_hi > grid.x_max:
-                raise _fail(
+                raise ConfigInvalid(
                     f"'{name}' support extends to {spec.support_hi:g}, "
                     f"beyond x_max = {grid.x_max:g}"
                 )
 
     output_path = doc.get("output_path")
     if output_path is not None and not isinstance(output_path, str):
-        raise _fail("'output_path' must be a string")
+        raise ConfigInvalid("'output_path' must be a string")
 
     return JobConfig(
         command=effective,
@@ -301,14 +296,9 @@ def _rows_sweep(config: JobConfig):
 def _rows_converge(config: JobConfig):
     k = config.k_values[0]
     series = assemble_series(_reference(config, k), config.U, config.max_order)
-    try:
-        report = convergence_order_check(series, config.V, config.U,
-                                         config.couplings,
-                                         tol_wronskian=config.tol_wronskian)
-    except DegenerateSweep as exc:
-        if not exc.vacuous:
-            raise
-        report = exc.report  # vacuous check: still worth showing
+    report = convergence_order_check(series, config.V, config.U,
+                                     config.couplings,
+                                     tol_wronskian=config.tol_wronskian)
     header = (["truncation", "p_hat", "status"]
               + [f"remainder_{i + 1}" for i in range(len(report.couplings))])
     rows = [[c.truncation, c.p_hat, c.status, *c.remainders]
@@ -353,21 +343,18 @@ def _check_wronskian_free() -> bool:
 
 
 def _check_partition_counts() -> bool:
-    from .partitions import enumerate_partitions
     expected = [1, 2, 3, 5, 7, 11, 15, 22, 30, 42, 56, 77]
     return all(len(enumerate_partitions(n)) == expected[n - 1]
                for n in range(1, 13))
 
 
 def _check_partition_order4() -> bool:
-    from .partitions import enumerate_partitions
     got = [t.multiplicities for t in enumerate_partitions(4)]
     return got == [(0, 0, 0, 1), (1, 0, 1, 0), (0, 2, 0, 0), (2, 1, 0, 0),
                    (4, 0, 0, 0)]
 
 
 def _check_partition_coefficients() -> bool:
-    from .partitions import enumerate_partitions
     coeff = {t.multiplicities: t.coefficient for t in enumerate_partitions(3)}
     coeff.update({t.multiplicities: t.coefficient
                   for t in enumerate_partitions(2)})
@@ -420,7 +407,6 @@ def _check_zero_perturbation() -> bool:
 
 def _check_simplex_identity() -> bool:
     from .cross_check import NestedIntegrandSet, nested_integral
-    from .potential import ComplexGridFunction
     grid = Grid(2.0, 101)
     one = ComplexGridFunction(grid, np.ones(grid.n_points, dtype=complex))
     value = nested_integral(NestedIntegrandSet((one, one)))
@@ -489,12 +475,9 @@ def run(config: JobConfig, degrees: bool = False,
     """Execute a validated job; returns the process exit code."""
     try:
         header, rows = _DISPATCH[config.command](config)
-    except ConfigInvalid as exc:
-        print(f"ConfigInvalid: {exc}", file=sys.stderr)
-        return 2
     except PhaseshiftError as exc:
-        wrapped = ComputationFailed(f"{type(exc).__name__}: {exc}")
-        print(f"ComputationFailed: {wrapped}", file=sys.stderr)
+        print(f"ComputationFailed: {type(exc).__name__}: {exc}",
+              file=sys.stderr)
         return 1
 
     text = render_csv(header, rows, degrees)
@@ -509,6 +492,14 @@ def run(config: JobConfig, degrees: bool = False,
         failed = any(row[1] == "FAIL" for row in rows)
         return 1 if failed else 0
     return 0
+
+
+def _finite_float(token: str) -> float:
+    # json.load takes NaN and Infinity, and 1e999 parses to inf: refuse them
+    value = float(token)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite number {token}")
+    return value
 
 
 def main(argv=None) -> int:
@@ -526,8 +517,9 @@ def main(argv=None) -> int:
 
     try:
         with open(args.config) as fh:
-            doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+            doc = json.load(fh, parse_constant=_finite_float,
+                            parse_float=_finite_float)
+    except (OSError, ValueError) as exc:  # JSONDecodeError is a ValueError
         print(f"ConfigInvalid: cannot read config: {exc}", file=sys.stderr)
         return 2
     try:

@@ -1,8 +1,9 @@
 """Exception types shared across the package.
 
-Every guard in the numerical pipeline raises one of these instead of a bare
-ValueError so callers (and the CLI exit-code mapping) can tell configuration
-problems apart from runtime numerical failures.
+Every guard in the numerical pipeline raises a PhaseshiftError, so callers
+can tell configuration problems (ConfigInvalid) apart from numerical
+failures; only the argument checks of Grid and PotentialSpec still raise a
+plain ValueError.
 """
 
 
@@ -43,22 +44,12 @@ class TruncationTooHigh(PhaseshiftError):
 
 
 class DegenerateSweep(PhaseshiftError):
-    """Coupling sweep unusable for order estimation (structure or noise floor).
+    """Coupling ladder that does not halve or leaves the perturbative window."""
 
-    When every truncation sits below the noise floor the check is vacuous
-    rather than wrong; `vacuous` is True then and `report` carries the
-    all-INCONCLUSIVE result so callers can still present it.
-    """
 
-    def __init__(self, message: str, vacuous: bool = False, report=None):
-        super().__init__(message)
-        self.vacuous = vacuous
-        self.report = report
+class NonFiniteResult(PhaseshiftError, ValueError):
+    """A grid function, hierarchy value or series correction is inf or NaN."""
 
 
 class ConfigInvalid(PhaseshiftError):
     """Job configuration failed validation."""
-
-
-class ComputationFailed(PhaseshiftError):
-    """A numerical guard tripped while running a job."""

@@ -32,7 +32,6 @@ import numpy as np
 from .errors import OrderOutOfRange
 from .potential import (
     ComplexGridFunction,
-    Grid,
     as_samples,
     cumulative_from_right,
     require_same_grid,
@@ -44,12 +43,7 @@ from .refwave import ReferenceWave
 class HierarchyResult:
     """Values f_1(0) ... f_order(0) of the correction functions."""
 
-    order: int
     values_at_zero: tuple
-
-    def __post_init__(self) -> None:
-        if len(self.values_at_zero) != self.order:
-            raise ValueError("hierarchy length disagrees with declared order")
 
 
 def apply_recursion_step(ref: ReferenceWave, u,
@@ -91,6 +85,8 @@ def compute_hierarchy(ref: ReferenceWave, u, order: int) -> HierarchyResult:
     ------
     OrderOutOfRange
         If `order` < 1.
+    NonFiniteResult
+        If a correction function overflows to inf or NaN.
     """
     if order < 1:
         raise OrderOutOfRange(f"order must be >= 1, got {order}")
@@ -98,10 +94,12 @@ def compute_hierarchy(ref: ReferenceWave, u, order: int) -> HierarchyResult:
     samples = as_samples(u, grid)
     g = ComplexGridFunction(grid, np.ones(grid.n_points, dtype=complex))
     values = []
-    for _ in range(order):
-        g = apply_recursion_step(ref, samples, g)
-        values.append(g.at_zero)
-    return HierarchyResult(order=order, values_at_zero=tuple(values))
+    # an overflow is reported once, as NonFiniteResult, not as a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(order):
+            g = apply_recursion_step(ref, samples, g)
+            values.append(g.at_zero)
+    return HierarchyResult(values_at_zero=tuple(values))
 
 
 def step_by_double_integral(ref: ReferenceWave, u,

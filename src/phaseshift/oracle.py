@@ -115,12 +115,10 @@ class TruncationCheck:
 
 @dataclass(frozen=True)
 class ConvergenceReport:
-    couplings: tuple
-    exact: tuple
-    checks: tuple
+    """Order estimates of a series; ``checks[n]`` is truncation n."""
 
-    def by_truncation(self, n: int) -> TruncationCheck:
-        return self.checks[n]
+    couplings: tuple
+    checks: tuple
 
 
 def _noise_floor(step: float, x_max: float, coupling: float, truncation: int,
@@ -139,6 +137,20 @@ def _noise_floor(step: float, x_max: float, coupling: float, truncation: int,
     return quad + rk4 + rounding
 
 
+def halving_ladder(couplings) -> tuple:
+    """`couplings` as floats: at least two, positive, each half the one
+    before.  Raises :class:`DegenerateSweep` for anything else."""
+    couplings = tuple(float(c) for c in couplings)
+    if len(couplings) < 2:
+        raise DegenerateSweep("need at least two couplings")
+    for big, small in zip(couplings, couplings[1:]):
+        if not small > 0.0 or not big > small:
+            raise DegenerateSweep("couplings must be positive and decreasing")
+        if abs(big / small - 2.0) > 1e-9:
+            raise DegenerateSweep("couplings must halve between sweep points")
+    return couplings
+
+
 def convergence_order_check(series: PhaseSeries, V: PotentialSpec,
                             U: PotentialSpec, couplings,
                             tol_wronskian: float = DEFAULT_WRONSKIAN_TOL
@@ -152,8 +164,7 @@ def convergence_order_check(series: PhaseSeries, V: PotentialSpec,
     V, U : PotentialSpec
         The potentials the series was built from.
     couplings : sequence of float
-        Strictly decreasing geometric sweep with ratio 2, small enough that
-        |coupling * delta_1| < 0.1.
+        A :func:`halving_ladder` with |couplings[0] * delta_1| < 0.1.
 
     Returns
     -------
@@ -162,22 +173,17 @@ def convergence_order_check(series: PhaseSeries, V: PotentialSpec,
         order estimate uses the smallest coupling pair.  A truncation whose
         remainder sits below 10x the quadrature noise floor is reported
         INCONCLUSIVE — there is nothing left to measure; otherwise the
-        status is PASS when p_hat lies in [N + 0.5, N + 1.5].
+        status is PASS when p_hat lies in [N + 0.5, N + 1.5].  When every
+        truncation is INCONCLUSIVE the check is vacuous (a zero
+        perturbation, say) but not wrong, so that report is returned too.
 
     Raises
     ------
     DegenerateSweep
-        If the sweep structure is invalid, or every truncation is below the
-        noise floor (the whole check is vacuous, e.g. a zero perturbation).
+        If `couplings` is not a halving ladder, or its largest coupling is
+        outside the perturbative window.
     """
-    couplings = tuple(float(c) for c in couplings)
-    if len(couplings) < 2:
-        raise DegenerateSweep("need at least two couplings")
-    for big, small in zip(couplings, couplings[1:]):
-        if not small > 0.0 or not big > small:
-            raise DegenerateSweep("couplings must be positive and decreasing")
-        if abs(big / small - 2.0) > 1e-9:
-            raise DegenerateSweep("couplings must halve between sweep points")
+    couplings = halving_ladder(couplings)
     if series.max_order >= 1 and abs(couplings[0] * series.corrections[0]) >= 0.1:
         raise DegenerateSweep(
             "largest coupling is outside the perturbative window"
@@ -187,7 +193,6 @@ def convergence_order_check(series: PhaseSeries, V: PotentialSpec,
     exact = sweep_exact(V, U, couplings, series.k, fine,
                         seed_delta=series.delta0, tol_wronskian=tol_wronskian)
 
-    small, big = couplings[-1], couplings[-2]
     idx_small, idx_big = len(couplings) - 1, len(couplings) - 2
     step = series.grid.step
     x_max = series.grid.x_max
@@ -216,12 +221,4 @@ def convergence_order_check(series: PhaseSeries, V: PotentialSpec,
                 status = "PASS" if in_band else "FAIL"
         checks.append(TruncationCheck(trunc, p_hat, status, remainders))
 
-    report = ConvergenceReport(couplings=couplings,
-                               exact=tuple(r.delta_exact for r in exact),
-                               checks=tuple(checks))
-    if all(c.status == "INCONCLUSIVE" for c in checks):
-        raise DegenerateSweep(
-            "every truncation sits below the noise floor; nothing to measure",
-            vacuous=True, report=report,
-        )
-    return report
+    return ConvergenceReport(couplings=couplings, checks=tuple(checks))

@@ -70,11 +70,6 @@ class PartitionTuple:
             filter(itemgetter(1), enumerate(self.multiplicities))))
 
 
-def log_derivative_coefficient(t: PartitionTuple) -> float:
-    """Coefficient (-1)^(j-1) (j-1)! / prod(i_p!) of a multiplicity tuple."""
-    return _signed_ratio(t.j, math.prod(map(math.factorial, t.multiplicities)))
-
-
 def _signed_ratio(j: int, denom: int) -> float:
     # int / int is correctly rounded, as float(Fraction(a, b)) is: same bits
     value = math.factorial(j - 1) / denom

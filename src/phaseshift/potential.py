@@ -15,12 +15,13 @@ Units are dimensionless throughout (hbar = m = 1).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .errors import EvenPointCount, GridMismatch, TabulatedGridMismatch
+from .errors import (EvenPointCount, GridMismatch, NonFiniteResult,
+                     TabulatedGridMismatch)
 
 #: values with magnitude below this are treated as an exact zero tail
 DEFAULT_TAIL_EPS = 1e-12
@@ -95,7 +96,7 @@ class ComplexGridFunction:
                 f"expected {self.grid.n_points} values, got {self.values.shape}"
             )
         if not np.all(np.isfinite(self.values)):
-            raise ValueError("grid function contains non-finite values")
+            raise NonFiniteResult("grid function contains non-finite values")
 
     @property
     def at_zero(self) -> complex:
@@ -231,7 +232,6 @@ class PotentialSamples:
     at_nodes: np.ndarray
     at_nodes_left: np.ndarray
     at_midpoints: np.ndarray
-    support_hi: float = 0.0
 
     def __post_init__(self) -> None:
         n = self.grid.n_points
@@ -273,7 +273,6 @@ def combine_samples(a: PotentialSamples, b: PotentialSamples,
         a.at_nodes + weight_b * b.at_nodes,
         a.at_nodes_left + weight_b * b.at_nodes_left,
         a.at_midpoints + weight_b * b.at_midpoints,
-        support_hi=max(a.support_hi, b.support_hi if weight_b != 0.0 else 0.0),
     )
 
 
@@ -294,16 +293,11 @@ def sample_potential(spec: PotentialSpec, grid: Grid) -> PotentialSamples:
                 raise TabulatedGridMismatch(
                     f"tabulated on {declared}, requested {grid}"
                 )
-        nodes = spec.values_at(grid.nodes)
-        return PotentialSamples(grid, nodes, nodes,
-                                spec.values_at(grid.midpoints),
-                                support_hi=spec.support_hi)
     return PotentialSamples(
         grid,
         spec.values_at(grid.nodes, side=+1),
         spec.values_at(grid.nodes, side=-1),
         spec.values_at(grid.midpoints, side=+1),
-        support_hi=spec.support_hi,
     )
 
 
@@ -311,16 +305,10 @@ def simpson_weights(grid: Grid) -> np.ndarray:
     """Composite Simpson weights on the grid nodes.
 
     ``sum(w * g(x))`` approximates the integral over [0, x_max] with
-    O(step^4) error for smooth g.
-
-    Raises
-    ------
-    EvenPointCount
-        If the node count is even (Simpson needs an odd count).
+    O(step^4) error for smooth g; :class:`Grid` guarantees the odd node
+    count the rule needs.
     """
     n = grid.n_points
-    if n < 3 or n % 2 == 0:
-        raise EvenPointCount(f"composite Simpson needs odd n_points, got {n}")
     w = np.full(n, 2.0)
     w[1::2] = 4.0
     w[0] = w[-1] = 1.0

@@ -18,7 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InsufficientFValues, OrderOutOfRange, TruncationTooHigh
+from .errors import (InsufficientFValues, NonFiniteResult, OrderOutOfRange,
+                     TruncationTooHigh)
 from .hierarchy import compute_hierarchy
 from .partitions import MAX_ORDER, enumerate_partitions
 from .potential import Grid
@@ -29,23 +30,21 @@ from .refwave import ReferenceWave
 class PhaseSeries:
     """Background phase plus perturbative corrections.
 
-    ``corrections[n-1]`` multiplies coupling**n; ``values_at_zero`` keeps the
-    hierarchy values the corrections were assembled from, which downstream
-    diagnostics reuse.
+    ``corrections[n-1]`` multiplies coupling**n.  Every correction is
+    finite: an inf or NaN raises :class:`NonFiniteResult`.
     """
 
     k: float
     grid: Grid
     delta0: float
     corrections: tuple
-    values_at_zero: tuple
     max_order: int
 
     def __post_init__(self) -> None:
         if len(self.corrections) != self.max_order:
             raise ValueError("corrections length disagrees with max_order")
         if not all(np.isfinite(self.corrections)):
-            raise ValueError("non-finite correction")
+            raise NonFiniteResult("non-finite correction")
 
 
 def _check_order(values_at_zero, n: int) -> None:
@@ -72,16 +71,19 @@ def assemble_delta_n(values_at_zero, n: int) -> float:
 
     Raises
     ------
-    OrderOutOfRange, InsufficientFValues
+    OrderOutOfRange, InsufficientFValues, NonFiniteResult
     """
     _check_order(values_at_zero, n)
     f = [complex(v) for v in values_at_zero[:n]]
     total = 0j
-    for t in enumerate_partitions(n):
-        term = complex(t.coefficient)
-        for index, i in t.factors:
-            term *= f[index] ** i
-        total += term
+    try:
+        for t in enumerate_partitions(n):
+            term = complex(t.coefficient)
+            for index, i in t.factors:
+                term *= f[index] ** i
+            total += term
+    except OverflowError as exc:
+        raise NonFiniteResult(f"delta_{n}: {exc}") from exc
     return total.imag
 
 
@@ -119,7 +121,6 @@ def assemble_series(ref: ReferenceWave, u, max_order: int) -> PhaseSeries:
         grid=ref.grid,
         delta0=ref.delta0,
         corrections=corrections,
-        values_at_zero=result.values_at_zero,
         max_order=max_order,
     )
 

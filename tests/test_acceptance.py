@@ -63,8 +63,8 @@ def test_a3_remainder_orders(barrier_series, barrier):
     t0 = time.perf_counter()
     report = convergence_order_check(barrier_series, ZERO, barrier, (0.1, 0.05))
     elapsed = time.perf_counter() - t0
-    required = all(report.by_truncation(n).status == "PASS" for n in (1, 2, 3))
-    relaxed = report.by_truncation(4).status in ("PASS", "INCONCLUSIVE")
+    required = all(report.checks[n].status == "PASS" for n in (1, 2, 3))
+    relaxed = report.checks[4].status in ("PASS", "INCONCLUSIVE")
     ok = required and relaxed and elapsed < 10.0
     detail = "; ".join(
         f"N={c.truncation}: p_hat={c.p_hat:.4f} {c.status}"

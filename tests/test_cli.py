@@ -192,6 +192,15 @@ BAD_DOCS = (
                               "U": {"kind": "piecewise_constant",
                                     "segments": [[0.0, 1.5, 1.0]]}}),
     ("non-string output_path", {"command": "selftest", "output_path": 7}),
+    ("converge ladder that does not halve",
+     {"command": "converge", "k": 1.0, "lambda": [0.1, 0.06], "max_order": 1,
+      "grid": {"x_max": 1.0, "n_points": 11}}),
+    ("converge ladder increasing", {"command": "converge", "k": 1.0,
+                                    "lambda": [0.05, 0.1], "max_order": 1,
+                                    "grid": {"x_max": 1.0, "n_points": 11}}),
+    ("converge ladder not positive", {"command": "converge", "k": 1.0,
+                                      "lambda": [0.1, -0.05], "max_order": 1,
+                                      "grid": {"x_max": 1.0, "n_points": 11}}),
 )
 
 
@@ -255,6 +264,18 @@ def test_exit_codes(tmp_path, capsys):
         assert "ComputationFailed: WronskianViolation" in err
         assert "Traceback" not in err
 
+    # at order 20 the series overflows: a typed error, not a traceback
+    series_overflow = tmp_path / "overflow_series.json"
+    series_overflow.write_text(json.dumps({
+        "command": "phases", "k": 1.0, "max_order": 20,
+        "grid": {"x_max": 2.0, "n_points": 401},
+        "U": {"kind": "piecewise_constant", "segments": [[0.0, 1.0, 1e40]]},
+    }))
+    assert main(["phases", "--config", str(series_overflow)]) == 1
+    err = capsys.readouterr().err
+    assert "ComputationFailed: NonFiniteResult" in err
+    assert "Traceback" not in err
+
     ok = tmp_path / "ok.json"
     ok.write_text(json.dumps({
         "command": "phases", "k": 1.0, "max_order": 1,
@@ -264,6 +285,57 @@ def test_exit_codes(tmp_path, capsys):
     }))
     assert main(["phases", "--config", str(ok)]) == 0
     assert (tmp_path / "ok.csv").exists()
+
+
+def test_non_finite_json_numbers_are_config_errors(tmp_path, capsys):
+    # json.load accepts NaN and Infinity, and 1e999 parses to inf; each must
+    # end in exit code 2 wherever it appears
+    samples = [0.0] * 201
+    samples[10] = 0.1
+    doc = {
+        "command": "phases", "k": 1.0, "lambda": 0.1, "max_order": 1,
+        "grid": {"x_max": 2.0, "n_points": 201},
+        "V": {"kind": "tabulated", "samples": samples},
+        "U": {"kind": "piecewise_constant", "segments": [[0.0, 1.0, 1.0]]},
+        "tolerances": {"eps_tail": 1e-12},
+    }
+    places = {
+        "k": ("k",),
+        "x_max": ("grid", "x_max"),
+        "segment value": ("U", "segments", 0, 2),
+        "tabulated sample": ("V", "samples", 5),
+        "lambda": ("lambda",),
+        "eps_tail": ("tolerances", "eps_tail"),
+    }
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(doc))
+    assert main(["phases", "--config", str(path), "--out",
+                 str(tmp_path / "ok.csv")]) == 0
+    for place, (*parents, last) in places.items():
+        for token in ("NaN", "Infinity", "-Infinity", "1e999", "-1e999"):
+            marked = json.loads(json.dumps(doc))
+            target = marked
+            for key in parents:
+                target = target[key]
+            target[last] = "@"
+            path.write_text(json.dumps(marked).replace('"@"', token))
+            assert main(["phases", "--config", str(path)]) == 2, (place, token)
+            err = capsys.readouterr().err
+            assert err.startswith("ConfigInvalid: "), (place, token, err)
+            assert "Traceback" not in err
+
+
+def test_converge_without_perturbation_is_inconclusive(tmp_path, capsys):
+    # U omitted: every remainder sits below the noise floor, so the check is
+    # vacuous, not an error
+    doc = load_config("converge.json")
+    del doc["U"]
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps(doc))
+    assert main(["converge", "--config", str(path)]) == 0
+    header, rows = parse_csv(capsys.readouterr().out)
+    assert header[:3] == ["truncation", "p_hat", "status"]
+    assert [row[2] for row in rows] == ["INCONCLUSIVE"] * 3
 
 
 def test_missing_config_flag_is_a_usage_error():

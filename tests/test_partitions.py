@@ -10,7 +10,6 @@ from phaseshift import (
     OrderOutOfRange,
     PartitionTuple,
     enumerate_partitions,
-    log_derivative_coefficient,
 )
 
 # partition numbers p(1) .. p(12)
@@ -52,7 +51,6 @@ def test_coefficients_are_the_rounded_exact_ratios():
             denom = math.prod(math.factorial(i) for i in t.multiplicities)
             exact = Fraction((-1) ** (t.j - 1) * math.factorial(t.j - 1), denom)
             assert t.coefficient == float(exact)
-            assert log_derivative_coefficient(t) == float(exact)
 
 
 def test_first_and_last_tuple_shape():
@@ -81,7 +79,6 @@ def test_every_tuple_satisfies_the_constraint():
             assert sum(p * i for p, i in enumerate(t.multiplicities, 1)) == n
             assert t.j == sum(t.multiplicities)
             assert t.j >= 1
-            assert t.coefficient == log_derivative_coefficient(t)
 
 
 def test_coefficient_sum_identity():

@@ -147,7 +147,6 @@ def test_two_sided_sampling_at_barrier_edge(barrier):
     assert s.at_nodes[2] == 0.0       # right limit at the jump
     assert s.at_nodes_left[2] == 1.0  # left limit at the jump
     assert s.at_midpoints[1] == 1.0 and s.at_midpoints[2] == 0.0
-    assert s.support_hi == 1.0
 
 
 def test_cumulative_from_right_constant_is_exact():
@@ -176,7 +175,6 @@ def test_combine_samples_is_affine(barrier):
     assert np.allclose(c.at_nodes, a.at_nodes + 0.25 * b.at_nodes)
     assert np.allclose(c.at_nodes_left, a.at_nodes_left + 0.25 * b.at_nodes_left)
     assert np.allclose(c.at_midpoints, a.at_midpoints + 0.25 * b.at_midpoints)
-    assert c.support_hi == max(a.support_hi, b.support_hi)
 
 
 def test_as_samples_rejects_plain_arrays(barrier):

@@ -4,6 +4,7 @@ import pytest
 from phaseshift import (
     Grid,
     InsufficientFValues,
+    NonFiniteResult,
     OrderOutOfRange,
     PhaseSeries,
     PotentialSpec,
@@ -130,8 +131,7 @@ def test_assemble_series_order_validation(fine_free_ref, barrier):
 def synthetic_series(corrections):
     order = len(corrections)
     return PhaseSeries(k=1.0, grid=Grid(1.0, 3), delta0=0.1,
-                       corrections=tuple(corrections),
-                       values_at_zero=(0j,) * order, max_order=order)
+                       corrections=tuple(corrections), max_order=order)
 
 
 def test_divergence_flag_heuristic():
@@ -159,9 +159,18 @@ def test_divergence_flag_heuristic():
 def test_series_container_validation():
     with pytest.raises(ValueError):
         PhaseSeries(k=1.0, grid=Grid(1.0, 3), delta0=0.0,
-                    corrections=(0.1, 0.2), values_at_zero=(0j, 0j),
-                    max_order=3)
+                    corrections=(0.1, 0.2), max_order=3)
     with pytest.raises(ValueError):
         PhaseSeries(k=1.0, grid=Grid(1.0, 3), delta0=0.0,
-                    corrections=(0.1, float("nan")), values_at_zero=(0j, 0j),
-                    max_order=2)
+                    corrections=(0.1, float("nan")), max_order=2)
+
+
+def test_overflowing_series_is_a_typed_error():
+    # order 20, unit-width barrier, 401 points: at heights 1e16-1e17 a power
+    # f_p**i overflows in the partition sum, from 1e18 the hierarchy itself
+    # overflows; both end in one error type and no RuntimeWarning
+    ref = analytic_free_reference(1.0, Grid(2.0, 401))
+    for height in (1e16, 1e17, 1e18, 1e40):
+        barrier = PotentialSpec.piecewise_constant([(0.0, 1.0, height)])
+        with pytest.raises(NonFiniteResult):
+            assemble_series(ref, barrier, 20)
