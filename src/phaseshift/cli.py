@@ -34,11 +34,16 @@ from .refwave import (
 )
 from .oracle import (ORACLE_REFINEMENT, convergence_order_check,
                      halving_ladder, solve_exact, sweep_exact)
-from .series import assemble_series, divergence_flag, evaluate_truncated
+from .series import (assemble_corrections, assemble_series, divergence_flag,
+                     evaluate_truncated, log_expansion_reference)
 
 COMMANDS = ("phases", "sweep", "converge", "selftest")
 
 RADIANS_PER_DEGREE = math.pi / 180.0
+
+#: largest grid a config may ask for; the oracle integrates on a grid
+#: ORACLE_REFINEMENT times finer
+MAX_POINTS = 1_000_001
 
 
 @dataclass(frozen=True)
@@ -57,13 +62,21 @@ class JobConfig:
     eps_tail: float
 
 
+def _as_float(value, key) -> float:
+    # a JSON integer can lie beyond the double range
+    try:
+        return float(value)
+    except OverflowError:
+        raise ConfigInvalid(f"'{key}' is beyond the double range") from None
+
+
 def _require_number(doc, key, positive=True):
     value = doc.get(key)
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigInvalid(f"'{key}' must be a number")
     if positive and not value > 0:
         raise ConfigInvalid(f"'{key}' must be positive")
-    return float(value)
+    return _as_float(value, key)
 
 
 def _number_list(value, key):
@@ -73,7 +86,7 @@ def _number_list(value, key):
             or any(isinstance(v, bool) or not isinstance(v, (int, float))
                    for v in value)):
         raise ConfigInvalid(f"'{key}' must be a number or a non-empty list of numbers")
-    return tuple(float(v) for v in value)
+    return tuple(_as_float(v, key) for v in value)
 
 
 def _parse_potential(doc, key, grid, eps_tail) -> PotentialSpec:
@@ -94,7 +107,7 @@ def _parse_potential(doc, key, grid, eps_tail) -> PotentialSpec:
                 raise ConfigInvalid("tabulated potentials need a grid")
             return PotentialSpec.tabulated(sub.get("samples", []), grid,
                                            eps_tail=eps_tail)
-    except (PhaseshiftError, TypeError, ValueError) as exc:
+    except (PhaseshiftError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigInvalid(f"'{key}': {exc}") from exc
     raise ConfigInvalid(f"'{key}': unknown potential kind {kind!r}")
 
@@ -149,9 +162,11 @@ def parse_config(doc: dict, command: str | None = None) -> JobConfig:
         n_points = gdoc["n_points"]
         if isinstance(n_points, bool) or not isinstance(n_points, int):
             raise ConfigInvalid("'n_points' must be an integer")
+        if n_points > MAX_POINTS:
+            raise ConfigInvalid(f"'n_points' must be at most {MAX_POINTS}")
         try:
             grid = Grid(x_max, n_points)
-        except PhaseshiftError as exc:
+        except (PhaseshiftError, ValueError) as exc:
             raise ConfigInvalid(str(exc)) from exc
 
     needs_run = effective != "selftest"
@@ -367,13 +382,12 @@ def _check_partition_coefficients() -> bool:
 
 
 def _check_partition_vs_recurrence() -> bool:
-    from .series import assemble_delta_n, log_expansion_reference
+    # the all-orders partition sum that assemble_series uses
     rng = np.random.default_rng(0)
     for _ in range(20):
         f = [complex(a, b) for a, b in rng.uniform(-1, 1, size=(8, 2))]
-        for n in range(1, 9):
-            if abs(assemble_delta_n(f, n)
-                   - log_expansion_reference(f, n)) > 1e-12:
+        for n, delta in enumerate(assemble_corrections(f, 8), start=1):
+            if abs(delta - log_expansion_reference(f, n)) > 1e-12:
                 return False
     return True
 

@@ -34,7 +34,7 @@ class Grid:
     Parameters
     ----------
     x_max : float
-        Upper end of the computational domain.
+        Upper end of the computational domain; positive and finite.
     n_points : int
         Number of nodes, endpoints included.  Must be odd and >= 3 so the
         composite Simpson rule applies.
@@ -48,8 +48,9 @@ class Grid:
     n_points: int
 
     def __post_init__(self) -> None:
-        if not self.x_max > 0.0:
-            raise ValueError(f"x_max must be positive, got {self.x_max}")
+        if not 0.0 < self.x_max < math.inf:
+            raise ValueError(
+                f"x_max must be positive and finite, got {self.x_max}")
         if self.n_points < 3 or self.n_points % 2 == 0:
             raise EvenPointCount(
                 f"n_points must be odd and >= 3, got {self.n_points}"
@@ -112,12 +113,25 @@ def require_same_grid(*objs) -> Grid:
     return grid
 
 
+def _require_finite(values, what: str) -> None:
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"non-finite {what} value")
+
+
+def _require_tail_eps(eps_tail: float) -> None:
+    if not 0.0 < eps_tail < math.inf:
+        raise ValueError(
+            f"eps_tail must be positive and finite, got {eps_tail}")
+
+
 @dataclass(frozen=True)
 class PotentialSpec:
     """Declarative description of a compactly supported potential.
 
     Use the classmethod constructors; `kind` selects which payload field is
-    meaningful.
+    meaningful.  They raise ValueError for a NaN or infinite number
+    anywhere in the payload or in `eps_tail`, and for an `eps_tail` that is
+    not positive.
 
     Attributes
     ----------
@@ -149,6 +163,7 @@ class PotentialSpec:
     @classmethod
     def piecewise_constant(cls, segments) -> "PotentialSpec":
         segs = tuple((float(a), float(b), float(v)) for a, b, v in segments)
+        _require_finite(segs, "segment")
         prev_hi = 0.0
         for lo, hi, _ in segs:
             if lo < 0.0 or hi <= lo:
@@ -162,6 +177,8 @@ class PotentialSpec:
     @classmethod
     def gaussian_sum(cls, bumps, eps_tail: float = DEFAULT_TAIL_EPS) -> "PotentialSpec":
         bms = tuple((float(c), float(w), float(h)) for c, w, h in bumps)
+        _require_finite(bms, "gaussian bump")
+        _require_tail_eps(eps_tail)
         support = 0.0
         for c, w, h in bms:
             if w <= 0.0:
@@ -177,6 +194,8 @@ class PotentialSpec:
     def tabulated(cls, samples, grid: Grid,
                   eps_tail: float = DEFAULT_TAIL_EPS) -> "PotentialSpec":
         vals = _as_readonly(samples, float)
+        _require_finite(vals, "tabulated sample")
+        _require_tail_eps(eps_tail)
         if vals.shape != (grid.n_points,):
             raise TabulatedGridMismatch(
                 f"{vals.shape[0]} samples for a {grid.n_points}-point grid"

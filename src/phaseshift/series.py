@@ -3,8 +3,10 @@
 The corrections delta_n are imaginary parts of polynomial combinations of
 the hierarchy values f_n(0).  Two independent assembly routes are shipped:
 
-* :func:`assemble_delta_n` — the partition sum, summing over multiplicity
-  tuples with log-derivative coefficients;
+* :func:`assemble_corrections` — the partition sum, summing over
+  multiplicity tuples with log-derivative coefficients, for every order up
+  to N in one vectorised pass; :func:`assemble_delta_n` returns one order
+  of it;
 * :func:`log_expansion_reference` — the standard recurrence for the Taylor
   coefficients of log(1 + sum f_n lambda^n).
 
@@ -21,7 +23,7 @@ import numpy as np
 from .errors import (InsufficientFValues, NonFiniteResult, OrderOutOfRange,
                      TruncationTooHigh)
 from .hierarchy import compute_hierarchy
-from .partitions import MAX_ORDER, enumerate_partitions
+from .partitions import MAX_ORDER, partition_columns
 from .potential import Grid
 from .refwave import ReferenceWave
 
@@ -56,11 +58,66 @@ def _check_order(values_at_zero, n: int) -> None:
         )
 
 
+def assemble_corrections(values_at_zero, max_order: int) -> tuple:
+    """Corrections delta_1 .. delta_max_order via the partition sum.
+
+    Evaluates every order at once over :func:`partition_columns`, with the
+    arithmetic of summing the tuples one at a time, so each delta_n is
+    bit-identical to that loop.  Each term starts as its coefficient and is
+    multiplied by f_p ** i_p (Python's ``**``) in increasing p, with Python's
+    complex product written out in real numpy operations,
+    re = ar br - ai bi and im = ar bi + ai br (numpy's complex multiply can
+    round differently).  Each order's imaginary parts are then added in
+    enumeration order, starting from +0.0, by a cumulative sum (``np.sum``
+    would add them pairwise).
+
+    Parameters
+    ----------
+    values_at_zero : sequence of complex
+        f_1(0), f_2(0), ... — at least max_order entries.
+    max_order : int
+        Highest order to assemble, 1 .. 20.
+
+    Returns
+    -------
+    tuple of float
+        (delta_1, ..., delta_max_order); an order whose products overflow is
+        inf or NaN, which :class:`PhaseSeries` refuses.
+
+    Raises
+    ------
+    OrderOutOfRange, InsufficientFValues
+    NonFiniteResult
+        If a power f_p ** i_p overflows.
+    """
+    _check_order(values_at_zero, max_order)
+    columns = partition_columns(max_order)
+    f = [complex(v) for v in values_at_zero[:max_order]]
+    try:
+        table = np.array([f[index] ** i for index, i in columns.powers])
+    except OverflowError as exc:
+        raise NonFiniteResult(
+            f"delta_1..delta_{max_order}: {exc}") from exc
+    table_re, table_im = table.real, table.imag
+    re = columns.coefficients.copy()
+    im = np.zeros_like(re)
+    with np.errstate(over="ignore", invalid="ignore"):
+        # pass k multiplies every row that has a k-th factor: a prefix
+        for slots in columns.factor_slots:
+            rows = len(slots)
+            ar, ai = re[:rows], im[:rows]
+            br, bi = table_re[slots], table_im[slots]
+            re[:rows], im[:rows] = ar * br - ai * bi, ar * bi + ai * br
+        terms = np.zeros(max_order * columns.width)
+        terms[columns.positions] = im
+        sums = np.cumsum(terms.reshape(max_order, columns.width), axis=1)
+    return tuple(sums[:, -1].tolist())
+
+
 def assemble_delta_n(values_at_zero, n: int) -> float:
     """Correction delta_n from hierarchy values via the partition sum.
 
-    Walks the memoised tuples of :func:`enumerate_partitions` and multiplies
-    only the factors each one has.
+    The last entry of :func:`assemble_corrections` for orders 1..n.
 
     Parameters
     ----------
@@ -73,18 +130,7 @@ def assemble_delta_n(values_at_zero, n: int) -> float:
     ------
     OrderOutOfRange, InsufficientFValues, NonFiniteResult
     """
-    _check_order(values_at_zero, n)
-    f = [complex(v) for v in values_at_zero[:n]]
-    total = 0j
-    try:
-        for t in enumerate_partitions(n):
-            term = complex(t.coefficient)
-            for index, i in t.factors:
-                term *= f[index] ** i
-            total += term
-    except OverflowError as exc:
-        raise NonFiniteResult(f"delta_{n}: {exc}") from exc
-    return total.imag
+    return assemble_corrections(values_at_zero, n)[-1]
 
 
 def log_expansion_reference(values_at_zero, n: int) -> float:
@@ -112,15 +158,11 @@ def assemble_series(ref: ReferenceWave, u, max_order: int) -> PhaseSeries:
             f"max_order must be in 1..{MAX_ORDER}, got {max_order}"
         )
     result = compute_hierarchy(ref, u, max_order)
-    corrections = tuple(
-        assemble_delta_n(result.values_at_zero, n)
-        for n in range(1, max_order + 1)
-    )
     return PhaseSeries(
         k=ref.k,
         grid=ref.grid,
         delta0=ref.delta0,
-        corrections=corrections,
+        corrections=assemble_corrections(result.values_at_zero, max_order),
         max_order=max_order,
     )
 

@@ -9,7 +9,8 @@ import pytest
 
 import phaseshift
 from phaseshift import ConfigInvalid
-from phaseshift.cli import main, parse_config, render_csv, run, serialize_config
+from phaseshift.cli import (MAX_POINTS, main, parse_config, render_csv, run,
+                            serialize_config)
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -287,32 +288,38 @@ def test_exit_codes(tmp_path, capsys):
     assert (tmp_path / "ok.csv").exists()
 
 
-def test_non_finite_json_numbers_are_config_errors(tmp_path, capsys):
-    # json.load accepts NaN and Infinity, and 1e999 parses to inf; each must
-    # end in exit code 2 wherever it appears
+def _number_doc():
+    # a valid phases job with a number at each place _NUMBER_PLACES names
     samples = [0.0] * 201
     samples[10] = 0.1
-    doc = {
+    return {
         "command": "phases", "k": 1.0, "lambda": 0.1, "max_order": 1,
         "grid": {"x_max": 2.0, "n_points": 201},
         "V": {"kind": "tabulated", "samples": samples},
         "U": {"kind": "piecewise_constant", "segments": [[0.0, 1.0, 1.0]]},
         "tolerances": {"eps_tail": 1e-12},
     }
-    places = {
-        "k": ("k",),
-        "x_max": ("grid", "x_max"),
-        "segment value": ("U", "segments", 0, 2),
-        "tabulated sample": ("V", "samples", 5),
-        "lambda": ("lambda",),
-        "eps_tail": ("tolerances", "eps_tail"),
-    }
+
+
+_NUMBER_PLACES = {
+    "k": ("k",),
+    "x_max": ("grid", "x_max"),
+    "segment value": ("U", "segments", 0, 2),
+    "tabulated sample": ("V", "samples", 5),
+    "lambda": ("lambda",),
+    "eps_tail": ("tolerances", "eps_tail"),
+}
+
+
+def _assert_refused(tmp_path, capsys, places, tokens, doc=None):
+    # put each token literally at each place: exit 2, ConfigInvalid, no traceback
+    doc = _number_doc() if doc is None else doc
     path = tmp_path / "job.json"
     path.write_text(json.dumps(doc))
     assert main(["phases", "--config", str(path), "--out",
                  str(tmp_path / "ok.csv")]) == 0
     for place, (*parents, last) in places.items():
-        for token in ("NaN", "Infinity", "-Infinity", "1e999", "-1e999"):
+        for token in tokens:
             marked = json.loads(json.dumps(doc))
             target = marked
             for key in parents:
@@ -323,6 +330,28 @@ def test_non_finite_json_numbers_are_config_errors(tmp_path, capsys):
             err = capsys.readouterr().err
             assert err.startswith("ConfigInvalid: "), (place, token, err)
             assert "Traceback" not in err
+
+
+def test_non_finite_json_numbers_are_config_errors(tmp_path, capsys):
+    # json.load accepts NaN and Infinity, and 1e999 parses to inf; each must
+    # end in exit code 2 wherever it appears
+    _assert_refused(tmp_path, capsys, _NUMBER_PLACES,
+                    ("NaN", "Infinity", "-Infinity", "1e999", "-1e999"))
+
+
+def test_huge_integers_are_config_errors(tmp_path, capsys):
+    # JSON integers have no range: beyond the double range float() raised
+    # OverflowError, and a huge odd n_points failed when the grid's arrays
+    # were allocated.  Every value here is refused before any array exists.
+    huge = "1" + "0" * 400
+    _assert_refused(tmp_path, capsys, _NUMBER_PLACES, (huge, "-" + huge))
+    doc = _number_doc()
+    doc["V"] = {"kind": "gaussian_sum", "bumps": [[0.8, 0.1, 0.5]]}
+    bumps = {f"bump {i}": ("V", "bumps", 0, i) for i in range(3)}
+    _assert_refused(tmp_path, capsys, bumps, (huge, "-" + huge), doc=doc)
+    n_points = {"n_points": ("grid", "n_points")}
+    _assert_refused(tmp_path, capsys, n_points,
+                    (str(MAX_POINTS + 2), "100000000001", huge))
 
 
 def test_converge_without_perturbation_is_inconclusive(tmp_path, capsys):

@@ -11,6 +11,7 @@ from phaseshift import (
     PartitionTuple,
     enumerate_partitions,
 )
+from phaseshift.partitions import partition_columns
 
 # partition numbers p(1) .. p(12)
 COUNTS = [1, 2, 3, 5, 7, 11, 15, 22, 30, 42, 56, 77]
@@ -144,3 +145,34 @@ def test_tuple_validation():
         PartitionTuple((1, 1), 2, 1.0)  # 1*1 + 2*1 = 3, not a partition of 2
     with pytest.raises(ValueError):
         PartitionTuple((0, 1), 2, 1.0)  # j disagrees with the multiplicities
+
+
+def test_columns_are_memoised_read_only_views_of_the_tables():
+    for max_order in range(1, MAX_ORDER + 1):
+        cols = partition_columns(max_order)
+        assert partition_columns(max_order) is cols
+        arrays = (cols.coefficients, cols.positions, *cols.factor_slots)
+        assert not any(a.flags.writeable for a in arrays)
+        with pytest.raises(ValueError):
+            cols.coefficients[0] = 0.0
+
+        # decode every row back into its order, rank and factors
+        tables = [enumerate_partitions(n) for n in range(1, max_order + 1)]
+        assert cols.width == 1 + len(tables[-1])
+        rows = {}
+        for r, pos in enumerate(cols.positions):
+            n, column = divmod(int(pos), cols.width)
+            factors = tuple(cols.powers[slots[r]] for slots in cols.factor_slots
+                            if r < len(slots))
+            rows[n, column - 1] = (cols.coefficients[r], factors)
+        assert rows == {(n, j): (t.coefficient, t.factors)
+                        for n, table in enumerate(tables)
+                        for j, t in enumerate(table)}
+        # the rows that have a k-th factor are a prefix
+        lengths = [len(slots) for slots in cols.factor_slots]
+        assert lengths == sorted(lengths, reverse=True)
+        assert lengths[0] == len(cols.positions)
+    with pytest.raises(OrderOutOfRange):
+        partition_columns(0)
+    with pytest.raises(OrderOutOfRange):
+        partition_columns(MAX_ORDER + 1)

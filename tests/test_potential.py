@@ -32,6 +32,12 @@ def test_grid_rejects_even_or_tiny_counts():
         Grid(0.0, 5)
 
 
+def test_grid_rejects_non_finite_extent():
+    for x_max in (float("inf"), float("nan"), -float("inf")):
+        with pytest.raises(ValueError):
+            Grid(x_max, 11)
+
+
 def test_grid_refinement_keeps_domain():
     g = Grid(2.0, 5).refined(4)
     assert g.n_points == 17
@@ -116,6 +122,28 @@ def test_spec_constructors_validate():
         PotentialSpec.piecewise_constant([(0.0, 1.0, 1.0), (0.5, 2.0, 2.0)])
     with pytest.raises(ValueError):
         PotentialSpec.gaussian_sum([(1.0, -0.2, 0.5)])
+
+
+def test_spec_constructors_reject_non_finite_numbers():
+    nan, inf = float("nan"), float("inf")
+    for segment in ((0.0, 1.0, nan), (0.0, 1.0, inf), (0.0, inf, 1.0),
+                    (nan, 1.0, 1.0), (0.0, nan, 1.0)):
+        with pytest.raises(ValueError):
+            PotentialSpec.piecewise_constant([segment])
+    # a NaN centre used to give support_hi 0.0: a silent zero background
+    for bump in ((nan, 0.2, 0.5), (inf, 0.2, 0.5), (1.0, inf, 0.5),
+                 (1.0, nan, 0.5), (1.0, 0.2, nan), (1.0, 0.2, -inf)):
+        with pytest.raises(ValueError):
+            PotentialSpec.gaussian_sum([bump])
+    g = Grid(2.0, 5)
+    for bad in (nan, inf, -inf):
+        with pytest.raises(ValueError):
+            PotentialSpec.tabulated([0.0, 1.0, bad, 0.0, 0.0], g)
+    for eps_tail in (nan, inf, 0.0, -1e-12):
+        with pytest.raises(ValueError):
+            PotentialSpec.gaussian_sum([(1.0, 0.2, 0.5)], eps_tail=eps_tail)
+        with pytest.raises(ValueError):
+            PotentialSpec.tabulated([0.0] * 5, g, eps_tail=eps_tail)
 
 
 def test_tabulated_requires_declared_grid():

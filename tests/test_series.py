@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -12,10 +14,13 @@ from phaseshift import (
     analytic_free_reference,
     assemble_delta_n,
     assemble_series,
+    compute_hierarchy,
     divergence_flag,
     evaluate_truncated,
     log_expansion_reference,
 )
+
+from phaseshift.series import assemble_corrections
 
 from _oracles import BARRIER_TAYLOR, partition_sum_loop
 
@@ -48,6 +53,12 @@ def test_partition_sum_equals_log_recurrence():
             assert abs(a - b) < 1e-12
 
 
+def same_bits(got, want):
+    # == would let -0.0 pass for +0.0
+    return (len(got) == len(want)
+            and np.array(got).tobytes() == np.array(want).tobytes())
+
+
 def test_partition_sum_is_bit_identical_to_the_former_loop():
     # same tuples, same products in the same order: every bit must agree
     rng = np.random.default_rng(29)
@@ -56,9 +67,35 @@ def test_partition_sum_is_bit_identical_to_the_former_loop():
         f[rng.random(20) < 0.25] = 0.0
         f[rng.random(20) < 0.1] *= 1j  # some purely imaginary entries
         values = list(f) if trial % 2 else tuple(complex(v) for v in f)
+        want = [partition_sum_loop(values, n) for n in range(1, 21)]
         for n in range(1, 21):
-            assert assemble_delta_n(values, n) == partition_sum_loop(values, n)
+            assert assemble_delta_n(values, n) == want[n - 1]
+        for max_order in (1, 4, 20):
+            got = assemble_corrections(values, max_order)
+            assert same_bits(got, want[:max_order])
         assert assemble_delta_n(f, 20) == partition_sum_loop(f, 20)
+
+    # the production path: assemble_series on real hierarchy values
+    ref = analytic_free_reference(1.0, Grid(3.0, 401))
+    u = PotentialSpec.gaussian_sum([(1.0, 0.3, 0.8), (1.7, 0.2, -0.5)])
+    for max_order in (1, 4, 20):
+        values = compute_hierarchy(ref, u, max_order).values_at_zero
+        series = assemble_series(ref, u, max_order)
+        want = [partition_sum_loop(values, n)
+                for n in range(1, max_order + 1)]
+        assert same_bits(series.corrections, want)
+
+
+def test_overflowing_products_are_non_finite_without_warnings():
+    # every power stays finite, but f_2 * f_3 at order 5 overflows: the
+    # all-orders pass returns inf or NaN there (PhaseSeries refuses it), the
+    # lower orders are untouched, and no RuntimeWarning escapes (pytest
+    # turns one into an error, see pyproject.toml)
+    f = [0.5 + 0.1j, 1e150 + 1e150j, 1e160 - 1e160j, 0.5j, 0.25]
+    got = assemble_corrections(f, 5)
+    assert not math.isfinite(got[-1])
+    assert not math.isfinite(partition_sum_loop(f, 5))
+    assert same_bits(got[:4], [partition_sum_loop(f, n) for n in range(1, 5)])
 
 
 def test_zero_values_give_zero_correction():

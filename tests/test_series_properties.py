@@ -1,4 +1,4 @@
-"""Property tests of the partition-sum assembler (hypothesis).
+"""Property tests of the all-orders partition-sum assembler (hypothesis).
 
 Examples are drawn from a fixed seed (``derandomize``) and nothing is kept
 between runs, so every run checks the same inputs.  A failing example is
@@ -15,7 +15,8 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import Phase, given, settings, strategies as st  # noqa: E402
 
-from phaseshift import assemble_delta_n, log_expansion_reference  # noqa: E402
+from phaseshift import log_expansion_reference  # noqa: E402
+from phaseshift.series import assemble_corrections  # noqa: E402
 
 # partition numbers p(1) .. p(20)
 PARTITION_COUNTS = (1, 2, 3, 5, 7, 11, 15, 22, 30, 42, 56, 77, 101, 135, 176,
@@ -53,8 +54,8 @@ _values = st.lists(st.builds(complex, _component, _component),
 @PROPERTY_SETTINGS
 @given(_values)
 def test_partition_sum_equals_log_recurrence_within_rounding(f):
-    for n in range(1, 21):
-        gap = abs(assemble_delta_n(f, n) - log_expansion_reference(f, n))
+    for n, delta in enumerate(assemble_corrections(f, 20), start=1):
+        gap = abs(delta - log_expansion_reference(f, n))
         assert gap <= rounding_bound(f, n)
 
 
@@ -66,8 +67,9 @@ def test_partition_sum_scaling_covariance(f, a, negative):
     # product a^n delta_n add at most n eps M_n on top.
     a = -a if negative else a
     g = [a ** p * v for p, v in enumerate(f, start=1)]
-    for n in range(1, 21):
-        want = a ** n * assemble_delta_n(f, n)
+    pairs = zip(assemble_corrections(f, 20), assemble_corrections(g, 20))
+    for n, (delta_f, delta_g) in enumerate(pairs, start=1):
+        want = a ** n * delta_f
         bound = ((PARTITION_COUNTS[n - 1] + 3 * n) * EPS
                  * (magnitude_sum(g, n) + abs(a) ** n * magnitude_sum(f, n)))
-        assert abs(assemble_delta_n(g, n) - want) <= bound
+        assert abs(delta_g - want) <= bound
