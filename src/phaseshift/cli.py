@@ -63,20 +63,25 @@ class JobConfig:
 
 
 def _as_float(value, key) -> float:
-    # a JSON integer can lie beyond the double range
+    # a JSON integer can lie beyond the double range, and a document built
+    # in Python can hold NaN or an infinity
     try:
-        return float(value)
+        number = float(value)
     except OverflowError:
         raise ConfigInvalid(f"'{key}' is beyond the double range") from None
+    if not math.isfinite(number):
+        raise ConfigInvalid(f"'{key}' must be finite, got {number}")
+    return number
 
 
 def _require_number(doc, key, positive=True):
     value = doc.get(key)
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigInvalid(f"'{key}' must be a number")
-    if positive and not value > 0:
+    number = _as_float(value, key)
+    if positive and not number > 0:
         raise ConfigInvalid(f"'{key}' must be positive")
-    return _as_float(value, key)
+    return number
 
 
 def _number_list(value, key):

@@ -163,3 +163,27 @@ def partition_sum_loop(values, n):
                 term *= complex(values[p - 1]) ** i
         total += term
     return total.imag
+
+
+# The hierarchy step the package's once-built operator replaced, kept
+# verbatim as its reference: U times d times g on each side of the nodes, two
+# right-to-left cumulative trapezoids (the former ``cumulative_from_right``,
+# inlined), and the division by ik last.  Written in plain numpy on node
+# arrays, so np.clongdouble inputs give the same discretization in extended
+# precision.
+def recursion_step_loop(k, step, density, ratio_shift, u_right, u_left, g):
+    """Next correction's node values from those of `g` (x = 0 first)."""
+
+    def cumulative_from_right(values, values_left):
+        seg = 0.5 * step * (values[:-1] + values_left[1:])
+        out = np.zeros(len(values), dtype=seg.dtype)
+        out[:-1] = np.cumsum(seg[::-1])[::-1]
+        return out
+
+    base = density * g
+    r = ratio_shift
+    plus = u_right * base
+    minus = u_left * base
+    weighted = cumulative_from_right(plus * r, minus * r)
+    plain = cumulative_from_right(plus, minus)
+    return (weighted - r * plain) / (1j * k)

@@ -339,6 +339,29 @@ def test_non_finite_json_numbers_are_config_errors(tmp_path, capsys):
                     ("NaN", "Infinity", "-Infinity", "1e999", "-1e999"))
 
 
+def test_parse_config_refuses_non_finite_numbers():
+    # a document built in Python skips the JSON hooks in main, so
+    # parse_config itself refuses NaN and the infinities
+    doc = _number_doc()
+    doc["k"] = [1.0, 1.5]
+    doc["lambda"] = [0.1, 0.2]
+    doc["tolerances"]["tol_wronskian"] = 1e-8
+    parse_config(doc)
+    places = {("k",): "k", ("k", 1): "k", ("lambda",): "lambda",
+              ("lambda", 1): "lambda", ("grid", "x_max"): "x_max",
+              ("tolerances", "tol_wronskian"): "tol_wronskian",
+              ("tolerances", "eps_tail"): "eps_tail"}
+    for (*parents, last), key in places.items():
+        for bad in (math.nan, math.inf, -math.inf):
+            marked = json.loads(json.dumps(doc))
+            target = marked
+            for name in parents:
+                target = target[name]
+            target[last] = bad
+            with pytest.raises(ConfigInvalid, match=f"'{key}' must be finite"):
+                parse_config(marked)
+
+
 def test_huge_integers_are_config_errors(tmp_path, capsys):
     # JSON integers have no range: beyond the double range float() raised
     # OverflowError, and a huge odd n_points failed when the grid's arrays

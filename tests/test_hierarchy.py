@@ -1,4 +1,7 @@
+import cmath
 import math
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -7,13 +10,20 @@ from phaseshift import (
     ComplexGridFunction,
     Grid,
     GridMismatch,
+    NonFiniteResult,
     OrderOutOfRange,
     PotentialSpec,
     analytic_free_reference,
     apply_recursion_step,
     compute_hierarchy,
+    sample_potential,
+    solve_reference,
     step_by_double_integral,
 )
+
+from _oracles import recursion_step_loop
+
+EPS = sys.float_info.epsilon
 
 
 def unit_function(grid):
@@ -133,3 +143,89 @@ def test_order_and_grid_validation(barrier):
         apply_recursion_step(ref, barrier, wrong_grid)
     with pytest.raises(GridMismatch):
         step_by_double_integral(ref, barrier, wrong_grid)
+
+
+# Inputs the former step is checked on: a jump on a node, smooth bumps, and
+# a jump between nodes on a background solved by RK4.
+FORMER_STEP_CASES = {
+    "node-aligned barrier": lambda: (
+        analytic_free_reference(1.0, Grid(2.0, 2001)),
+        PotentialSpec.piecewise_constant([(0.0, 1.0, 1.0)])),
+    "two gaussians": lambda: (
+        analytic_free_reference(1.1, Grid(4.0, 2001)),
+        PotentialSpec.gaussian_sum([(1.2, 0.3, 0.7), (2.5, 0.2, -0.5)])),
+    "jump on an RK4 background": lambda: (
+        solve_reference(PotentialSpec.gaussian_sum([(1.0, 0.3, 0.4)]), 1.3,
+                        Grid(3.0, 2001)),
+        PotentialSpec.piecewise_constant([(0.5, 1.25, 0.8)])),
+}
+
+
+def former_step_inputs(ref, u, extended=False):
+    """Arguments of recursion_step_loop; `extended` casts to long double."""
+    s = sample_potential(u, ref.grid)
+    arrays = (ref.density.values, ref.ratio_shift.values,
+              s.at_nodes, s.at_nodes_left)
+    if extended:
+        arrays = tuple(a.astype(np.clongdouble if np.iscomplexobj(a)
+                                else np.longdouble) for a in arrays)
+    return (ref.k, ref.grid.step, *arrays)
+
+
+@pytest.mark.parametrize("case", FORMER_STEP_CASES)
+def test_low_orders_match_the_former_step_at_every_node(case):
+    ref, u = FORMER_STEP_CASES[case]()
+    args = former_step_inputs(ref, u)
+    g = unit_function(ref.grid)
+    former = g.values
+    for _ in range(3):
+        g = apply_recursion_step(ref, u, g)
+        former = recursion_step_loop(*args, former)
+        scale = np.max(np.abs(former))
+        assert np.max(np.abs(g.values - former)) <= 1e-12 * scale
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= EPS,
+                    reason="long double has no extra precision here")
+@pytest.mark.parametrize("case", FORMER_STEP_CASES)
+def test_values_at_zero_are_as_accurate_as_the_former_step(case):
+    # Both are compared with the former step's arithmetic in long double.
+    # The former step's relative error at one order can fall far below its
+    # error at the orders before it (on the RK4 background at 4001 points:
+    # 1e-15 at order 9 after 5e-15 to 6e-15 at orders 6-8), so the bound
+    # takes its largest relative error up to that order.
+    ref, u = FORMER_STEP_CASES[case]()
+    args = former_step_inputs(ref, u)
+    extended_args = former_step_inputs(ref, u, extended=True)
+    former = np.ones(ref.grid.n_points, dtype=complex)
+    extended = former.astype(np.clongdouble)
+    former_error = 0.0
+    for value in compute_hierarchy(ref, u, 20).values_at_zero:
+        former = recursion_step_loop(*args, former)
+        extended = recursion_step_loop(*extended_args, extended)
+        want = complex(extended[0])
+        former_error = max(former_error, abs(former[0] - want) / abs(want))
+        assert abs(value - want) <= (8.0 * former_error + 4.0 * EPS) * abs(want)
+
+
+# Free wave at k = 1 and a narrow barrier on [3.1, 3.18], where
+# r(z) = exp(2iz) - 1 nearly vanishes, so f_n(0) is far smaller than f_n
+# nearer the barrier.  At both heights f_7 is the first correction that
+# overflows; at 1.8e47 it overflows only away from x = 0, and f_8 is then
+# non-finite at x = 0 too.
+@pytest.mark.parametrize("height, max_order",
+                         [(1e50, 9), (1e50, 7), (1.8e47, 8), (1.8e47, 7)])
+def test_overflow_raises_non_finite_result_without_warnings(height, max_order):
+    ref = analytic_free_reference(1.0, Grid(4.0, 401))
+    u = PotentialSpec.piecewise_constant([(3.1, 3.18, height)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        g = unit_function(ref.grid)
+        for _ in range(6):
+            g = apply_recursion_step(ref, u, g)
+        with pytest.raises(NonFiniteResult):
+            apply_recursion_step(ref, u, g)
+        values = compute_hierarchy(ref, u, 6).values_at_zero
+        assert all(map(cmath.isfinite, values))
+        with pytest.raises(NonFiniteResult):
+            compute_hierarchy(ref, u, max_order)
