@@ -521,18 +521,21 @@ def _finite_float(token: str) -> float:
     return value
 
 
+# built once: parsing reads the parser and never changes it
+_PARSER = argparse.ArgumentParser(
+    prog="phaseshift",
+    description="Perturbative phase shifts for 1-D scattering problems.",
+)
+_PARSER.add_argument("command", choices=COMMANDS)
+_PARSER.add_argument("--config", required=True,
+                     help="path to the JSON job description")
+_PARSER.add_argument("--out", help="override the config's output_path")
+_PARSER.add_argument("--degrees", action="store_true",
+                     help="report angle columns in degrees")
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="phaseshift",
-        description="Perturbative phase shifts for 1-D scattering problems.",
-    )
-    parser.add_argument("command", choices=COMMANDS)
-    parser.add_argument("--config", required=True,
-                        help="path to the JSON job description")
-    parser.add_argument("--out", help="override the config's output_path")
-    parser.add_argument("--degrees", action="store_true",
-                        help="report angle columns in degrees")
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
 
     try:
         with open(args.config) as fh:

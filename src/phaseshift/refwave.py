@@ -9,10 +9,16 @@ auxiliary grid functions the perturbation hierarchy consumes:
 * ``ratio_shift`` -- conj(psi)/psi minus its value at x = 0 (zero at 0 by
   construction).
 
+The wave comes from one fixed-step RK4 propagator: every cell's step is a
+real 2x2 matrix built from its closed form, and the node states are the
+suffix products of those matrices, formed by a recursive scan over blocks of
+SCAN_WIDTH cells (:func:`integrate_wave_inward`).
+
 The Wronskian  psi * conj(psi)' - conj(psi) * psi' = 2ik  is an exact
 invariant of the continuum equation; its maximum grid residual is the
 certificate that the integration can be trusted, and it also guarantees the
-wave has no nodes (so dividing by psi is safe).
+wave has no nodes (so dividing by psi is safe).  :func:`certified_wave` is
+the one place that certificate is checked.
 """
 
 from __future__ import annotations
@@ -34,6 +40,11 @@ from .potential import (
 
 #: default Wronskian tolerance, as a coefficient multiplying k
 DEFAULT_WRONSKIAN_TOL = 1e-8
+
+#: cells per block of the propagator's suffix scan
+SCAN_WIDTH = 16
+#: a chain of at most this many cells is scanned by a scalar loop
+_LEAF_CELLS = 64
 
 
 @dataclass(frozen=True)
@@ -84,23 +95,130 @@ def phase_from_wave(value: complex) -> float:
     return reduce_phase(d)
 
 
-def _rk4_increment(s, ch, cm, cl, y0, y1):
-    """Increment y_new - y of one RK4 step of psi'' = c psi with step `s`.
+def _scan_layout(dev: np.ndarray) -> np.ndarray:
+    """Copy of the cell deviations `dev` (2, 2, n) in scan layout.
 
-    The stages read c from the three channels of the cell being crossed:
-    `ch` at the start of the step, `cm` at the half step, `cl` at its end.
-    Linear in (y0, y1), so applying it to the unit states gives the columns
-    of the step's deviation from the identity.
+    Cell j*SCAN_WIDTH + t sits at [t, :, :, j]; the last block is padded with
+    identity steps (N = 0).
     """
-    a0, a1 = y1, ch * y0
-    b0 = y1 + 0.5 * s * a1
-    b1 = cm * (y0 + 0.5 * s * a0)
-    d0 = y1 + 0.5 * s * b1
-    d1 = cm * (y0 + 0.5 * s * b0)
-    e0 = y1 + s * d1
-    e1 = cl * (y0 + s * d0)
-    return ((s / 6.0) * (a0 + 2.0 * (b0 + d0) + e0),
-            (s / 6.0) * (a1 + 2.0 * (b1 + d1) + e1))
+    n = dev.shape[-1]
+    blocks = -(-n // SCAN_WIDTH)
+    padded = np.zeros((2, 2, blocks * SCAN_WIDTH))
+    padded[:, :, :n] = dev
+    return np.ascontiguousarray(
+        padded.reshape(2, 2, blocks, SCAN_WIDTH).transpose(3, 0, 1, 2))
+
+
+def _cell_steps(k: float, h: float, samples: PotentialSamples,
+                cells: int) -> np.ndarray:
+    """Deviation N = M - I of the RK4 step of every cell, in scan layout.
+
+    With s = -h (stepping toward smaller x), q = s^2 and hi, mid, lo the
+    coefficient c = 2 V - k^2 at the cell's upper edge (left limit), centre
+    and lower edge (right limit), the RK4 stages give
+
+        N00 = (q/6)(hi + 2 mid) + (q^2/24) hi mid
+        N01 = s + (s q/6) mid
+        N10 = (s/6)(hi + 4 mid + lo) + (s q/12) mid (hi + lo)
+        N11 = (q/6)(2 mid + lo) + (q^2/24) lo mid
+    """
+    blocks = -(-cells // SCAN_WIDTH)
+    full, rest = divmod(cells, SCAN_WIDTH)
+    s = -h
+    q = s * s
+
+    # [t, j] of each entry is cell j*SCAN_WIDTH + t.  The slots of N00, N01
+    # and N11 first hold hi, mid and lo.  Padding cells of a partial last
+    # block start at zero, so every entry stays finite, and end as the
+    # identity step N = 0
+    steps = np.empty((SCAN_WIDTH, 2, 2, blocks))
+    steps[rest:, :, :, full:] = 0.0
+    n00, n01, n10, n11 = steps[:, 0, 0], steps[:, 0, 1], steps[:, 1, 0], steps[:, 1, 1]
+    for slot, values in ((n00, samples.at_nodes_left[1:]), (n01, samples.at_midpoints),
+                         (n11, samples.at_nodes[:-1])):
+        np.multiply(values[:full * SCAN_WIDTH].reshape(full, SCAN_WIDTH).T, 2.0,
+                    out=slot[:, :full])
+        np.multiply(values[full * SCAN_WIDTH:, None], 2.0, out=slot[:rest, full:])
+        slot -= k * k
+    hi, mid, lo = n00, n01, n11
+
+    # N00 = hi (q/6 + (q^2/24) mid) + (q/3) mid, N11 likewise with lo,
+    # N10 = (hi + lo)(s/6 + (s q/12) mid) + (2 s/3) mid, N01 = (s q/6) mid + s;
+    # `factor` is the one array allocated besides `steps`
+    np.add(hi, lo, out=n10)
+    factor = np.multiply(mid, q * q / 24.0)
+    factor += q / 6.0
+    hi *= factor
+    lo *= factor
+    np.multiply(mid, q / 3.0, out=factor)
+    hi += factor
+    lo += factor
+    np.multiply(mid, s * q / 12.0, out=factor)
+    factor += s / 6.0
+    n10 *= factor
+    np.multiply(mid, 2.0 * s / 3.0, out=factor)
+    n10 += factor
+    mid *= s * q / 6.0
+    mid += s
+    steps[rest:, :, :, full:] = 0.0
+    return steps
+
+
+def _chain_states(steps: np.ndarray, cells: int, y0: complex, y1: complex,
+                  psi: np.ndarray, dpsi: np.ndarray) -> None:
+    """Write the state at node i of a chain of cells into psi[i], dpsi[i].
+
+    Cell i carries the state at node i + 1 to node i.  `steps` holds every
+    cell's deviation N = M - I in scan layout (see :func:`_scan_layout`) and
+    is overwritten; (y0, y1) is the state at the top node `cells`.  psi and
+    dpsi hold one entry per node of the padded chain, blocks*SCAN_WIDTH + 1.
+
+    Inside a block the suffix products are formed in place, as deviations
+    Q_t = N_t + Q_(t+1) + N_t Q_(t+1), so no stored entry is 1 + O(h^2) and
+    the small part keeps its relative precision.  The whole-block products
+    form a chain SCAN_WIDTH times shorter, whose node states are the block
+    tops: this function one level up, or a scalar loop once that chain has
+    at most _LEAF_CELLS cells.
+    """
+    blocks = steps.shape[-1]
+    for t in range(SCAN_WIDTH - 2, -1, -1):
+        n, suffix = steps[t], steps[t + 1]
+        prod = n[:, 0, None] * suffix[None, 0]
+        prod += n[:, 1, None] * suffix[None, 1]
+        n += suffix
+        n += prod
+
+    # state at the top node of every block, z[j] at node (j + 1)*SCAN_WIDTH
+    tops = steps[0]
+    if blocks <= _LEAF_CELLS:
+        f00, f01, f10, f11 = (tops[r, c].tolist() for r in (0, 1) for c in (0, 1))
+        z0, z1 = [0j] * blocks, [0j] * blocks
+        a0, a1 = y0, y1
+        for j in range(blocks - 1, -1, -1):
+            z0[j], z1[j] = a0, a1
+            a0, a1 = (a0 + (f00[j] * a0 + f01[j] * a1),
+                      a1 + (f10[j] * a0 + f11[j] * a1))
+        z0, z1 = np.array(z0), np.array(z1)
+    else:
+        upper = _scan_layout(tops)
+        size = upper.shape[-1] * SCAN_WIDTH + 1
+        z0, z1 = np.empty(size, dtype=complex), np.empty(size, dtype=complex)
+        _chain_states(upper, blocks, y0, y1, z0, z1)
+        z0, z1 = z0[1:blocks + 1], z1[1:blocks + 1]
+
+    # every node from the top state of its block; [t, j] is node j*W + t.
+    # psi is scratch while dpsi is formed, then the spent dpsi rows of
+    # `steps` (a contiguous (W, 2*blocks) real slab) while psi is
+    nodes = blocks * SCAN_WIDTH
+    p = psi[:nodes].reshape(blocks, SCAN_WIDTH).T
+    d = dpsi[:nodes].reshape(blocks, SCAN_WIDTH).T
+    scratch = steps[:, 1].reshape(SCAN_WIDTH, 2 * blocks).view(complex)
+    for out, part, row, z in ((d, p, 1, z1), (p, scratch, 0, z0)):
+        np.multiply(steps[:, row, 1], z1, out=part)
+        np.multiply(steps[:, row, 0], z0, out=out)
+        out += part
+        out += z
+    psi[cells], dpsi[cells] = y0, y1
 
 
 def integrate_wave_inward(k: float, grid: Grid,
@@ -115,70 +233,33 @@ def integrate_wave_inward(k: float, grid: Grid,
 
     On the linear system the step of cell i is a real 2x2 matrix M_i, and
     the state at node i is M_i M_(i+1) ... M_(n-2) applied to the state at
-    x_max.  Those suffix products come from a two-level scan over blocks of
-    about sqrt(cells) cells: sequential inside a block but vectorized across
-    blocks, then a carry of the block-top states from x_max down, then one
-    vectorized pass to every node.  Steps and partial products are held as
-    their deviation from the identity, N = M - I and
-    Q_j = N_j + Q_(j+1) + N_j Q_(j+1), so no stored entry is 1 + O(h^2)
-    and the small part keeps its relative precision.
+    x_max.  Each step is built from the closed form of its deviation
+    N = M - I (the RK4 stages, `tests/_oracles.py::rk4_wave_loop`, applied to
+    the unit states), written straight into the layout of a recursive suffix
+    scan over blocks of SCAN_WIDTH cells (see :func:`_chain_states`).
 
-    Returns the (psi, psi') node arrays.
+    Returns the (psi, psi') node arrays; psi[-1] is exactly exp(-i k x_max).
     """
     cells = grid.n_points - 1
-    s = -grid.step  # stepping toward smaller x
-
-    # coefficient c(x) = 2 V(x) - k^2 in psi'' = c psi, one channel per side
-    ksq = k * k
-    c_hi = 2.0 * samples.at_nodes_left[1:] - ksq  # upper cell edge
-    c_mid = 2.0 * samples.at_midpoints - ksq      # cell center
-    c_lo = 2.0 * samples.at_nodes[:-1] - ksq      # lower cell edge
-
-    # entry (row, col) of N for cell j*width + t sits at [t, row, col, j];
-    # padding cells past x_max are identity steps (N = 0)
-    width = math.isqrt(cells)
-    blocks = -(-cells // width)
-    steps = np.zeros((2, 2, blocks * width))
-    steps[0, 0, :cells], steps[1, 0, :cells] = _rk4_increment(
-        s, c_hi, c_mid, c_lo, 1.0, 0.0)
-    steps[0, 1, :cells], steps[1, 1, :cells] = _rk4_increment(
-        s, c_hi, c_mid, c_lo, 0.0, 1.0)
-    steps = np.ascontiguousarray(
-        steps.reshape(2, 2, blocks, width).transpose(3, 0, 1, 2))
-
-    # suffix[t]: deviation of the product of cells j*width + t .. block top
-    suffix = np.empty_like(steps)
-    dev = np.zeros((2, 2, blocks))
-    for t in range(width - 1, -1, -1):
-        n = steps[t]
-        dev = n + dev + (n[:, 0, None] * dev[None, 0] + n[:, 1, None] * dev[None, 1])
-        suffix[t] = dev
-
-    # state at the top node of every block, carried down from x_max
-    top_psi = cmath.exp(-1j * k * grid.nodes[-1])
-    top_dpsi = -1j * k * top_psi
-    z0, z1 = [0j] * blocks, [0j] * blocks
-    f00, f01, f10, f11 = (suffix[0, r, c].tolist() for r in (0, 1) for c in (0, 1))
-    y0, y1 = top_psi, top_dpsi
-    for j in range(blocks - 1, -1, -1):
-        z0[j], z1[j] = y0, y1
-        y0, y1 = (y0 + (f00[j] * y0 + f01[j] * y1),
-                  y1 + (f10[j] * y0 + f11[j] * y1))
-    z0, z1 = np.array(z0), np.array(z1)
-
-    # every node from the top state of its block
-    psi = np.empty(cells + 1, dtype=complex)
-    dpsi = np.empty(cells + 1, dtype=complex)
-    psi[:cells] = (z0 + (suffix[:, 0, 0] * z0 + suffix[:, 0, 1] * z1)).T.ravel()[:cells]
-    dpsi[:cells] = (z1 + (suffix[:, 1, 0] * z0 + suffix[:, 1, 1] * z1)).T.ravel()[:cells]
-    psi[cells], dpsi[cells] = top_psi, top_dpsi
-    return psi, dpsi
+    steps = _cell_steps(k, grid.step, samples, cells)
+    blocks = steps.shape[-1]
+    top_psi = cmath.exp(-1j * k * grid.x_max)
+    psi = np.empty(blocks * SCAN_WIDTH + 1, dtype=complex)
+    dpsi = np.empty(blocks * SCAN_WIDTH + 1, dtype=complex)
+    _chain_states(steps, cells, top_psi, -1j * k * top_psi, psi, dpsi)
+    return psi[:cells + 1], dpsi[:cells + 1]
 
 
 def wronskian_residual(k: float, psi: np.ndarray, dpsi: np.ndarray) -> float:
-    """Max grid residual of the invariant psi conj(psi)' - conj(psi) psi' = 2ik."""
-    w = psi * np.conj(dpsi) - np.conj(psi) * dpsi
-    return float(np.max(np.abs(w - 2j * k)))
+    """Max grid residual of the invariant psi conj(psi)' - conj(psi) psi' = 2ik.
+
+    The left side is 2i Im(psi conj(psi)'), so the residual is
+    2 max |Im(psi conj(psi)') - k|, formed from real parts only.
+    """
+    w = psi.imag * dpsi.real
+    w -= psi.real * dpsi.imag
+    w -= k
+    return 2.0 * float(np.max(np.abs(w, out=w)))
 
 
 def certified_wave(k: float, grid: Grid, samples: PotentialSamples,

@@ -203,6 +203,9 @@ def divergence_flag(series: PhaseSeries, coupling: float) -> bool:
     """
     if series.max_order < 3:
         return False
-    terms = [abs(coupling ** n * series.corrections[n - 1])
-             for n in range(series.max_order - 2, series.max_order + 1)]
+    # the three terms divided by |coupling|^(N-2): the same comparisons, and
+    # a huge coupling gives inf instead of an OverflowError from a power
+    scale = abs(coupling)
+    low, mid, high = (abs(d) for d in series.corrections[-3:])
+    terms = (low, scale * mid, scale * (scale * high))
     return terms[-1] > 0.0 and terms[0] <= terms[1] <= terms[2]

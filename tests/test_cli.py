@@ -377,6 +377,25 @@ def test_huge_integers_are_config_errors(tmp_path, capsys):
                     (str(MAX_POINTS + 2), "100000000001", huge))
 
 
+def test_huge_couplings_flag_divergence_without_a_traceback(tmp_path, capsys):
+    # coupling ** n overflowed in divergence_flag and ended in a traceback
+    for coupling in (1e300, -1e300, 1e100):
+        for u, flag in (({"kind": "piecewise_constant",
+                          "segments": [[0.0, 1.0, 0.2]]}, "1"), (None, "0")):
+            doc = {"command": "phases", "k": 1.0, "lambda": coupling,
+                   "max_order": 4, "grid": {"x_max": 2.0, "n_points": 201}}
+            if u is not None:
+                doc["U"] = u
+            path = tmp_path / "huge.json"
+            path.write_text(json.dumps(doc))
+            assert main(["phases", "--config", str(path)]) == 0
+            captured = capsys.readouterr()
+            assert "Traceback" not in captured.err
+            header, rows = parse_csv(captured.out)
+            assert header[-1] == "divergence_flag"
+            assert rows[0][-1] == flag, coupling
+
+
 def test_converge_without_perturbation_is_inconclusive(tmp_path, capsys):
     # U omitted: every remainder sits below the noise floor, so the check is
     # vacuous, not an error
@@ -390,9 +409,13 @@ def test_converge_without_perturbation_is_inconclusive(tmp_path, capsys):
     assert [row[2] for row in rows] == ["INCONCLUSIVE"] * 3
 
 
-def test_missing_config_flag_is_a_usage_error():
-    with pytest.raises(SystemExit):
-        main(["phases"])
+def test_missing_config_flag_is_a_usage_error(capsys):
+    for _ in range(2):  # one parser serves every call
+        with pytest.raises(SystemExit) as exc:
+            main(["phases"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "error: the following arguments are required: --config" in err
 
 
 def test_stdout_fallback(capsys):

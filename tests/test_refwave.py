@@ -144,9 +144,11 @@ def _sampled_suite(grid):
             "background": background}
 
 
-@pytest.mark.parametrize("n", (3, 5, 401, 4003))
+@pytest.mark.parametrize("n", (3, 5, 401, 4003, 16003))
 def test_blocked_scan_matches_the_rk4_loop_at_every_node(n):
-    # 4003 points: 4002 cells are not a multiple of isqrt(4002) = 63
+    # 4003 points: 4002 cells in 251 blocks of 16, the last one partial, whose
+    # tops are scanned by the scalar loop.  16003 points: 16002 cells in 1001
+    # blocks, then 63 blocks one level up, both with a partial last block
     grid = Grid(2.0, n)
     for name, samples in _sampled_suite(grid).items():
         for k in (0.7, 2.0):

@@ -1,0 +1,110 @@
+"""Property tests of the RK4 wave propagator (hypothesis).
+
+Examples are drawn from a fixed seed (``derandomize``) and nothing is kept
+between runs, so every run checks the same inputs.  The module is skipped
+where hypothesis is not installed; the rest of the suite needs only pytest.
+
+The grids are odd point counts up to 4003 whose scan has two blocked levels
+above the scalar leaf, each ending in a partial block, so every padding path
+of the scan is exercised.
+"""
+
+import cmath
+
+import numpy as np
+import pytest
+
+pytest.importorskip("hypothesis")
+
+from hypothesis import Phase, given, settings, strategies as st  # noqa: E402
+
+from phaseshift import Grid, PotentialSpec  # noqa: E402
+from phaseshift.potential import sample_potential  # noqa: E402
+from phaseshift.refwave import (  # noqa: E402
+    DEFAULT_WRONSKIAN_TOL,
+    SCAN_WIDTH,
+    certified_wave,
+    integrate_wave_inward,
+    phase_from_wave,
+    reduce_phase,
+)
+
+from _oracles import rk4_wave_loop  # noqa: E402
+
+X_MAX = 2.0
+
+PROPERTY_SETTINGS = settings(max_examples=30, derandomize=True,
+                             database=None, deadline=None,
+                             phases=(Phase.explicit, Phase.generate))
+
+
+def _partial(count):
+    return count % SCAN_WIDTH != 0
+
+
+# odd n_points <= 4003: more than 64 blocks of cells, so the block tops are
+# scanned one level up, and a partial last block on both levels
+_n_points = st.integers(1026, 4002).filter(
+    lambda cells: cells % 2 == 0 and _partial(cells)
+    and _partial(-(-cells // SCAN_WIDTH))).map(lambda cells: cells + 1)
+
+_k = st.floats(0.5, 3.0)
+
+# bumps of height at least 0.5: the phase error stays far above rounding
+# on every grid the convergence test uses
+_height = st.floats(0.5, 2.0) | st.floats(-2.0, -0.5)
+_gaussians = st.lists(
+    st.tuples(st.floats(0.3, 1.7), st.floats(0.1, 0.4), _height),
+    min_size=1, max_size=3).map(PotentialSpec.gaussian_sum)
+
+
+@st.composite
+def _barriers(draw, n_points):
+    """A piecewise-constant potential whose edges sit on nodes of the grid."""
+    nodes = Grid(X_MAX, n_points).nodes
+    edges = sorted(draw(st.lists(st.integers(0, n_points - 1), min_size=2,
+                                 max_size=4, unique=True)))
+    segments = [(float(nodes[a]), float(nodes[b]), draw(_height))
+                for a, b in zip(edges[::2], edges[1::2])]
+    return PotentialSpec.piecewise_constant(segments)
+
+
+@st.composite
+def _cases(draw):
+    n_points = draw(_n_points)
+    spec = draw(st.one_of(_gaussians, _barriers(n_points)))
+    return Grid(X_MAX, n_points), spec, draw(_k)
+
+
+@PROPERTY_SETTINGS
+@given(_cases())
+def test_propagator_matches_the_rk4_loop_and_is_certified(case):
+    grid, spec, k = case
+    samples = sample_potential(spec, grid)
+    psi, dpsi = integrate_wave_inward(k, grid, samples)
+    loop_psi, loop_dpsi = rk4_wave_loop(k, grid, samples)
+    assert np.all(np.abs(psi - loop_psi) <= 1e-13 * np.abs(loop_psi))
+    assert np.all(np.abs(dpsi - loop_dpsi) <= 1e-13 * np.abs(loop_dpsi))
+    assert psi[-1] == cmath.exp(-1j * k * X_MAX)
+
+    # certified_wave raises unless the residual is finite and within bound
+    _, _, residual = certified_wave(k, grid, samples, DEFAULT_WRONSKIAN_TOL)
+    assert residual <= DEFAULT_WRONSKIAN_TOL * k
+
+
+def _phase(spec, k, n_points):
+    grid = Grid(X_MAX, n_points)
+    psi, _ = integrate_wave_inward(k, grid, sample_potential(spec, grid))
+    return phase_from_wave(complex(psi[0]))
+
+
+@settings(PROPERTY_SETTINGS, max_examples=20)
+@given(_gaussians, _k)
+def test_phase_converges_at_fourth_order(spec, k):
+    # error ratios between h and h/2 measured 15.83-16.00 on 60 such cases;
+    # 101 points need not pass the certificate, so the phases are taken
+    # from the propagator directly
+    exact = _phase(spec, k, 64001)
+    errors = [reduce_phase(_phase(spec, k, n) - exact) for n in (101, 201, 401, 801)]
+    for coarse, fine in zip(errors, errors[1:]):
+        assert 15.0 <= coarse / fine <= 17.0

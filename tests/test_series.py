@@ -193,6 +193,20 @@ def test_divergence_flag_heuristic():
     assert divergence_flag(late_growth, 1.0) is True
 
 
+def test_divergence_flag_survives_huge_couplings():
+    # coupling ** n overflowed for these; the flag compares the same term
+    # sizes scaled by |coupling|^(N-2)
+    for coupling in (1e300, -1e300, 1e100):
+        assert divergence_flag(synthetic_series([0.5, 0.6, 0.7]), coupling) is True
+        assert divergence_flag(synthetic_series([1.0, 0.5, 0.2]), coupling) is True
+        assert divergence_flag(synthetic_series([0.0, 0.0, 0.0]), coupling) is False
+        assert divergence_flag(synthetic_series([0.3, 0.0, 0.0, 0.0]),
+                               coupling) is False
+    # terms shrinking tenfold per order: divergent beyond coupling 10 only
+    assert divergence_flag(synthetic_series([0.5, 0.05, 0.005]), 20.0) is True
+    assert divergence_flag(synthetic_series([0.5, 0.05, 0.005]), 5.0) is False
+
+
 def test_series_container_validation():
     with pytest.raises(ValueError):
         PhaseSeries(k=1.0, grid=Grid(1.0, 3), delta0=0.0,
