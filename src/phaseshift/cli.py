@@ -11,7 +11,8 @@ report (12 significant digits, deterministic byte-for-byte):
 * ``selftest`` — the built-in invariant suite, one PASS/FAIL row per check.
 
 Exit codes: 0 success; 1 a numerical guard tripped, printed on stderr as
-``ComputationFailed: <error type>: <message>``; 2 an invalid config.
+``ComputationFailed: <error type>: <message>``; 2 an invalid config or an
+output path that cannot be written.
 """
 
 from __future__ import annotations
@@ -504,8 +505,12 @@ def run(config: JobConfig, degrees: bool = False,
     if path is None:
         sys.stdout.write(text)
     else:
-        with open(path, "w", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(path, "w", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:  # a missing directory, a directory, no access
+            print(f"ConfigInvalid: cannot write output: {exc}", file=sys.stderr)
+            return 2
 
     if config.command == "selftest":
         failed = any(row[1] == "FAIL" for row in rows)

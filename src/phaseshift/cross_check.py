@@ -24,9 +24,9 @@ from .errors import GridMismatch
 from .potential import (
     ComplexGridFunction,
     Grid,
-    as_samples,
     cumulative_from_right,
     require_same_grid,
+    sample_potential,
 )
 from .refwave import ReferenceWave
 
@@ -81,7 +81,7 @@ def nested_integral(factors: NestedIntegrandSet) -> complex:
 def integrand_factors(ref: ReferenceWave, u, powers) -> NestedIntegrandSet:
     """Build the factor set (U * d * r**p for p in powers), both channels."""
     grid = ref.grid
-    samples = as_samples(u, grid)
+    samples = sample_potential(u, grid)
     base = ref.density.values
     r = ref.ratio_shift.values
     factors = []

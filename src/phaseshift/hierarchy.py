@@ -41,9 +41,9 @@ import numpy as np
 from .errors import NonFiniteResult, OrderOutOfRange
 from .potential import (
     ComplexGridFunction,
-    as_samples,
     cumulative_from_right,
     require_same_grid,
+    sample_potential,
 )
 from .refwave import ReferenceWave
 
@@ -64,12 +64,14 @@ def _recursion(ref: ReferenceWave, u):
     spans stored nodes c (its upper node) and c + 1 (its lower node).
     """
     grid = ref.grid
-    samples = as_samples(u, grid)
+    samples = sample_potential(u, grid)
     n = grid.n_points
     scale = 0.5 * grid.step / (1j * ref.k)
     d = ref.density.values[::-1]
-    lower = samples.at_nodes[::-1][1:] * d[1:] * scale
-    upper = samples.at_nodes_left[::-1][:-1] * d[:-1] * scale
+    # an overflowing weight ends in the callers' NonFiniteResult, not a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        lower = samples.at_nodes[::-1][1:] * d[1:] * scale
+        upper = samples.at_nodes_left[::-1][:-1] * d[:-1] * scale
     r = np.ascontiguousarray(ref.ratio_shift.values[::-1])
     r_lo, r_hi = r[1:], r[:-1]
     lo, hi, lo_r, hi_r = (np.empty(n - 1, dtype=complex) for _ in range(4))
@@ -106,7 +108,7 @@ def apply_recursion_step(ref: ReferenceWave, u,
     ----------
     ref : ReferenceWave
         Reference wave bundle; supplies k, density and ratio_shift.
-    u : PotentialSamples or PotentialSpec
+    u : PotentialSpec
         Perturbing potential.  Its samples carry one-sided limits, so jump
         discontinuities at grid nodes cost no accuracy.
     g : ComplexGridFunction
@@ -169,7 +171,7 @@ def step_by_double_integral(ref: ReferenceWave, u,
     meaningful check.
     """
     grid = require_same_grid(ref.psi, f_prev)
-    samples = as_samples(u, grid)
+    samples = sample_potential(u, grid)
 
     base = 2.0 * ref.density.values * f_prev.values
     inner = cumulative_from_right(samples.at_nodes * base, grid.step,

@@ -1,7 +1,7 @@
 """Grids, quadrature weights, and potential definitions.
 
 Everything downstream (wave integration, the correction hierarchy, the exact
-oracle) consumes potentials through one sampling view:
+oracle) takes a :class:`PotentialSpec` and samples it one way:
 :func:`sample_potential` returns a :class:`PotentialSamples` bundle carrying
 node values as one-sided limits plus cell-midpoint values.  Piecewise-constant
 potentials jump at segment edges; integrating them accurately requires knowing
@@ -34,7 +34,8 @@ class Grid:
     Parameters
     ----------
     x_max : float
-        Upper end of the computational domain; positive and finite.
+        Upper end of the computational domain; positive and finite, with
+        room for a node to round a few ulps above it.
     n_points : int
         Number of nodes, endpoints included.  Must be odd and >= 3 so the
         composite Simpson rule applies.
@@ -48,7 +49,8 @@ class Grid:
     n_points: int
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.x_max < math.inf:
+        # a node i * step can round a few ulps above x_max: it must stay finite
+        if not 0.0 < self.x_max * (1.0 + 1e-15) < math.inf:
             raise ValueError(
                 f"x_max must be positive and finite, got {self.x_max}")
         if self.n_points < 3 or self.n_points % 2 == 0:
@@ -72,7 +74,7 @@ class Grid:
         x.flags.writeable = False
         return x
 
-    def refined(self, factor: int = 4) -> "Grid":
+    def refined(self, factor: int) -> "Grid":
         """A grid over the same domain with each cell split `factor` ways."""
         return Grid(self.x_max, factor * (self.n_points - 1) + 1)
 
@@ -181,8 +183,8 @@ class PotentialSpec:
         _require_tail_eps(eps_tail)
         support = 0.0
         for c, w, h in bms:
-            if w <= 0.0:
-                raise ValueError(f"gaussian width must be positive, got {w}")
+            if not (w > 0.0 and 2.0 * w * w > 0.0):  # 2 w^2 underflows below ~1e-162
+                raise ValueError(f"gaussian width must have 2 width^2 > 0, got {w}")
             if h != 0.0 and abs(h) > eps_tail:
                 # radius where the bump decays to the tail tolerance
                 radius = w * math.sqrt(2.0 * math.log(abs(h) / eps_tail))
@@ -198,7 +200,7 @@ class PotentialSpec:
         _require_tail_eps(eps_tail)
         if vals.shape != (grid.n_points,):
             raise TabulatedGridMismatch(
-                f"{vals.shape[0]} samples for a {grid.n_points}-point grid"
+                f"samples of shape {vals.shape} for a {grid.n_points}-point grid"
             )
         nonzero = np.nonzero(np.abs(vals) >= eps_tail)[0]
         support = float(grid.nodes[nonzero[-1]]) if nonzero.size else 0.0
@@ -228,8 +230,9 @@ class PotentialSpec:
                     mask = (x > lo) & (x <= hi)
                 out[mask] = v
         elif self.kind == "gaussian_sum":
-            for c, w, h in self.bumps:
-                out += h * np.exp(-((x - c) ** 2) / (2.0 * w * w))
+            with np.errstate(over="ignore"):  # exp(-inf) is the exact limit 0
+                for c, w, h in self.bumps:
+                    out += h * np.exp(-((x - c) ** 2) / (2.0 * w * w))
             out[np.abs(out) < self.eps_tail] = 0.0
         elif self.kind == "tabulated":
             out = np.interp(x, self.declared_grid.nodes, self.samples)
@@ -262,27 +265,6 @@ class PotentialSamples:
             object.__setattr__(self, name, arr)
 
 
-def as_samples(u, grid: Grid) -> PotentialSamples:
-    """Samples of a PotentialSamples or PotentialSpec `u` on `grid`.
-
-    Raises
-    ------
-    GridMismatch
-        If `u` is samples on another grid.
-    TypeError
-        If `u` is neither (plain arrays carry no one-sided limits).
-    """
-    if isinstance(u, PotentialSamples):
-        if u.grid != grid:
-            raise GridMismatch(f"{u.grid} != {grid}")
-        return u
-    if isinstance(u, PotentialSpec):
-        return sample_potential(u, grid)
-    raise TypeError(
-        f"expected PotentialSpec or PotentialSamples, got {type(u).__name__}"
-    )
-
-
 def combine_samples(a: PotentialSamples, b: PotentialSamples,
                     weight_b: float) -> PotentialSamples:
     """Samples of ``a + weight_b * b`` on the common grid."""
@@ -300,8 +282,12 @@ def sample_potential(spec: PotentialSpec, grid: Grid) -> PotentialSamples:
 
     Tabulated specs must declare `grid` itself or a grid that `grid` refines
     (same domain, cell count an integer multiple); off-node values are then
-    linearly interpolated.
+    linearly interpolated.  Only piecewise-constant specs evaluate their left
+    limits apart.  Anything but a spec, such as a plain array with no
+    one-sided limits, raises TypeError.
     """
+    if not isinstance(spec, PotentialSpec):
+        raise TypeError(f"expected a PotentialSpec, got {type(spec).__name__}")
     if spec.kind == "tabulated":
         declared = spec.declared_grid
         if declared != grid:
@@ -312,12 +298,11 @@ def sample_potential(spec: PotentialSpec, grid: Grid) -> PotentialSamples:
                 raise TabulatedGridMismatch(
                     f"tabulated on {declared}, requested {grid}"
                 )
-    return PotentialSamples(
-        grid,
-        spec.values_at(grid.nodes, side=+1),
-        spec.values_at(grid.nodes, side=-1),
-        spec.values_at(grid.midpoints, side=+1),
-    )
+    at_nodes = spec.values_at(grid.nodes, side=+1)
+    at_nodes_left = (spec.values_at(grid.nodes, side=-1)
+                     if spec.kind == "piecewise_constant" else at_nodes)
+    return PotentialSamples(grid, at_nodes, at_nodes_left,
+                            spec.values_at(grid.midpoints, side=+1))
 
 
 def simpson_weights(grid: Grid) -> np.ndarray:

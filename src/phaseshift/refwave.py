@@ -2,14 +2,15 @@
 
 Solves  psi'' = (2 V(x) - k^2) psi  inward from x_max, where the solution is
 pinned to the free outgoing form exp(-i k x), and extracts the background
-phase shift from the ratio psi*(0)/psi(0).  The solver also builds the two
-auxiliary grid functions the perturbation hierarchy consumes:
+phase shift from the ratio psi*(0)/psi(0); for V = 0 the exact free wave
+serves (:func:`analytic_free_reference`).  One builder derives, from either
+wave, the two auxiliary grid functions the perturbation hierarchy consumes:
 
 * ``density``     -- the squared wave psi^2,
 * ``ratio_shift`` -- conj(psi)/psi minus its value at x = 0 (zero at 0 by
   construction).
 
-The wave comes from one fixed-step RK4 propagator: every cell's step is a
+The solved wave comes from one fixed-step RK4 propagator: each cell's step is a
 real 2x2 matrix built from its closed form, and the node states are the
 suffix products of those matrices, formed by a recursive scan over blocks of
 SCAN_WIDTH cells (:func:`integrate_wave_inward`).
@@ -294,6 +295,25 @@ def certified_wave(k: float, grid: Grid, samples: PotentialSamples,
     return psi, dpsi, residual
 
 
+def _reference_wave(k: float, grid: Grid, psi: np.ndarray, dpsi: np.ndarray,
+                    residual: float) -> ReferenceWave:
+    """The :class:`ReferenceWave` of node arrays psi and psi'.
+
+    Both constructors derive density, ratio_shift (exactly zero at x = 0)
+    and delta0 here.
+    """
+    ratio = np.conj(psi) / psi
+    return ReferenceWave(
+        k=k,
+        psi=ComplexGridFunction(grid, psi),
+        dpsi=ComplexGridFunction(grid, dpsi),
+        density=ComplexGridFunction(grid, psi * psi),
+        ratio_shift=ComplexGridFunction(grid, ratio - ratio[0]),
+        delta0=phase_from_wave(complex(psi[0])),
+        wronskian_residual=residual,
+    )
+
+
 def solve_reference(V: PotentialSpec, k: float, grid: Grid,
                     tol_wronskian: float = DEFAULT_WRONSKIAN_TOL) -> ReferenceWave:
     """Solve the background problem for potential `V` at wavenumber `k`.
@@ -318,36 +338,20 @@ def solve_reference(V: PotentialSpec, k: float, grid: Grid,
     """
     psi, dpsi, residual = certified_wave(k, grid, sample_potential(V, grid),
                                          tol_wronskian)
-    ratio = np.conj(psi) / psi
-    return ReferenceWave(
-        k=k,
-        psi=ComplexGridFunction(grid, psi),
-        dpsi=ComplexGridFunction(grid, dpsi),
-        density=ComplexGridFunction(grid, psi * psi),
-        ratio_shift=ComplexGridFunction(grid, ratio - ratio[0]),  # zero at x = 0
-        delta0=phase_from_wave(complex(psi[0])),
-        wronskian_residual=residual,
-    )
+    return _reference_wave(k, grid, psi, dpsi, residual)
 
 
 def analytic_free_reference(k: float, grid: Grid) -> ReferenceWave:
     """Exact reference wave for V = 0: the sampled free wave exp(-ikx).
 
-    All auxiliary functions are evaluated from their closed forms, so this
-    carries no integrator error at all; it is the natural reference when the
-    background potential vanishes.
+    psi and psi' = -ik psi carry no integrator error; the auxiliaries come
+    from psi as in :func:`solve_reference`, exp(-2ikx) and exp(2ikx) - 1 up
+    to rounding.
     """
     if k <= 0.0:
         raise NonpositiveK(f"k must be positive, got {k}")
-    x = grid.nodes
-    psi = np.exp(-1j * k * x)
-    dpsi = -1j * k * psi
-    return ReferenceWave(
-        k=k,
-        psi=ComplexGridFunction(grid, psi),
-        dpsi=ComplexGridFunction(grid, dpsi),
-        density=ComplexGridFunction(grid, np.exp(-2j * k * x)),
-        ratio_shift=ComplexGridFunction(grid, np.exp(2j * k * x) - 1.0),
-        delta0=0.0,
-        wronskian_residual=wronskian_residual(k, psi, dpsi),
-    )
+    # k x beyond the double range gives a NaN wave: NonFiniteResult, no warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        psi = np.exp(-1j * k * grid.nodes)
+        dpsi = -1j * k * psi
+        return _reference_wave(k, grid, psi, dpsi, wronskian_residual(k, psi, dpsi))

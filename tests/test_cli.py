@@ -409,6 +409,69 @@ def test_converge_without_perturbation_is_inconclusive(tmp_path, capsys):
     assert [row[2] for row in rows] == ["INCONCLUSIVE"] * 3
 
 
+def test_unwritable_output_is_a_config_error(tmp_path, capsys):
+    # a missing directory or a directory as the file: exit 2, no traceback,
+    # whether the path comes from --out or from output_path
+    selftest = tmp_path / "selftest.json"
+    selftest.write_text(json.dumps({"command": "selftest"}))
+    for bad in (tmp_path / "missing" / "x.csv", tmp_path):
+        assert main(["selftest", "--config", str(selftest),
+                     "--out", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("ConfigInvalid: cannot write output: "), err
+        assert "Traceback" not in err
+
+        configured = tmp_path / "configured.json"
+        configured.write_text(json.dumps({
+            "command": "phases", "k": 1.0, "max_order": 1,
+            "grid": {"x_max": 2.0, "n_points": 101},
+            "output_path": str(bad)}))
+        assert main(["phases", "--config", str(configured)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("ConfigInvalid: cannot write output: "), err
+        assert "Traceback" not in err
+
+
+def test_extreme_gaussian_bumps_end_without_warnings(tmp_path, capsys):
+    # Tier-1 turns a RuntimeWarning into an error, so running these in
+    # process also proves that no warning leaks
+    cases = (((1.0, 1e-300, 0.5), 2), ((1.0, 1e-160, 0.5), 0),
+             ((1e300, 0.2, 0.5), 2), ((-1e300, 0.2, 0.5), 0))
+    for bump, code in cases:
+        path = tmp_path / "bump.json"
+        path.write_text(json.dumps({
+            "command": "phases", "k": 1.0, "max_order": 2,
+            "grid": {"x_max": 2.0, "n_points": 201},
+            "U": {"kind": "gaussian_sum", "bumps": [list(bump)]}}))
+        assert main(["phases", "--config", str(path)]) == code, bump
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        if code == 2:
+            assert captured.err.startswith("ConfigInvalid: "), captured.err
+        else:
+            assert captured.out.startswith("k,delta0,delta_1,delta_2,")
+
+
+def test_extreme_wavenumbers_and_extents_are_typed_errors(tmp_path, capsys):
+    # k x or step/k beyond the double range gives NaN or inf: a typed error,
+    # never a RuntimeWarning (which Tier-1 turns into a failure)
+    barrier = {"kind": "piecewise_constant", "segments": [[0.0, 1.0, 1.0]]}
+    for command in ("phases", "sweep", "converge"):
+        for k, x_max, code in ((5e-324, 2.0, 1), (1e-300, 1e300, 1),
+                               (1e300, 1e300, 1), (sys.float_info.max, 2.0, 1),
+                               (1.0, sys.float_info.max, 2)):
+            path = tmp_path / "extreme.json"
+            path.write_text(json.dumps({
+                "command": command, "k": k, "lambda": [0.2, 0.1],
+                "max_order": 2, "grid": {"x_max": x_max, "n_points": 101},
+                "U": barrier}))
+            assert main([command, "--config", str(path)]) == code, (command, k)
+            err = capsys.readouterr().err
+            assert "Traceback" not in err
+            assert err.startswith("ComputationFailed: " if code == 1
+                                  else "ConfigInvalid: "), err
+
+
 def test_missing_config_flag_is_a_usage_error(capsys):
     for _ in range(2):  # one parser serves every call
         with pytest.raises(SystemExit) as exc:

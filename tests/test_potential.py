@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,7 @@ from phaseshift import (
     sample_potential,
     simpson_weights,
 )
-from phaseshift.potential import as_samples, require_same_grid
+from phaseshift.potential import require_same_grid
 
 
 def test_grid_nodes_are_multiples_of_step():
@@ -33,7 +35,8 @@ def test_grid_rejects_even_or_tiny_counts():
 
 
 def test_grid_rejects_non_finite_extent():
-    for x_max in (float("inf"), float("nan"), -float("inf")):
+    # at the largest double, the top node i * step rounds to inf
+    for x_max in (float("inf"), float("nan"), -float("inf"), sys.float_info.max):
         with pytest.raises(ValueError):
             Grid(x_max, 11)
 
@@ -153,8 +156,9 @@ def test_tabulated_requires_declared_grid():
     assert np.array_equal(s.at_nodes, [0.0, 1.0, 0.5, 0.0, 0.0])
     assert np.array_equal(s.at_nodes_left, [0.0, 1.0, 0.5, 0.0, 0.0])
     assert spec.support_hi == 1.0
-    with pytest.raises(TabulatedGridMismatch):
-        PotentialSpec.tabulated([1.0, 2.0], g)
+    for wrong in ([1.0, 2.0], 7.0):  # a scalar has no length to report
+        with pytest.raises(TabulatedGridMismatch):
+            PotentialSpec.tabulated(wrong, g)
 
 
 def test_tabulated_sampling_accepts_refinements_only():
@@ -205,14 +209,48 @@ def test_combine_samples_is_affine(barrier):
     assert np.allclose(c.at_midpoints, a.at_midpoints + 0.25 * b.at_midpoints)
 
 
-def test_as_samples_rejects_plain_arrays(barrier):
+def test_sample_potential_rejects_plain_arrays(barrier):
     g = Grid(2.0, 5)
     with pytest.raises(TypeError):
-        as_samples(np.array([1.0, 2.0, 3.0, 4.0, 5.0]), g)
-    s = sample_potential(barrier, g)
-    assert as_samples(s, g) is s
-    with pytest.raises(GridMismatch):
-        as_samples(s, Grid(2.0, 9))
+        sample_potential(np.array([1.0, 2.0, 3.0, 4.0, 5.0]), g)
+    # samples are not a spec either: they are never re-sampled
+    with pytest.raises(TypeError):
+        sample_potential(sample_potential(barrier, g), g)
+
+
+def test_left_limits_differ_only_at_segment_edges():
+    g = Grid(2.0, 17)
+    gauss = PotentialSpec.gaussian_sum([(0.7, 0.2, 1.0), (1.3, 0.1, -0.5)])
+    table = PotentialSpec.tabulated(np.sin(np.arange(9.0)), Grid(2.0, 9))
+    for spec in (gauss, table):
+        s = sample_potential(spec, g)
+        assert s.at_nodes_left.tobytes() == s.at_nodes.tobytes()
+    # edges at 0.5 and 1.25 (nodes 4 and 10) and at 0.6 (between nodes)
+    steps = PotentialSpec.piecewise_constant([(0.5, 0.6, 2.0), (0.6, 1.25, -1.0)])
+    s = sample_potential(steps, g)
+    differ = np.nonzero(s.at_nodes_left != s.at_nodes)[0]
+    assert differ.tolist() == [4, 10]
+    assert s.at_nodes[4] == 2.0 and s.at_nodes_left[4] == 0.0
+    assert s.at_nodes[10] == 0.0 and s.at_nodes_left[10] == -1.0
+
+
+def test_gaussian_widths_whose_square_underflows_are_refused():
+    for width in (1e-300, 1e-163, 5e-324):
+        with pytest.raises(ValueError, match="width"):
+            PotentialSpec.gaussian_sum([(1.0, width, 0.5)])
+
+
+def test_extreme_gaussians_sample_to_their_limits_without_warnings():
+    # Tier-1 turns a RuntimeWarning into an error, so these also prove that
+    # an overflowing square or quotient stays silent
+    g = Grid(2.0, 5)
+    needle = sample_potential(PotentialSpec.gaussian_sum([(1.0, 1e-160, 0.5)]), g)
+    assert needle.at_nodes.tolist() == [0.0, 0.0, 0.5, 0.0, 0.0]
+    assert not needle.at_midpoints.any()
+    for centre in (1e300, -1e300):
+        far = sample_potential(PotentialSpec.gaussian_sum([(centre, 0.2, 0.5)]), g)
+        for channel in (far.at_nodes, far.at_nodes_left, far.at_midpoints):
+            assert not channel.any()
 
 
 def test_require_same_grid_raises_on_mismatch():
