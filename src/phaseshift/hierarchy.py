@@ -15,14 +15,24 @@ first correction satisfies Im f1(0) = -(1 - sin 2 / 2); an extra factor of 2
 here would double that and is wrong.
 
 Expanding (r(z) - r(x)) splits the operator into two cumulative integrals
-taken from x_max inwards, so each order costs O(n_points).  Only g changes
-from one order to the next, so the weights are folded once per series: the
-trapezoid half-step, 1/(ik), U and d at the lower node of each cell (its
+taken from x_max inwards, W of U d r g / (ik) and P of U d g / (ik), and
+the next correction is W - r P.  Every integrand carries U, so each order
+costs O(cells of U's support): the operator runs on the window of cells
+from the first to the last one where U's right limit at the lower node or
+its left limit at the upper node is nonzero.  Above the window every
+correction is exactly zero; below it, W and P no longer change, so the
+correction is W - r(x) P with the two integrals over the whole window, and
+at x = 0, where r is exactly 0, it is W.  Only g changes from one order to
+the next, so the weights are folded once per series, over the window only:
+the trapezoid half-step, 1/(ik), U and d at the lower node of each cell (its
 right limit) and at its upper node (its left limit).  Node arrays are stored
 from x_max down to x = 0, which makes both integrals forward cumulative sums
-whose entry at x_max stays 0.  One order is then four products, two sums,
-the two cumulative sums (W of the weights times r g, P of the weights times
-g) and g = W - r P; the two complex cumulative sums are most of its cost.
+whose entry at the window's top stays 0.  One order is then four products,
+two sums, the two cumulative sums and g = W - r P on the window; the two
+complex cumulative sums are most of its cost.  They add the same terms in
+the same order as over the whole grid, so every nonzero value is the same to
+the bit; an exact zero can carry the other sign, since the whole grid also
+adds the signed zeros of the cells the window skips.
 
 The mathematically equivalent double-integral form (inner integral of
 2 U d g, outer integral against 1/d) is kept as an independent,
@@ -56,27 +66,43 @@ class HierarchyResult:
 
 
 def _recursion(ref: ReferenceWave, u):
-    """The hierarchy operator for `ref` and `u`, built once.
+    """The hierarchy operator for `ref` and `u`, built once over U's cells.
 
-    Returns ``step``, which maps the node values of g, stored from x_max
-    down to x = 0 in a contiguous complex array, to those of the next
-    correction in a new array of the same layout.  Cell c of that layout
-    spans stored nodes c (its upper node) and c + 1 (its lower node).
+    Node arrays are stored from x_max down to x = 0; cell c spans stored
+    nodes c (its upper node) and c + 1 (its lower node).  The window is the
+    run of cells from the first to the last one with a nonzero weight, that
+    is with U's right limit at its lower node or U's left limit at its upper
+    node nonzero.  Returns None when no cell has one, and otherwise
+    ``(nodes, step, ends)``:
+
+    * ``nodes`` -- the slice of stored nodes the window spans;
+    * ``step`` -- maps the values of g on those nodes, in a contiguous
+      complex array, to those of the next correction in a new array;
+    * ``ends`` -- a view of the last step's totals (W, P) over the window,
+      so the next correction at a node below it is W - r P.
     """
     grid = ref.grid
     samples = sample_potential(u, grid)
-    n = grid.n_points
+    right = samples.at_nodes[::-1]
+    left = samples.at_nodes_left[::-1]
+    cells = np.flatnonzero((right[1:] != 0.0) | (left[:-1] != 0.0))
+    if not cells.size:
+        return None
+    nodes = slice(int(cells[0]), int(cells[-1]) + 2)
     scale = 0.5 * grid.step / (1j * ref.k)
-    d = ref.density.values[::-1]
+    d = ref.density.values[::-1][nodes]
     # an overflowing weight ends in the callers' NonFiniteResult, not a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        lower = samples.at_nodes[::-1][1:] * d[1:] * scale
-        upper = samples.at_nodes_left[::-1][:-1] * d[:-1] * scale
-    r = np.ascontiguousarray(ref.ratio_shift.values[::-1])
+        lower = right[nodes][1:] * d[1:] * scale
+        upper = left[nodes][:-1] * d[:-1] * scale
+    r = np.ascontiguousarray(ref.ratio_shift.values[::-1][nodes])
     r_lo, r_hi = r[1:], r[:-1]
-    lo, hi, lo_r, hi_r = (np.empty(n - 1, dtype=complex) for _ in range(4))
-    weighted = np.zeros(n, dtype=complex)
-    plain = np.zeros(n, dtype=complex)
+    m = len(r)
+    lo, hi, lo_r, hi_r = (np.empty(m - 1, dtype=complex) for _ in range(4))
+    # one row each for the integrals W (of the weights times r g) and P;
+    # the last column holds their totals over the window
+    sums = np.zeros((2, m), dtype=complex)
+    weighted, plain = sums
 
     def step(g: np.ndarray) -> np.ndarray:
         np.multiply(lower, g[1:], out=lo)
@@ -91,7 +117,7 @@ def _recursion(ref: ReferenceWave, u):
         np.subtract(weighted, out, out=out)
         return out
 
-    return step
+    return nodes, step, sums[:, -1]
 
 
 def apply_recursion_step(ref: ReferenceWave, u,
@@ -99,10 +125,11 @@ def apply_recursion_step(ref: ReferenceWave, u,
     """One application of the hierarchy operator to grid function `g`.
 
     Folds the weights (U, d, the half-step and 1/(ik) at both nodes of each
-    cell) for this one call, applies the step to `g` stored from x_max
-    down, and returns the result in the usual order.  The step is the one
-    :func:`compute_hierarchy` applies at every order after folding the
-    weights once; its two complex cumulative sums are most of its cost.
+    cell) over the window of cells where U is nonzero, applies the step
+    there, and extends the result to the whole grid: exact zeros above the
+    window, and W - r(x) P below it, with W and P the two integrals over
+    the window.  The step is the one :func:`compute_hierarchy` applies at
+    every order after folding the weights once.
 
     Parameters
     ----------
@@ -125,15 +152,23 @@ def apply_recursion_step(ref: ReferenceWave, u,
         If the next correction overflows to inf or NaN.
     """
     grid = require_same_grid(ref.psi, g)
-    step = _recursion(ref, u)
-    # an overflow is reported as NonFiniteResult, not as a warning
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = step(np.ascontiguousarray(g.values[::-1]))
+    out = np.zeros(grid.n_points, dtype=complex)  # stored from x_max down
+    window = _recursion(ref, u)
+    if window is not None:
+        nodes, step, ends = window
+        r_below = ref.ratio_shift.values[::-1][nodes.stop:]
+        # an overflow is reported as NonFiniteResult, not as a warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            out[nodes] = step(np.ascontiguousarray(g.values[::-1][nodes]))
+            out[nodes.stop:] = ends[0] - r_below * ends[1]
     return ComplexGridFunction(grid, out[::-1])
 
 
 def compute_hierarchy(ref: ReferenceWave, u, order: int) -> HierarchyResult:
     """Iterate the recursion operator from the constant function 1.
+
+    Each order runs on the window of cells where U is nonzero only; f_n(0)
+    is W - r(0) P from that order's two window integrals.
 
     Raises
     ------
@@ -144,20 +179,36 @@ def compute_hierarchy(ref: ReferenceWave, u, order: int) -> HierarchyResult:
     """
     if order < 1:
         raise OrderOutOfRange(f"order must be >= 1, got {order}")
-    step = _recursion(ref, u)
-    g = np.ones(ref.grid.n_points, dtype=complex)
-    values = []
+    window = _recursion(ref, u)
+    if window is None:
+        return HierarchyResult(values_at_zero=(0j,) * order)
+    nodes, step, ends = window
+    r_below = ref.ratio_shift.values[::-1][nodes.stop:]
+    g = np.ones(nodes.stop - nodes.start, dtype=complex)
+    totals = np.empty((2, order), dtype=complex)
     # an overflow is reported once, as NonFiniteResult, not as a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(order):
+        for n in range(order):
             g = step(g)
-            values.append(complex(g[-1]))
-    # Any weight times NaN or inf is NaN or inf, and the sums carry it to
-    # x = 0: a non-finite node of one order leaves every later order
-    # non-finite at x = 0, so checking the last function finds any overflow.
+            totals[:, n] = ends
+        values = totals[0] - ref.ratio_shift.values[0] * totals[1]
+        if r_below.size:
+            # Below the window f_n = W_n - r P_n, which no later order reads:
+            # build it for every order whose bound |W_n| + max|r| |P_n|
+            # leaves room for an overflow.
+            bound = (np.abs(totals[0])
+                     + np.abs(r_below).max() * np.abs(totals[1]))
+            for w, p in totals[:, ~(bound < 2.0 ** 1023)].T:
+                if not np.all(np.isfinite(w - r_below * p)):
+                    raise NonFiniteResult(
+                        "grid function contains non-finite values")
+    # Any weight times NaN or inf is NaN or inf, and the sums carry it down
+    # the window: a non-finite node in the window of one order leaves the
+    # window's last node non-finite at every later order, so checking the
+    # last order's window finds any overflow there.
     if not np.all(np.isfinite(g)):
         raise NonFiniteResult("grid function contains non-finite values")
-    return HierarchyResult(values_at_zero=tuple(values))
+    return HierarchyResult(values_at_zero=tuple(values.tolist()))
 
 
 def step_by_double_integral(ref: ReferenceWave, u,

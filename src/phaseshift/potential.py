@@ -148,8 +148,12 @@ class PotentialSpec:
     declared_grid : Grid or None
         The grid the tabulated samples live on.
     support_hi : float
-        Smallest x beyond which the potential is identically zero (or below
-        the tail tolerance for gaussians).
+        An x beyond which the potential is identically zero: the end of the
+        last segment with a nonzero value, the largest radius at which a
+        gaussian bump decays to `eps_tail`, or the declared-grid node after
+        the last tabulated sample of magnitude `eps_tail` or more, where the
+        interpolant's support ends (capped at x_max).  It is 0.0 only for a
+        potential that is zero at every x > 0.
     """
 
     kind: str
@@ -203,7 +207,10 @@ class PotentialSpec:
                 f"samples of shape {vals.shape} for a {grid.n_points}-point grid"
             )
         nonzero = np.nonzero(np.abs(vals) >= eps_tail)[0]
-        support = float(grid.nodes[nonzero[-1]]) if nonzero.size else 0.0
+        support = 0.0
+        if nonzero.size:  # the interpolant is nonzero up to the next node
+            end = min(nonzero[-1] + 1, grid.n_points - 1)
+            support = min(float(grid.nodes[end]), grid.x_max)
         return cls(kind="tabulated", samples=vals, declared_grid=grid,
                    support_hi=support, eps_tail=eps_tail)
 
@@ -233,9 +240,16 @@ class PotentialSpec:
             with np.errstate(over="ignore"):  # exp(-inf) is the exact limit 0
                 for c, w, h in self.bumps:
                     out += h * np.exp(-((x - c) ** 2) / (2.0 * w * w))
-            out[np.abs(out) < self.eps_tail] = 0.0
+            # each bump is cut at its own radius, but tails that are each
+            # below eps_tail can add up to more beyond the last radius
+            out[(np.abs(out) < self.eps_tail) | (x > self.support_hi)] = 0.0
         elif self.kind == "tabulated":
             out = np.interp(x, self.declared_grid.nodes, self.samples)
+            # samples below eps_tail after the support are an exact zero
+            # tail; a support capped at x_max has none, and the top node may
+            # round above it
+            if self.support_hi < self.declared_grid.x_max:
+                out[x > self.support_hi] = 0.0
         else:  # pragma: no cover - constructors forbid this
             raise ValueError(f"unknown potential kind {self.kind!r}")
         return out

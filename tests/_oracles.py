@@ -5,9 +5,12 @@ discretization of the same quantity, so agreement with the package is
 evidence and not a tautology.  Frozen decimal constants were produced
 offline with arbitrary-precision tooling and are committed as literals;
 nothing in this file calls back into the package's numerical pipeline.  The
-one exception is :func:`partition_sum_loop`, which walks the package's own
+exceptions are :func:`partition_sum_loop`, which walks the package's own
 partition enumeration (pinned by brute force in ``test_partitions``) because
-it is a reference for the arithmetic of the sum, not for the partitions.
+it is a reference for the arithmetic of the sum, not for the partitions, and
+:func:`full_grid_recursion`, which samples U through the package and takes
+its reference wave because it is a reference for the windowed hierarchy
+step, not for the sampling or the wave.
 """
 
 import cmath
@@ -15,7 +18,7 @@ import math
 
 import numpy as np
 
-from phaseshift import enumerate_partitions
+from phaseshift import enumerate_partitions, sample_potential
 
 # Taylor coefficients (orders 1..6) of the exact phase of a unit-height
 # barrier on [0, 1] at k = 1, expanded around zero coupling.  Computed
@@ -187,3 +190,66 @@ def recursion_step_loop(k, step, density, ratio_shift, u_right, u_left, g):
     weighted = cumulative_from_right(plus * r, minus * r)
     plain = cumulative_from_right(plus, minus)
     return (weighted - r * plain) / (1j * k)
+
+
+# The full-grid hierarchy operator the package's windowed one replaced, kept
+# verbatim as its reference: every order runs over every cell of the grid,
+# also where U is zero.  The package must agree bit for bit.
+def full_grid_recursion(ref, u):
+    """The hierarchy operator for `ref` and `u`, built once.
+
+    Returns ``step``, which maps the node values of g, stored from x_max
+    down to x = 0 in a contiguous complex array, to those of the next
+    correction in a new array of the same layout.  Cell c of that layout
+    spans stored nodes c (its upper node) and c + 1 (its lower node).
+    """
+    grid = ref.grid
+    samples = sample_potential(u, grid)
+    n = grid.n_points
+    scale = 0.5 * grid.step / (1j * ref.k)
+    d = ref.density.values[::-1]
+    # an overflowing weight ends in the callers' NonFiniteResult, not a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        lower = samples.at_nodes[::-1][1:] * d[1:] * scale
+        upper = samples.at_nodes_left[::-1][:-1] * d[:-1] * scale
+    r = np.ascontiguousarray(ref.ratio_shift.values[::-1])
+    r_lo, r_hi = r[1:], r[:-1]
+    lo, hi, lo_r, hi_r = (np.empty(n - 1, dtype=complex) for _ in range(4))
+    weighted = np.zeros(n, dtype=complex)
+    plain = np.zeros(n, dtype=complex)
+
+    def step(g: np.ndarray) -> np.ndarray:
+        np.multiply(lower, g[1:], out=lo)
+        np.multiply(upper, g[:-1], out=hi)
+        np.multiply(lo, r_lo, out=lo_r)
+        np.multiply(hi, r_hi, out=hi_r)
+        np.add(lo_r, hi_r, out=lo_r)
+        np.add(lo, hi, out=lo)
+        np.cumsum(lo_r, out=weighted[1:])
+        np.cumsum(lo, out=plain[1:])
+        out = r * plain
+        np.subtract(weighted, out, out=out)
+        return out
+
+    return step
+
+
+def full_grid_step(ref, u, g):
+    """Node values (x = 0 first) of the next correction after the node
+    values `g`, as the former ``apply_recursion_step`` computed them."""
+    step = full_grid_recursion(ref, u)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return step(np.ascontiguousarray(g[::-1]))[::-1]
+
+
+def full_grid_hierarchy(ref, u, order):
+    """(f_1(0) ... f_order(0), whether f_order is finite at every node), as
+    the former ``compute_hierarchy`` iterated them from g = 1."""
+    step = full_grid_recursion(ref, u)
+    g = np.ones(ref.grid.n_points, dtype=complex)
+    values = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(order):
+            g = step(g)
+            values.append(complex(g[-1]))
+    return tuple(values), bool(np.all(np.isfinite(g)))

@@ -27,6 +27,16 @@ def pytest_terminal_summary(terminalreporter):
             terminalreporter.write_line(line)
 
 
+def same_bits(got, want):
+    """Equal bit for bit (float.hex of every part), except that an exact zero
+    may carry either sign: the full-grid hierarchy operator's zeros are
+    sums of the signed zeros of cells the windowed one skips."""
+    got, want = np.asarray(got, dtype=complex), np.asarray(want, dtype=complex)
+    return got.shape == want.shape and all(
+        a.hex() == b.hex()
+        for a, b in zip((got + 0.0).view(float), (want + 0.0).view(float)))
+
+
 @pytest.fixture(scope="session")
 def barrier():
     """Unit-height barrier on [0, 1] -- the standard test perturbation."""

@@ -59,6 +59,25 @@ def test_phases_zero_perturbation_gives_zero_columns(tmp_path):
         assert float(row[1]) != 0.0  # background phase itself is not zero
 
 
+def test_tabulated_background_nonzero_only_at_the_origin_is_solved(tmp_path):
+    # V = 0.5 at node 0 only: its interpolant reaches x = step, so the
+    # background is solved by RK4, not taken as the free wave (delta0 0)
+    grid = phaseshift.Grid(2.0, 2001)
+    samples = [0.5] + [0.0] * 2000
+    path = tmp_path / "origin.json"
+    path.write_text(json.dumps({
+        "command": "phases", "k": 1.0, "max_order": 1,
+        "grid": {"x_max": 2.0, "n_points": 2001},
+        "V": {"kind": "tabulated", "samples": samples}}))
+    out = tmp_path / "origin.csv"
+    assert main(["phases", "--config", str(path), "--out", str(out)]) == 0
+    header, rows = parse_csv(out.read_text())
+    want = phaseshift.solve_reference(
+        phaseshift.PotentialSpec.tabulated(samples, grid), 1.0, grid).delta0
+    assert -1e-10 < want < -5e-11  # -8.3e-11
+    assert rows[0][header.index("delta0")] == "%.12g" % want
+
+
 def test_degrees_flag_converts_only_angle_columns(tmp_path):
     config = parse_config({
         "command": "phases",

@@ -21,7 +21,10 @@ from phaseshift import (
     step_by_double_integral,
 )
 
-from _oracles import recursion_step_loop
+from phaseshift.hierarchy import _recursion
+
+from _oracles import full_grid_hierarchy, full_grid_step, recursion_step_loop
+from conftest import same_bits
 
 EPS = sys.float_info.epsilon
 
@@ -47,6 +50,13 @@ def test_zero_perturbation_gives_identically_zero_functions():
     for f in correction_functions(ref, PotentialSpec.zero(), 3):
         assert np.all(f.values == 0.0)
     assert res.values_at_zero == (0.0, 0.0, 0.0)
+    # no cell carries a weight, so a k for which step / k overflows gives
+    # exact zeros too
+    tiny_k = analytic_free_reference(5e-324, Grid(2.0, 201))
+    zeros = compute_hierarchy(tiny_k, PotentialSpec.zero(), 3).values_at_zero
+    assert zeros == (0.0, 0.0, 0.0)
+    for f in correction_functions(tiny_k, PotentialSpec.zero(), 3):
+        assert np.all(f.values == 0.0)
 
 
 def test_first_order_barrier_anchor(fine_free_ref, barrier):
@@ -229,3 +239,97 @@ def test_overflow_raises_non_finite_result_without_warnings(height, max_order):
         assert all(map(cmath.isfinite, values))
         with pytest.raises(NonFiniteResult):
             compute_hierarchy(ref, u, max_order)
+
+
+# U shapes the windowed operator is checked on; every edge and bump is placed
+# by x, so on the coarse grids it falls between nodes as well as on them.
+WINDOW_SHAPES = ("touching x = 0", "touching x_max", "strictly inside",
+                 "two pieces with a gap", "a single cell", "zero",
+                 "gaussian sum", "tabulated")
+WINDOW_GRIDS = (3, 5, 401, 4001)
+
+
+def window_shape(name, grid):
+    x = grid.nodes
+    j = max((grid.n_points - 1) // 2 - 1, 0)
+    if name == "tabulated":
+        hat = np.maximum(0.0, 0.6 * (1.0 - np.abs(x - 2.0) / 0.9))
+        return PotentialSpec.tabulated(hat, grid)
+    if name == "gaussian sum":
+        return PotentialSpec.gaussian_sum([(1.0, 0.2, 0.5), (0.98, 0.2, 0.5),
+                                           (2.6, 0.3, -0.4)])
+    segments = {
+        "touching x = 0": [(0.0, 1.5, 0.8)],
+        "touching x_max": [(2.5, grid.x_max, 0.6)],
+        "strictly inside": [(1.0, 2.5, -0.7)],
+        "two pieces with a gap": [(0.5, 1.25, 0.9), (2.0, 3.0, -0.4)],
+        "a single cell": [(float(x[j]), float(x[j + 1]), 0.7)],
+        "zero": [],
+    }[name]
+    return PotentialSpec.piecewise_constant(segments)
+
+
+def window_background(name, grid):
+    if name == "free":
+        return analytic_free_reference(1.3, grid)
+    # 3 and 5 points are far too coarse for the default certificate; the
+    # operator is checked on whatever wave the propagator gives there
+    v = PotentialSpec.gaussian_sum([(1.2, 0.4, 0.3)])
+    return solve_reference(v, 1.3, grid, tol_wronskian=10.0)
+
+
+@pytest.mark.parametrize("background", ("free", "RK4"))
+@pytest.mark.parametrize("shape", WINDOW_SHAPES)
+def test_window_matches_the_full_grid_operator(shape, background):
+    for n in WINDOW_GRIDS:
+        grid = Grid(4.0, n)
+        ref = window_background(background, grid)
+        u = window_shape(shape, grid)
+        want, finite = full_grid_hierarchy(ref, u, 20)
+        assert finite
+        assert same_bits(compute_hierarchy(ref, u, 20).values_at_zero, want)
+        g = unit_function(grid)
+        for _ in range(3):
+            want = full_grid_step(ref, u, g.values)
+            g = apply_recursion_step(ref, u, g)
+            assert same_bits(g.values, want), n
+
+
+def test_window_spans_exactly_the_cells_with_a_nonzero_weight():
+    # Cell i spans nodes i and i + 1 (x = 0 first).  Its weights are U's
+    # right limit at node i and U's left limit at node i + 1; the window
+    # runs from the first to the last cell with either nonzero, and the
+    # operator stores nodes from x_max down.
+    for n in WINDOW_GRIDS:
+        grid = Grid(4.0, n)
+        ref = analytic_free_reference(1.3, grid)
+        for shape in WINDOW_SHAPES:
+            u = window_shape(shape, grid)
+            s = sample_potential(u, grid)
+            cells = np.flatnonzero((s.at_nodes[:-1] != 0.0)
+                                   | (s.at_nodes_left[1:] != 0.0))
+            window = _recursion(ref, u)
+            if not cells.size:
+                assert window is None, shape
+                continue
+            nodes = window[0]
+            assert (n - nodes.stop, n - 1 - nodes.start) == \
+                (cells[0], cells[-1] + 1), (shape, n)
+
+
+def test_overflow_below_the_window_at_an_earlier_order_raises():
+    # On a single cell every correction from f_3 on is exactly zero in the
+    # window.  At this height f_2 is finite in the window but overflows
+    # below it (|r| reaches 2 there), so later orders, which read f_2 in
+    # the window alone, stay finite; the full grid carries the overflow to
+    # x = 0 at order 3.
+    ref = analytic_free_reference(1.0, Grid(4.0, 41))
+    u = PotentialSpec.piecewise_constant([(2.0, 2.1, 4.5e155)])
+    assert full_grid_hierarchy(ref, u, 1)[1]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cmath.isfinite(compute_hierarchy(ref, u, 1).values_at_zero[0])
+        for order in (2, 3, 8):
+            assert not full_grid_hierarchy(ref, u, order)[1]
+            with pytest.raises(NonFiniteResult):
+                compute_hierarchy(ref, u, order)

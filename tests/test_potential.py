@@ -97,14 +97,18 @@ def test_gaussian_peak_value():
 
 
 def test_gaussian_clipped_to_zero_beyond_support():
-    spec = PotentialSpec.gaussian_sum([(0.5, 0.1, 1.0)])
-    g = Grid(5.0, 201)
-    vals = sample_potential(spec, g).at_nodes
-    beyond = g.nodes > spec.support_hi
-    assert beyond.any()
-    assert np.all(vals[beyond] == 0.0)
-    # the declared support edge is where the bump decays to the tail eps
-    assert spec.support_hi < 5.0
+    # Each bump is cut where it decays to the tail eps.  Beyond the second
+    # sum's support_hi (2.468) both tails are below eps_tail, but together
+    # they reach 1.42e-12 at 10 nodes: exact zeros all the same.
+    for bumps, g in (([(0.5, 0.1, 1.0)], Grid(5.0, 201)),
+                     ([(1.0, 0.2, 0.5), (0.98, 0.2, 0.5)], Grid(4.0, 4001))):
+        spec = PotentialSpec.gaussian_sum(bumps)
+        s = sample_potential(spec, g)
+        beyond = g.nodes > spec.support_hi
+        assert beyond.any()
+        assert np.all(s.at_nodes[beyond] == 0.0)
+        assert np.all(s.at_midpoints[g.midpoints > spec.support_hi] == 0.0)
+        assert spec.support_hi < g.x_max
 
 
 def test_piecewise_beyond_support_is_zero():
@@ -155,10 +159,35 @@ def test_tabulated_requires_declared_grid():
     s = sample_potential(spec, g)
     assert np.array_equal(s.at_nodes, [0.0, 1.0, 0.5, 0.0, 0.0])
     assert np.array_equal(s.at_nodes_left, [0.0, 1.0, 0.5, 0.0, 0.0])
-    assert spec.support_hi == 1.0
+    # the interpolant is 0.25 at x = 1.25: its support ends at the next node
+    assert spec.support_hi == 1.5
     for wrong in ([1.0, 2.0], 7.0):  # a scalar has no length to report
         with pytest.raises(TabulatedGridMismatch):
             PotentialSpec.tabulated(wrong, g)
+
+
+def test_tabulated_support_ends_where_the_interpolant_does():
+    g = Grid(2.0, 5)
+    for samples, support in (([0.5, 0.0, 0.0, 0.0, 0.0], 0.5),  # node 0 only
+                             ([0.0, 0.0, 0.0, 0.5, 0.0], 2.0),
+                             ([0.0, 0.0, 0.0, 0.0, 0.5], 2.0),
+                             ([1e-13, 0.0, 0.0, 0.0, 0.0], 0.0)):
+        assert PotentialSpec.tabulated(samples, g).support_hi == support
+    # samples below eps_tail after the support are an exact zero tail
+    spec = PotentialSpec.tabulated([0.0, 1.0, 0.0, 1e-13, 2e-13], g)
+    assert spec.support_hi == 1.0
+    fine = g.refined(4)
+    s = sample_potential(spec, fine)
+    assert np.all(s.at_nodes[fine.nodes > 1.0] == 0.0)
+    assert np.all(s.at_midpoints[fine.midpoints > 1.0] == 0.0)
+    assert np.all(s.at_nodes[(fine.nodes > 0.5) & (fine.nodes < 1.0)] > 0.0)
+    # this grid's top node rounds above x_max: the support is capped there,
+    # and a nonzero top sample is kept
+    top = Grid(0.9317519014656098, 47)
+    assert top.nodes[-1] > top.x_max
+    spec = PotentialSpec.tabulated(np.r_[np.zeros(46), 0.5], top)
+    assert spec.support_hi == top.x_max
+    assert sample_potential(spec, top).at_nodes[-1] == 0.5
 
 
 def test_tabulated_sampling_accepts_refinements_only():
