@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import ConfigInvalid, DegenerateSweep, PhaseshiftError
 from .partitions import MAX_ORDER, enumerate_partitions
-from .potential import ComplexGridFunction, DEFAULT_TAIL_EPS, Grid, PotentialSpec
+from .potential import DEFAULT_TAIL_EPS, Grid, PotentialSpec
 from .refwave import (
     DEFAULT_WRONSKIAN_TOL,
     analytic_free_reference,
@@ -428,8 +428,8 @@ def _check_zero_perturbation() -> bool:
 def _check_simplex_identity() -> bool:
     from .cross_check import NestedIntegrandSet, nested_integral
     grid = Grid(2.0, 101)
-    one = ComplexGridFunction(grid, np.ones(grid.n_points, dtype=complex))
-    value = nested_integral(NestedIntegrandSet((one, one)))
+    one = np.ones(grid.n_points - 1)
+    value = nested_integral(NestedIntegrandSet(grid, ((one, one),) * 2))
     return abs(value - 2.0) < 1e-12
 
 

@@ -13,21 +13,18 @@ routes share nothing with the partition assembly beyond the reference wave
 itself, so agreement between the two pipelines is a strong end-to-end check.
 
 Evaluation is by right-to-left cumulative integration (innermost factor
-first), giving O(m * n_points) cost instead of an m-dimensional sum.
+first), giving O(m * n_points) cost instead of an m-dimensional sum.  Each
+factor is held at both ends of every cell, as :class:`PotentialSamples` is.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import GridMismatch
-from .potential import (
-    ComplexGridFunction,
-    Grid,
-    cumulative_from_right,
-    require_same_grid,
-    sample_potential,
-)
+import numpy as np
+
+from .errors import GridMismatch, NonFiniteResult
+from .potential import Grid, cumulative_from_right, sample_potential
 from .refwave import ReferenceWave
 
 
@@ -35,26 +32,29 @@ from .refwave import ReferenceWave
 class NestedIntegrandSet:
     """Ordered factors F_1 ... F_m of a simplex integral, on one grid.
 
-    `factors_left` optionally carries left-limit node values for factors
-    with jump discontinuities (same layout); when present, cumulative
-    integration uses the side-correct limits in each grid cell.
+    Each factor is a (lower, upper) pair of complex arrays with one entry
+    per cell of `grid`, its values at the cell's two ends read from inside
+    the cell.  Raises ValueError unless there are 1 to 3 factors,
+    GridMismatch for an array of another length, NonFiniteResult for a NaN
+    or infinite entry.
     """
 
+    grid: Grid
     factors: tuple
-    factors_left: tuple | None = None
 
     def __post_init__(self) -> None:
         if not 1 <= len(self.factors) <= 3:
             raise ValueError("factor list must have 1 to 3 entries")
-        require_same_grid(*self.factors)
-        if self.factors_left is not None:
-            if len(self.factors_left) != len(self.factors):
-                raise GridMismatch("left-limit channel length mismatch")
-            require_same_grid(*self.factors, *self.factors_left)
-
-    @property
-    def grid(self) -> Grid:
-        return self.factors[0].grid
+        cells = self.grid.n_points - 1
+        pairs = tuple((np.array(lower, dtype=complex), np.array(upper, dtype=complex))
+                      for lower, upper in self.factors)
+        for end in (end for pair in pairs for end in pair):
+            if end.shape != (cells,):
+                raise GridMismatch(f"expected {cells} values, got {end.shape}")
+            if not np.all(np.isfinite(end)):
+                raise NonFiniteResult("factor contains non-finite values")
+            end.flags.writeable = False
+        object.__setattr__(self, "factors", pairs)
 
 
 def nested_integral(factors: NestedIntegrandSet) -> complex:
@@ -63,34 +63,27 @@ def nested_integral(factors: NestedIntegrandSet) -> complex:
     Innermost accumulation first: G_m(x) = integral_x^xmax F_m, then each
     outer level integrates F_j * G_{j+1}; the returned value is G_1(0).
     """
-    grid = factors.grid
-    step = grid.step
-    n = len(factors.factors)
-    lefts = factors.factors_left
+    step = factors.grid.step
     acc = None
-    for j in range(n - 1, -1, -1):
-        plus = factors.factors[j].values
-        minus = lefts[j].values if lefts is not None else plus
+    for lower, upper in reversed(factors.factors):
         if acc is not None:
-            plus = plus * acc
-            minus = minus * acc
-        acc = cumulative_from_right(plus, step, minus)
+            lower = lower * acc[:-1]
+            upper = upper * acc[1:]
+        acc = cumulative_from_right(lower, upper, step)
     return complex(acc[0])
 
 
 def integrand_factors(ref: ReferenceWave, u, powers) -> NestedIntegrandSet:
-    """Build the factor set (U * d * r**p for p in powers), both channels."""
+    """Build the factor set (U * d * r**p for p in powers), cell by cell."""
     grid = ref.grid
     samples = sample_potential(u, grid)
     base = ref.density.values
     r = ref.ratio_shift.values
     factors = []
-    factors_left = []
     for p in powers:
         core = base * r ** p if p else base
-        factors.append(ComplexGridFunction(grid, samples.at_nodes * core))
-        factors_left.append(ComplexGridFunction(grid, samples.at_nodes_left * core))
-    return NestedIntegrandSet(tuple(factors), tuple(factors_left))
+        factors.append((samples.lower * core[:-1], samples.upper * core[1:]))
+    return NestedIntegrandSet(grid, tuple(factors))
 
 
 def delta1_direct(ref: ReferenceWave, u) -> float:

@@ -18,14 +18,13 @@ Expanding (r(z) - r(x)) splits the operator into two cumulative integrals
 taken from x_max inwards, W of U d r g / (ik) and P of U d g / (ik), and
 the next correction is W - r P.  Every integrand carries U, so each order
 costs O(cells of U's support): the operator runs on the window of cells
-from the first to the last one where U's right limit at the lower node or
-its left limit at the upper node is nonzero.  Above the window every
-correction is exactly zero; below it, W and P no longer change, so the
-correction is W - r(x) P with the two integrals over the whole window, and
-at x = 0, where r is exactly 0, it is W.  Only g changes from one order to
-the next, so the weights are folded once per series, over the window only:
-the trapezoid half-step, 1/(ik), U and d at the lower node of each cell (its
-right limit) and at its upper node (its left limit).  Node arrays are stored
+from the first to the last one whose ``lower`` or ``upper`` sample of U is
+nonzero.  Above the window every correction is exactly zero; below it, W
+and P no longer change, so the correction is W - r(x) P with the two
+integrals over the whole window, and at x = 0, where r is exactly 0, it is
+W.  Only g changes from one order to the next, so the weights are folded
+once per series, over the window only: the trapezoid half-step, 1/(ik), and
+U and d at the lower and the upper end of each cell.  Node arrays are stored
 from x_max down to x = 0, which makes both integrals forward cumulative sums
 whose entry at the window's top stays 0.  One order is then four products,
 two sums, the two cumulative sums and g = W - r P on the window; the two
@@ -71,9 +70,8 @@ def _recursion(ref: ReferenceWave, u):
     Node arrays are stored from x_max down to x = 0; cell c spans stored
     nodes c (its upper node) and c + 1 (its lower node).  The window is the
     run of cells from the first to the last one with a nonzero weight, that
-    is with U's right limit at its lower node or U's left limit at its upper
-    node nonzero.  Returns None when no cell has one, and otherwise
-    ``(nodes, step, ends)``:
+    is with U's ``lower`` or ``upper`` sample nonzero.  Returns None when no
+    cell has one, and otherwise ``(nodes, step, ends)``:
 
     * ``nodes`` -- the slice of stored nodes the window spans;
     * ``step`` -- maps the values of g on those nodes, in a contiguous
@@ -83,18 +81,18 @@ def _recursion(ref: ReferenceWave, u):
     """
     grid = ref.grid
     samples = sample_potential(u, grid)
-    right = samples.at_nodes[::-1]
-    left = samples.at_nodes_left[::-1]
-    cells = np.flatnonzero((right[1:] != 0.0) | (left[:-1] != 0.0))
+    u_lower, u_upper = samples.lower[::-1], samples.upper[::-1]
+    cells = np.flatnonzero((u_lower != 0.0) | (u_upper != 0.0))
     if not cells.size:
         return None
-    nodes = slice(int(cells[0]), int(cells[-1]) + 2)
+    window = slice(int(cells[0]), int(cells[-1]) + 1)
+    nodes = slice(window.start, window.stop + 1)
     scale = 0.5 * grid.step / (1j * ref.k)
     d = ref.density.values[::-1][nodes]
     # an overflowing weight ends in the callers' NonFiniteResult, not a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        lower = right[nodes][1:] * d[1:] * scale
-        upper = left[nodes][:-1] * d[:-1] * scale
+        lower = u_lower[window] * d[1:] * scale
+        upper = u_upper[window] * d[:-1] * scale
     r = np.ascontiguousarray(ref.ratio_shift.values[::-1][nodes])
     r_lo, r_hi = r[1:], r[:-1]
     m = len(r)
@@ -225,7 +223,8 @@ def step_by_double_integral(ref: ReferenceWave, u,
     samples = sample_potential(u, grid)
 
     base = 2.0 * ref.density.values * f_prev.values
-    inner = cumulative_from_right(samples.at_nodes * base, grid.step,
-                                  samples.at_nodes_left * base)
-    outer = cumulative_from_right(inner / ref.density.values, grid.step)
+    inner = cumulative_from_right(samples.lower * base[:-1],
+                                  samples.upper * base[1:], grid.step)
+    outer = inner / ref.density.values
+    outer = cumulative_from_right(outer[:-1], outer[1:], grid.step)
     return ComplexGridFunction(grid, outer)

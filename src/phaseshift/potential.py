@@ -1,13 +1,13 @@
 """Grids, quadrature weights, and potential definitions.
 
 Everything downstream (wave integration, the correction hierarchy, the exact
-oracle) takes a :class:`PotentialSpec` and samples it one way:
-:func:`sample_potential` returns a :class:`PotentialSamples` bundle carrying
-node values as one-sided limits plus cell-midpoint values.  Piecewise-constant
-potentials jump at segment edges; integrating them accurately requires knowing
-the value on *each side* of a node, not a single number at it.  Segments are
-half-open, [x_lo, x_hi): the right limit at a node is ``at_nodes``, the left
-limit ``at_nodes_left``.
+oracle, the closed-form checks) works one grid cell at a time and samples a
+:class:`PotentialSpec` one way: :func:`sample_potential`, the one place that
+decides which one-sided limit each end of a cell reads, returns U's right
+limit at each cell's lower node, its value at the centre and its left limit
+at the upper node.  Piecewise-constant potentials jump at segment edges
+(segments are half-open, [x_lo, x_hi)); a cell rule that reads each end from
+inside the cell keeps its order across a jump on a node.
 
 Units are dimensionless throughout (hbar = m = 1).
 """
@@ -257,25 +257,25 @@ class PotentialSpec:
 
 @dataclass(frozen=True)
 class PotentialSamples:
-    """Potential sampled for integration on a specific grid.
+    """Potential sampled for integration on a specific grid, cell by cell.
 
-    ``at_nodes`` holds right limits at the nodes, ``at_nodes_left`` left
-    limits, and ``at_midpoints`` the values at cell centers.  For continuous
-    potentials all node channels coincide.
+    One entry per cell c, which spans nodes c and c + 1: ``lower[c]`` is U's
+    right limit at node c, ``mid[c]`` its value at the centre and ``upper[c]``
+    its left limit at node c + 1.  Only at a jump on node c + 1 do
+    ``upper[c]`` and ``lower[c + 1]`` differ.
     """
 
     grid: Grid
-    at_nodes: np.ndarray
-    at_nodes_left: np.ndarray
-    at_midpoints: np.ndarray
+    lower: np.ndarray
+    mid: np.ndarray
+    upper: np.ndarray
 
     def __post_init__(self) -> None:
-        n = self.grid.n_points
-        for name, length in (("at_nodes", n), ("at_nodes_left", n),
-                             ("at_midpoints", n - 1)):
+        cells = self.grid.n_points - 1
+        for name in ("lower", "mid", "upper"):
             arr = _as_readonly(getattr(self, name), float)
-            if arr.shape != (length,):
-                raise GridMismatch(f"{name}: expected {length} values")
+            if arr.shape != (cells,):
+                raise GridMismatch(f"{name}: expected {cells} values")
             object.__setattr__(self, name, arr)
 
 
@@ -285,20 +285,21 @@ def combine_samples(a: PotentialSamples, b: PotentialSamples,
     grid = require_same_grid(a, b)
     return PotentialSamples(
         grid,
-        a.at_nodes + weight_b * b.at_nodes,
-        a.at_nodes_left + weight_b * b.at_nodes_left,
-        a.at_midpoints + weight_b * b.at_midpoints,
+        a.lower + weight_b * b.lower,
+        a.mid + weight_b * b.mid,
+        a.upper + weight_b * b.upper,
     )
 
 
 def sample_potential(spec: PotentialSpec, grid: Grid) -> PotentialSamples:
-    """Two-sided node limits plus midpoint values on `grid`.
+    """The three per-cell samples of `spec` on `grid`.
 
-    Tabulated specs must declare `grid` itself or a grid that `grid` refines
-    (same domain, cell count an integer multiple); off-node values are then
-    linearly interpolated.  Only piecewise-constant specs evaluate their left
-    limits apart.  Anything but a spec, such as a plain array with no
-    one-sided limits, raises TypeError.
+    Each cell's lower end reads the right limit at its lower node and its
+    upper end the left limit at its upper node; only piecewise-constant specs
+    evaluate the two limits apart.  Tabulated specs must declare `grid`
+    itself or a grid that `grid` refines (same domain, cell count an integer
+    multiple); off-node values are then linearly interpolated.  Anything but
+    a spec, such as a plain array with no one-sided limits, raises TypeError.
     """
     if not isinstance(spec, PotentialSpec):
         raise TypeError(f"expected a PotentialSpec, got {type(spec).__name__}")
@@ -312,11 +313,11 @@ def sample_potential(spec: PotentialSpec, grid: Grid) -> PotentialSamples:
                 raise TabulatedGridMismatch(
                     f"tabulated on {declared}, requested {grid}"
                 )
-    at_nodes = spec.values_at(grid.nodes, side=+1)
-    at_nodes_left = (spec.values_at(grid.nodes, side=-1)
-                     if spec.kind == "piecewise_constant" else at_nodes)
-    return PotentialSamples(grid, at_nodes, at_nodes_left,
-                            spec.values_at(grid.midpoints, side=+1))
+    right = spec.values_at(grid.nodes, side=+1)
+    left = (spec.values_at(grid.nodes, side=-1)
+            if spec.kind == "piecewise_constant" else right)
+    return PotentialSamples(grid, right[:-1],
+                            spec.values_at(grid.midpoints, side=+1), left[1:])
 
 
 def simpson_weights(grid: Grid) -> np.ndarray:
@@ -333,20 +334,18 @@ def simpson_weights(grid: Grid) -> np.ndarray:
     return w * (grid.step / 3.0)
 
 
-def cumulative_from_right(values: np.ndarray, step: float,
-                          values_left: np.ndarray | None = None) -> np.ndarray:
+def cumulative_from_right(lower: np.ndarray, upper: np.ndarray,
+                          step: float) -> np.ndarray:
     """Right-to-left cumulative trapezoid integral on a uniform grid.
 
-    Returns ``out`` with ``out[i] ~ integral from x_i to x_max`` and
-    ``out[-1] = 0`` exactly.  For integrands with jump discontinuities at
-    the nodes, pass the right-limit channel in `values` and the left-limit
-    channel in `values_left`: each cell [x_i, x_i+1] is then integrated with
-    the limits taken from inside the cell, which keeps the trapezoid rule at
-    O(step^2) across jumps instead of O(step).
+    `lower` and `upper` hold the integrand at the two ends of each cell, one
+    entry per cell, read from inside the cell as in :class:`PotentialSamples`;
+    a function f on the nodes is passed as ``f[:-1], f[1:]``.  Returns
+    ``out`` on the nodes with ``out[i] ~ integral from x_i to x_max`` and
+    ``out[-1] = 0`` exactly.  Reading a jump at a node from inside each cell
+    keeps the trapezoid rule at O(step^2) across it instead of O(step).
     """
-    if values_left is None:
-        values_left = values
-    seg = 0.5 * step * (values[:-1] + values_left[1:])
-    out = np.zeros(len(values), dtype=seg.dtype)
+    seg = 0.5 * step * (lower + upper)
+    out = np.zeros(len(seg) + 1, dtype=seg.dtype)
     out[:-1] = np.cumsum(seg[::-1])[::-1]
     return out

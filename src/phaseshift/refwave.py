@@ -115,8 +115,8 @@ def _cell_steps(k: float, h: float, samples: PotentialSamples,
     """Deviation N = M - I of the RK4 step of every cell, in scan layout.
 
     With s = -h (stepping toward smaller x), q = s^2 and hi, mid, lo the
-    coefficient c = 2 V - k^2 at the cell's upper edge (left limit), centre
-    and lower edge (right limit), the RK4 stages give
+    coefficient c = 2 V - k^2 from the samples' ``upper``, ``mid`` and
+    ``lower`` of the cell, the RK4 stages give
 
         N00 = (q/6)(hi + 2 mid) + (q^2/24) hi mid
         N01 = s + (s q/6) mid
@@ -135,8 +135,7 @@ def _cell_steps(k: float, h: float, samples: PotentialSamples,
     steps = np.empty((SCAN_WIDTH, 2, 2, blocks))
     steps[rest:, :, :, full:] = 0.0
     n00, n01, n10, n11 = steps[:, 0, 0], steps[:, 0, 1], steps[:, 1, 0], steps[:, 1, 1]
-    for slot, values in ((n00, samples.at_nodes_left[1:]), (n01, samples.at_midpoints),
-                         (n11, samples.at_nodes[:-1])):
+    for slot, values in ((n00, samples.upper), (n01, samples.mid), (n11, samples.lower)):
         np.multiply(values[:full * SCAN_WIDTH].reshape(full, SCAN_WIDTH).T, 2.0,
                     out=slot[:, :full])
         np.multiply(values[full * SCAN_WIDTH:, None], 2.0, out=slot[:rest, full:])
@@ -227,10 +226,10 @@ def integrate_wave_inward(k: float, grid: Grid,
     """Fixed-step RK4 integration of the wave from x_max down to 0.
 
     One RK4 step per grid cell.  The potential enters each stage through the
-    value valid *inside* the cell being crossed: the left limit at the upper
-    node, the midpoint value at the half step, the right limit at the lower
-    node.  That choice keeps the integrator at full fourth order when the
-    potential jumps exactly at grid nodes.
+    cell's samples, each read from inside the cell being crossed: ``upper``
+    at the upper node, ``mid`` at the half step, ``lower`` at the lower node.
+    That keeps the integrator at full fourth order when the potential jumps
+    exactly at grid nodes.
 
     On the linear system the step of cell i is a real 2x2 matrix M_i, and
     the state at node i is M_i M_(i+1) ... M_(n-2) applied to the state at

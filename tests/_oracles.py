@@ -125,9 +125,9 @@ def rk4_wave_loop(k, grid, samples):
 
     # coefficient c(x) = 2 V(x) - k^2 in psi'' = c psi, one channel per side
     ksq = k * k
-    c_hi = (2.0 * samples.at_nodes_left - ksq).tolist()  # upper cell edge
-    c_mid = (2.0 * samples.at_midpoints - ksq).tolist()  # cell center
-    c_lo = (2.0 * samples.at_nodes - ksq).tolist()       # lower cell edge
+    c_hi = (2.0 * samples.upper - ksq).tolist()  # upper cell edge
+    c_mid = (2.0 * samples.mid - ksq).tolist()   # cell center
+    c_lo = (2.0 * samples.lower - ksq).tolist()  # lower cell edge
 
     psi = [0j] * n
     dpsi = [0j] * n
@@ -137,7 +137,7 @@ def rk4_wave_loop(k, grid, samples):
     y0, y1 = psi[-1], dpsi[-1]
     s = -h  # stepping toward smaller x
     for i in range(n - 2, -1, -1):
-        ch, cm, cl = c_hi[i + 1], c_mid[i], c_lo[i]
+        ch, cm, cl = c_hi[i], c_mid[i], c_lo[i]
         a0, a1 = y1, ch * y0
         b0 = y1 + 0.5 * s * a1
         b1 = cm * (y0 + 0.5 * s * a0)
@@ -210,8 +210,8 @@ def full_grid_recursion(ref, u):
     d = ref.density.values[::-1]
     # an overflowing weight ends in the callers' NonFiniteResult, not a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        lower = samples.at_nodes[::-1][1:] * d[1:] * scale
-        upper = samples.at_nodes_left[::-1][:-1] * d[:-1] * scale
+        lower = samples.lower[::-1] * d[1:] * scale
+        upper = samples.upper[::-1] * d[:-1] * scale
     r = np.ascontiguousarray(ref.ratio_shift.values[::-1])
     r_lo, r_hi = r[1:], r[:-1]
     lo, hi, lo_r, hi_r = (np.empty(n - 1, dtype=complex) for _ in range(4))

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from phaseshift import (
-    ComplexGridFunction,
     Grid,
     GridMismatch,
     NestedIntegrandSet,
+    NonFiniteResult,
     PotentialSpec,
     analytic_free_reference,
     assemble_series,
@@ -20,26 +20,28 @@ from _oracles import TWO_FACTOR_BARRIER, brute_force_two_factor
 
 
 def ones(grid):
-    return ComplexGridFunction(grid, np.ones(grid.n_points, dtype=complex))
+    """The factor 1, as its (lower, upper) values in every cell."""
+    cells = np.ones(grid.n_points - 1, dtype=complex)
+    return cells, cells
 
 
 def test_single_factor_is_a_plain_integral():
     grid = Grid(2.0, 51)
-    value = nested_integral(NestedIntegrandSet((ones(grid),)))
+    value = nested_integral(NestedIntegrandSet(grid, (ones(grid),)))
     assert abs(value - 2.0) < 1e-12
 
 
 def test_two_constant_factors_give_half_the_square():
     # ordered integral over 0 < x1 < x2 < 2 of 1 is half of 2*2
     grid = Grid(2.0, 51)
-    value = nested_integral(NestedIntegrandSet((ones(grid), ones(grid))))
+    value = nested_integral(NestedIntegrandSet(grid, (ones(grid), ones(grid))))
     assert abs(value - 2.0) < 1e-12
 
 
 def test_three_constant_factors_give_the_simplex_volume():
     # 2^3 / 3! with one O(step^2) trapezoid layer in the outermost pass
     grid = Grid(2.0, 801)
-    value = nested_integral(NestedIntegrandSet((ones(grid),) * 3))
+    value = nested_integral(NestedIntegrandSet(grid, (ones(grid),) * 3))
     assert abs(value - 8.0 / 6.0) < grid.step ** 2
 
 
@@ -113,8 +115,16 @@ def test_direct_forms_on_smooth_potential_and_background(barrier03):
 def test_factor_set_validation():
     grid = Grid(2.0, 51)
     with pytest.raises(ValueError):
-        NestedIntegrandSet(())
+        NestedIntegrandSet(grid, ())
     with pytest.raises(ValueError):
-        NestedIntegrandSet((ones(grid),) * 4)
+        NestedIntegrandSet(grid, (ones(grid),) * 4)
     with pytest.raises(GridMismatch):
-        NestedIntegrandSet((ones(grid), ones(Grid(2.0, 101))))
+        NestedIntegrandSet(grid, (ones(grid), ones(Grid(2.0, 101))))
+    lower, upper = ones(grid)
+    with pytest.raises(GridMismatch):
+        NestedIntegrandSet(grid, ((lower, np.ones(grid.n_points)),))
+    with pytest.raises(NonFiniteResult):
+        NestedIntegrandSet(grid, ((lower, np.full(grid.n_points - 1, np.nan)),))
+    # the factors are copies that cannot be written
+    factors = NestedIntegrandSet(grid, ((lower, upper),))
+    assert not factors.factors[0][0].flags.writeable

@@ -174,8 +174,10 @@ FORMER_STEP_CASES = {
 def former_step_inputs(ref, u, extended=False):
     """Arguments of recursion_step_loop; `extended` casts to long double."""
     s = sample_potential(u, ref.grid)
+    # the loop reads U's right limit at nodes 0..n-2 and its left limit at
+    # nodes 1..n-1; the node each array leaves out is never read
     arrays = (ref.density.values, ref.ratio_shift.values,
-              s.at_nodes, s.at_nodes_left)
+              np.append(s.lower, 0.0), np.insert(s.upper, 0, 0.0))
     if extended:
         arrays = tuple(a.astype(np.clongdouble if np.iscomplexobj(a)
                                 else np.longdouble) for a in arrays)
@@ -306,8 +308,7 @@ def test_window_spans_exactly_the_cells_with_a_nonzero_weight():
         for shape in WINDOW_SHAPES:
             u = window_shape(shape, grid)
             s = sample_potential(u, grid)
-            cells = np.flatnonzero((s.at_nodes[:-1] != 0.0)
-                                   | (s.at_nodes_left[1:] != 0.0))
+            cells = np.flatnonzero((s.lower != 0.0) | (s.upper != 0.0))
             window = _recursion(ref, u)
             if not cells.size:
                 assert window is None, shape

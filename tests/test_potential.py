@@ -85,14 +85,14 @@ def test_simpson_exact_on_cubics():
 
 def test_evaluate_empty_segment_list_is_zero():
     s = sample_potential(PotentialSpec.zero(), Grid(2.0, 5))
-    assert np.array_equal(s.at_nodes, np.zeros(5))
-    assert np.array_equal(s.at_nodes_left, np.zeros(5))
+    assert np.array_equal(s.lower, np.zeros(4))
+    assert np.array_equal(s.upper, np.zeros(4))
     assert PotentialSpec.zero().support_hi == 0.0
 
 
 def test_gaussian_peak_value():
     spec = PotentialSpec.gaussian_sum([(1.0, 0.2, 0.5)])
-    vals = sample_potential(spec, Grid(2.0, 5)).at_nodes
+    vals = sample_potential(spec, Grid(2.0, 5)).lower
     assert vals[2] == 0.5  # node exactly at the bump center
 
 
@@ -106,8 +106,9 @@ def test_gaussian_clipped_to_zero_beyond_support():
         s = sample_potential(spec, g)
         beyond = g.nodes > spec.support_hi
         assert beyond.any()
-        assert np.all(s.at_nodes[beyond] == 0.0)
-        assert np.all(s.at_midpoints[g.midpoints > spec.support_hi] == 0.0)
+        assert np.all(s.lower[beyond[:-1]] == 0.0)
+        assert np.all(s.upper[beyond[1:]] == 0.0)
+        assert np.all(s.mid[g.midpoints > spec.support_hi] == 0.0)
         assert spec.support_hi < g.x_max
 
 
@@ -116,8 +117,8 @@ def test_piecewise_beyond_support_is_zero():
     g = Grid(4.0, 17)
     s = sample_potential(spec, g)
     assert spec.support_hi == 1.25
-    assert np.all(s.at_nodes[g.nodes > 1.25] == 0.0)
-    assert np.all(s.at_nodes_left[g.nodes > 1.25] == 0.0)
+    assert np.all(s.lower[g.nodes[:-1] > 1.25] == 0.0)
+    assert np.all(s.upper[g.nodes[1:] > 1.25] == 0.0)
 
 
 def test_spec_constructors_validate():
@@ -157,8 +158,8 @@ def test_tabulated_requires_declared_grid():
     g = Grid(2.0, 5)
     spec = PotentialSpec.tabulated([0.0, 1.0, 0.5, 0.0, 0.0], g)
     s = sample_potential(spec, g)
-    assert np.array_equal(s.at_nodes, [0.0, 1.0, 0.5, 0.0, 0.0])
-    assert np.array_equal(s.at_nodes_left, [0.0, 1.0, 0.5, 0.0, 0.0])
+    assert np.array_equal(s.lower, [0.0, 1.0, 0.5, 0.0])
+    assert np.array_equal(s.upper, [1.0, 0.5, 0.0, 0.0])
     # the interpolant is 0.25 at x = 1.25: its support ends at the next node
     assert spec.support_hi == 1.5
     for wrong in ([1.0, 2.0], 7.0):  # a scalar has no length to report
@@ -178,24 +179,26 @@ def test_tabulated_support_ends_where_the_interpolant_does():
     assert spec.support_hi == 1.0
     fine = g.refined(4)
     s = sample_potential(spec, fine)
-    assert np.all(s.at_nodes[fine.nodes > 1.0] == 0.0)
-    assert np.all(s.at_midpoints[fine.midpoints > 1.0] == 0.0)
-    assert np.all(s.at_nodes[(fine.nodes > 0.5) & (fine.nodes < 1.0)] > 0.0)
+    assert np.all(s.lower[fine.nodes[:-1] > 1.0] == 0.0)
+    assert np.all(s.upper[fine.nodes[1:] > 1.0] == 0.0)
+    assert np.all(s.mid[fine.midpoints > 1.0] == 0.0)
+    inside = fine.nodes[:-1]
+    assert np.all(s.lower[(inside > 0.5) & (inside < 1.0)] > 0.0)
     # this grid's top node rounds above x_max: the support is capped there,
     # and a nonzero top sample is kept
     top = Grid(0.9317519014656098, 47)
     assert top.nodes[-1] > top.x_max
     spec = PotentialSpec.tabulated(np.r_[np.zeros(46), 0.5], top)
     assert spec.support_hi == top.x_max
-    assert sample_potential(spec, top).at_nodes[-1] == 0.5
+    assert sample_potential(spec, top).upper[-1] == 0.5
 
 
 def test_tabulated_sampling_accepts_refinements_only():
     g = Grid(2.0, 5)
     spec = PotentialSpec.tabulated([0.0, 1.0, 0.5, 0.0, 0.0], g)
     s = sample_potential(spec, g.refined(2))
-    assert s.at_nodes[1] == 0.5  # linear interpolation between declared nodes
-    assert s.at_nodes[2] == 1.0
+    assert s.lower[1] == 0.5  # linear interpolation between declared nodes
+    assert s.lower[2] == 1.0
     with pytest.raises(TabulatedGridMismatch):
         sample_potential(spec, Grid(2.5, 9))
     with pytest.raises(TabulatedGridMismatch):
@@ -204,15 +207,15 @@ def test_tabulated_sampling_accepts_refinements_only():
 
 def test_two_sided_sampling_at_barrier_edge(barrier):
     s = sample_potential(barrier, Grid(2.0, 5))
-    assert s.at_nodes[0] == 1.0
-    assert s.at_nodes[2] == 0.0       # right limit at the jump
-    assert s.at_nodes_left[2] == 1.0  # left limit at the jump
-    assert s.at_midpoints[1] == 1.0 and s.at_midpoints[2] == 0.0
+    assert s.lower[0] == 1.0
+    assert s.lower[2] == 0.0  # right limit at the jump, node 2
+    assert s.upper[1] == 1.0  # left limit at the jump, node 2
+    assert s.mid[1] == 1.0 and s.mid[2] == 0.0
 
 
 def test_cumulative_from_right_constant_is_exact():
     g = Grid(2.0, 9)
-    out = cumulative_from_right(np.full(9, 3.0 + 0j), g.step)
+    out = cumulative_from_right(np.full(8, 3.0 + 0j), np.full(8, 3.0 + 0j), g.step)
     assert out[-1] == 0.0
     assert np.allclose(out, 3.0 * (2.0 - g.nodes), rtol=0, atol=1e-14)
 
@@ -222,8 +225,8 @@ def test_cumulative_two_sided_is_exact_across_a_jump(barrier):
     # makes the trapezoid rule exact for a piecewise-constant integrand
     g = Grid(2.0, 9)
     s = sample_potential(barrier, g)
-    out = cumulative_from_right(s.at_nodes.astype(complex), g.step,
-                                s.at_nodes_left.astype(complex))
+    out = cumulative_from_right(s.lower.astype(complex),
+                                s.upper.astype(complex), g.step)
     expected = np.clip(1.0 - g.nodes, 0.0, None)
     assert np.allclose(out, expected, rtol=0, atol=1e-15)
 
@@ -233,9 +236,9 @@ def test_combine_samples_is_affine(barrier):
     a = sample_potential(barrier, g)
     b = sample_potential(PotentialSpec.gaussian_sum([(0.5, 0.2, 1.0)]), g)
     c = combine_samples(a, b, 0.25)
-    assert np.allclose(c.at_nodes, a.at_nodes + 0.25 * b.at_nodes)
-    assert np.allclose(c.at_nodes_left, a.at_nodes_left + 0.25 * b.at_nodes_left)
-    assert np.allclose(c.at_midpoints, a.at_midpoints + 0.25 * b.at_midpoints)
+    assert np.allclose(c.lower, a.lower + 0.25 * b.lower)
+    assert np.allclose(c.upper, a.upper + 0.25 * b.upper)
+    assert np.allclose(c.mid, a.mid + 0.25 * b.mid)
 
 
 def test_sample_potential_rejects_plain_arrays(barrier):
@@ -253,14 +256,14 @@ def test_left_limits_differ_only_at_segment_edges():
     table = PotentialSpec.tabulated(np.sin(np.arange(9.0)), Grid(2.0, 9))
     for spec in (gauss, table):
         s = sample_potential(spec, g)
-        assert s.at_nodes_left.tobytes() == s.at_nodes.tobytes()
+        assert s.upper[:-1].tobytes() == s.lower[1:].tobytes()
     # edges at 0.5 and 1.25 (nodes 4 and 10) and at 0.6 (between nodes)
     steps = PotentialSpec.piecewise_constant([(0.5, 0.6, 2.0), (0.6, 1.25, -1.0)])
     s = sample_potential(steps, g)
-    differ = np.nonzero(s.at_nodes_left != s.at_nodes)[0]
+    differ = np.nonzero(s.upper[:-1] != s.lower[1:])[0] + 1  # inner nodes
     assert differ.tolist() == [4, 10]
-    assert s.at_nodes[4] == 2.0 and s.at_nodes_left[4] == 0.0
-    assert s.at_nodes[10] == 0.0 and s.at_nodes_left[10] == -1.0
+    assert s.lower[4] == 2.0 and s.upper[3] == 0.0
+    assert s.lower[10] == 0.0 and s.upper[9] == -1.0
 
 
 def test_gaussian_widths_whose_square_underflows_are_refused():
@@ -274,11 +277,12 @@ def test_extreme_gaussians_sample_to_their_limits_without_warnings():
     # an overflowing square or quotient stays silent
     g = Grid(2.0, 5)
     needle = sample_potential(PotentialSpec.gaussian_sum([(1.0, 1e-160, 0.5)]), g)
-    assert needle.at_nodes.tolist() == [0.0, 0.0, 0.5, 0.0, 0.0]
-    assert not needle.at_midpoints.any()
+    assert needle.lower.tolist() == [0.0, 0.0, 0.5, 0.0]
+    assert needle.upper.tolist() == [0.0, 0.5, 0.0, 0.0]
+    assert not needle.mid.any()
     for centre in (1e300, -1e300):
         far = sample_potential(PotentialSpec.gaussian_sum([(centre, 0.2, 0.5)]), g)
-        for channel in (far.at_nodes, far.at_nodes_left, far.at_midpoints):
+        for channel in (far.lower, far.upper, far.mid):
             assert not channel.any()
 
 

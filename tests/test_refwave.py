@@ -10,6 +10,7 @@ from phaseshift import (
     PotentialSpec,
     WronskianViolation,
     analytic_free_reference,
+    compute_hierarchy,
     solve_reference,
 )
 from phaseshift.potential import combine_samples, sample_potential
@@ -160,3 +161,19 @@ def test_blocked_scan_matches_the_rk4_loop_at_every_node(n):
             assert psi[-1] == cmath.exp(-1j * k * grid.x_max)
             assert (wronskian_residual(k, psi, dpsi)
                     <= 10.0 * wronskian_residual(k, loop_psi, loop_dpsi)), name
+
+
+def test_a_potential_nonzero_only_at_the_origin_leaves_the_wave_free():
+    # support_hi is 0.0 for both, yet U(0) is 1.8e-12 and 5e-13: a value at
+    # the single point x = 0 does not change the wave.  The solve gives the
+    # V = 0 solve's delta0 (RK4's own error on the free wave), and the
+    # hierarchy, whose only nonzero weight sits where r(0) = 0, gives zeros.
+    grid = Grid(2.0, 2001)
+    free = solve_reference(PotentialSpec.zero(), 1.0, grid)
+    for u in (PotentialSpec.gaussian_sum([(0.0, 0.2, 9e-13)] * 2),
+              PotentialSpec.tabulated(np.r_[5e-13, np.zeros(2000)], grid)):
+        assert u.support_hi == 0.0
+        assert u.values_at(np.array([0.0]))[0] != 0.0
+        assert abs(solve_reference(u, 1.0, grid).delta0 - free.delta0) <= 1e-15
+        for ref in (analytic_free_reference(1.0, grid), free):
+            assert compute_hierarchy(ref, u, 4).values_at_zero == (0j,) * 4
