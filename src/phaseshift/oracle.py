@@ -1,10 +1,12 @@
 """Exact solution of the perturbed problem and series validation against it.
 
 The oracle integrates the full equation  psi'' = (2(V + coupling*U) - k^2) psi
-with the same certified RK4 core the reference solver uses, then compares
-truncations of the perturbation series against the exact phase along a
-coupling sweep.  Remainders of an order-N truncation must shrink like
-coupling**(N+1); the empirical order
+with the same certified RK4 core the reference solver uses (a sweep
+integrates the wave above U's support once for all its couplings, with the
+bits of a full solve at each), then compares truncations of the
+perturbation series against the exact phase along a coupling sweep.
+Remainders of an order-N truncation must shrink like coupling**(N+1); the
+empirical order
 
     p_hat = log2( R_N(2*c) / R_N(c) )
 
@@ -17,7 +19,7 @@ oracle on a 4x finer grid, so its own error is subdominant.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -26,10 +28,10 @@ from .potential import (
     Grid,
     PotentialSamples,
     PotentialSpec,
-    combine_samples,
+    combine_cells,
     sample_potential,
 )
-from .refwave import DEFAULT_WRONSKIAN_TOL, certified_wave, phase_from_wave
+from .refwave import DEFAULT_WRONSKIAN_TOL, SharedTopScan, phase_from_wave
 from .series import PhaseSeries, evaluate_truncated
 
 #: oracle grids refine the series grid by this factor
@@ -42,41 +44,73 @@ class OracleResult:
 
     `delta_exact` is on the principal branch for a single solve; sweep
     results are unwrapped to the continuous branch seeded by the background
-    phase.
+    phase.  `wronskian_residual` is the solve's certified residual.
     """
 
     coupling: float
     delta_exact: float
     psi_at_zero: complex
+    wronskian_residual: float
 
 
-def _solve_sampled(v: PotentialSamples, u: PotentialSamples, coupling: float,
-                   k: float, grid: Grid, tol_wronskian: float) -> OracleResult:
-    """One certified solve of V + coupling*U from samples already taken."""
-    psi, _, _ = certified_wave(k, grid, combine_samples(v, u, coupling),
-                               tol_wronskian)
-    return OracleResult(
-        coupling=coupling,
-        delta_exact=phase_from_wave(complex(psi[0])),
-        psi_at_zero=complex(psi[0]),
-    )
+def _support_cells(u: PotentialSamples) -> int:
+    """Cells from x = 0 up to the last one where any sample of `u` is
+    nonzero; 0 for a `u` that is zero everywhere.
+
+    RK4 reads a cell's ``mid`` as well as its ends, so a cell whose only
+    nonzero sample is its centre counts.
+    """
+    nonzero = np.flatnonzero((u.lower != 0.0) | (u.mid != 0.0) | (u.upper != 0.0))
+    return int(nonzero[-1]) + 1 if nonzero.size else 0
+
+
+def _solve_couplings(V: PotentialSpec, U: PotentialSpec, couplings, k: float,
+                     grid: Grid, tol_wronskian: float):
+    """Yield the certified :class:`OracleResult` of V + c U for each coupling
+    c, on the principal branch.
+
+    V and U are sampled once.  Above U's support every potential of the
+    sweep is V, so the first coupling is solved in full and each later one
+    scans again only the blocks that hold a cell of U's support
+    (:class:`SharedTopScan`), which gives the bits of a full solve.
+    """
+    v, u = sample_potential(V, grid), sample_potential(U, grid)
+    support = _support_cells(u)
+    scan = None
+    for c in couplings:
+        # a coupling times U beyond the double range is inf or NaN, which
+        # fails the certificate: no warning
+        if scan is not None and math.isfinite(c):
+            with np.errstate(over="ignore"):
+                cells = combine_cells(v, u, c, scan.fresh_cells)
+            psi0, residual = scan.rescan(*cells)
+        else:
+            # a non-finite coupling is solved in full too: 0 * inf puts NaN
+            # on the cells where U is zero as well
+            with np.errstate(over="ignore", invalid="ignore"):
+                cells = combine_cells(v, u, c)
+            scan = SharedTopScan(k, grid, *cells, support, tol_wronskian)
+            psi0, residual = scan.psi_at_zero, scan.residual
+        yield OracleResult(c, phase_from_wave(psi0), psi0, residual)
 
 
 def solve_exact(V: PotentialSpec, U: PotentialSpec, coupling: float, k: float,
                 grid: Grid,
                 tol_wronskian: float = DEFAULT_WRONSKIAN_TOL) -> OracleResult:
-    """Integrate the fully perturbed problem at one coupling.
+    """Integrate the fully perturbed problem at one coupling: a sweep of one
+    coupling, left on the principal branch.
 
     Raises
     ------
     NonpositiveK
         If k <= 0.
+    NonFiniteResult
+        If k x_max is beyond the double range.
     WronskianViolation
         If the integration cannot be certified (same certificate as the
         reference wave, which the perturbed wave also obeys).
     """
-    return _solve_sampled(sample_potential(V, grid), sample_potential(U, grid),
-                          coupling, k, grid, tol_wronskian)
+    return next(_solve_couplings(V, U, (coupling,), k, grid, tol_wronskian))
 
 
 def sweep_exact(V: PotentialSpec, U: PotentialSpec, couplings, k: float,
@@ -84,21 +118,23 @@ def sweep_exact(V: PotentialSpec, U: PotentialSpec, couplings, k: float,
                 tol_wronskian: float = DEFAULT_WRONSKIAN_TOL) -> list:
     """Solve a list of couplings and unwrap phases to a continuous branch.
 
-    V and U are sampled once for the whole sweep; each coupling is then one
-    certified solve, the same as :func:`solve_exact` at that coupling.
+    V and U are sampled once for the whole sweep.  The wave above U's
+    support is the same at every coupling, so it is integrated once: the
+    first coupling is solved in full, and each later one only on the blocks
+    of cells that hold U's support (:class:`refwave.SharedTopScan`).  Every
+    result is bit for bit that of :func:`solve_exact` at its coupling,
+    before unwrapping; the certificate covers every node at every coupling.
 
     The phase is only defined mod pi; each sweep point picks the
     representative closest to the previous one, starting from `seed_delta`
     (normally the background phase, the exact coupling -> 0 limit).
     """
-    v, u = sample_potential(V, grid), sample_potential(U, grid)
     results = []
     previous = seed_delta
-    for c in couplings:
-        raw = _solve_sampled(v, u, c, k, grid, tol_wronskian)
+    for raw in _solve_couplings(V, U, couplings, k, grid, tol_wronskian):
         shifted = raw.delta_exact + math.pi * round(
             (previous - raw.delta_exact) / math.pi)
-        results.append(OracleResult(c, shifted, raw.psi_at_zero))
+        results.append(replace(raw, delta_exact=shifted))
         previous = shifted
     return results
 

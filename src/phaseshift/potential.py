@@ -279,16 +279,25 @@ class PotentialSamples:
             object.__setattr__(self, name, arr)
 
 
+def combine_cells(a: PotentialSamples, b: PotentialSamples, weight_b: float,
+                  cells: int | None = None) -> tuple:
+    """(lower, mid, upper) of ``a + weight_b * b`` over the first `cells`
+    cells (all by default) of their common grid.
+
+    The one formula for a combined potential: :func:`combine_samples` wraps
+    it, and a coupling sweep of the oracle takes only the cells it solves
+    again.
+    """
+    require_same_grid(a, b)
+    return tuple(x[:cells] + weight_b * y[:cells]
+                 for x, y in ((a.lower, b.lower), (a.mid, b.mid),
+                              (a.upper, b.upper)))
+
+
 def combine_samples(a: PotentialSamples, b: PotentialSamples,
                     weight_b: float) -> PotentialSamples:
     """Samples of ``a + weight_b * b`` on the common grid."""
-    grid = require_same_grid(a, b)
-    return PotentialSamples(
-        grid,
-        a.lower + weight_b * b.lower,
-        a.mid + weight_b * b.mid,
-        a.upper + weight_b * b.upper,
-    )
+    return PotentialSamples(a.grid, *combine_cells(a, b, weight_b))
 
 
 def sample_potential(spec: PotentialSpec, grid: Grid) -> PotentialSamples:

@@ -13,13 +13,20 @@ wave, the two auxiliary grid functions the perturbation hierarchy consumes:
 The solved wave comes from one fixed-step RK4 propagator: each cell's step is a
 real 2x2 matrix built from its closed form, and the node states are the
 suffix products of those matrices, formed by a recursive scan over blocks of
-SCAN_WIDTH cells (:func:`integrate_wave_inward`).
+SCAN_WIDTH cells (:func:`integrate_wave_inward`).  Blocks are aligned from
+x = 0, so each block product and block-top state depends only on the cells
+at or above its block.  :class:`SharedTopScan` uses that for a family of
+potentials that agree above some cell, such as V + c U over the couplings c
+of a sweep: it keeps the scan of the first and scans only the bottom blocks
+again for each other one, with the bits of a full solve.
 
 The Wronskian  psi * conj(psi)' - conj(psi) * psi' = 2ik  is an exact
 invariant of the continuum equation; its maximum grid residual is the
 certificate that the integration can be trusted, and it also guarantees the
-wave has no nodes (so dividing by psi is safe).  :func:`certified_wave` is
-the one place that certificate is checked.
+wave has no nodes (so dividing by psi is safe).  :func:`_certificate` is
+the one place that certificate is checked: over the whole wave for
+:func:`certified_wave`, and over its shared and rescanned nodes as two parts
+for :class:`SharedTopScan`.
 """
 
 from __future__ import annotations
@@ -30,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonpositiveK, WronskianViolation
+from .errors import NonFiniteResult, NonpositiveK, WronskianViolation
 from .potential import (
     ComplexGridFunction,
     Grid,
@@ -110,13 +117,15 @@ def _scan_layout(dev: np.ndarray) -> np.ndarray:
         padded.reshape(2, 2, blocks, SCAN_WIDTH).transpose(3, 0, 1, 2))
 
 
-def _cell_steps(k: float, h: float, samples: PotentialSamples,
-                cells: int) -> np.ndarray:
-    """Deviation N = M - I of the RK4 step of every cell, in scan layout.
+def _cell_steps(k: float, h: float, lower: np.ndarray, mid: np.ndarray,
+                upper: np.ndarray, cells: int) -> np.ndarray:
+    """Deviation N = M - I of the RK4 step of each of the first `cells`
+    cells, in scan layout.
 
     With s = -h (stepping toward smaller x), q = s^2 and hi, mid, lo the
-    coefficient c = 2 V - k^2 from the samples' ``upper``, ``mid`` and
-    ``lower`` of the cell, the RK4 stages give
+    coefficient c = 2 V - k^2 from the cell's ``upper``, ``mid`` and
+    ``lower`` samples (only the first `cells` entries of each are read), the
+    RK4 stages give
 
         N00 = (q/6)(hi + 2 mid) + (q^2/24) hi mid
         N01 = s + (s q/6) mid
@@ -135,10 +144,11 @@ def _cell_steps(k: float, h: float, samples: PotentialSamples,
     steps = np.empty((SCAN_WIDTH, 2, 2, blocks))
     steps[rest:, :, :, full:] = 0.0
     n00, n01, n10, n11 = steps[:, 0, 0], steps[:, 0, 1], steps[:, 1, 0], steps[:, 1, 1]
-    for slot, values in ((n00, samples.upper), (n01, samples.mid), (n11, samples.lower)):
+    for slot, values in ((n00, upper), (n01, mid), (n11, lower)):
         np.multiply(values[:full * SCAN_WIDTH].reshape(full, SCAN_WIDTH).T, 2.0,
                     out=slot[:, :full])
-        np.multiply(values[full * SCAN_WIDTH:, None], 2.0, out=slot[:rest, full:])
+        np.multiply(values[full * SCAN_WIDTH:cells, None], 2.0,
+                    out=slot[:rest, full:])
         slot -= k * k
     hi, mid, lo = n00, n01, n11
 
@@ -164,23 +174,14 @@ def _cell_steps(k: float, h: float, samples: PotentialSamples,
     return steps
 
 
-def _chain_states(steps: np.ndarray, cells: int, y0: complex, y1: complex,
-                  psi: np.ndarray, dpsi: np.ndarray) -> None:
-    """Write the state at node i of a chain of cells into psi[i], dpsi[i].
+def _block_products(steps: np.ndarray) -> None:
+    """Turn the cell deviations of every block into its suffix products.
 
-    Cell i carries the state at node i + 1 to node i.  `steps` holds every
-    cell's deviation N = M - I in scan layout (see :func:`_scan_layout`) and
-    is overwritten; (y0, y1) is the state at the top node `cells`.  psi and
-    dpsi hold one entry per node of the padded chain, blocks*SCAN_WIDTH + 1.
-
-    Inside a block the suffix products are formed in place, as deviations
-    Q_t = N_t + Q_(t+1) + N_t Q_(t+1), so no stored entry is 1 + O(h^2) and
-    the small part keeps its relative precision.  The whole-block products
-    form a chain SCAN_WIDTH times shorter, whose node states are the block
-    tops: this function one level up, or a scalar loop once that chain has
-    at most _LEAF_CELLS cells.
+    In place, as deviations Q_t = N_t + Q_(t+1) + N_t Q_(t+1), so no stored
+    entry is 1 + O(h^2) and the small part keeps its relative precision.
+    steps[t, :, :, j] ends as block j's product from its cell t to its top,
+    so steps[0] holds the whole-block products.
     """
-    blocks = steps.shape[-1]
     for t in range(SCAN_WIDTH - 2, -1, -1):
         n, suffix = steps[t], steps[t + 1]
         prod = n[:, 0, None] * suffix[None, 0]
@@ -188,27 +189,32 @@ def _chain_states(steps: np.ndarray, cells: int, y0: complex, y1: complex,
         n += suffix
         n += prod
 
-    # state at the top node of every block, z[j] at node (j + 1)*SCAN_WIDTH
-    tops = steps[0]
-    if blocks <= _LEAF_CELLS:
-        f00, f01, f10, f11 = (tops[r, c].tolist() for r in (0, 1) for c in (0, 1))
-        z0, z1 = [0j] * blocks, [0j] * blocks
-        a0, a1 = y0, y1
-        for j in range(blocks - 1, -1, -1):
-            z0[j], z1[j] = a0, a1
-            a0, a1 = (a0 + (f00[j] * a0 + f01[j] * a1),
-                      a1 + (f10[j] * a0 + f11[j] * a1))
-        z0, z1 = np.array(z0), np.array(z1)
-    else:
-        upper = _scan_layout(tops)
-        size = upper.shape[-1] * SCAN_WIDTH + 1
-        z0, z1 = np.empty(size, dtype=complex), np.empty(size, dtype=complex)
-        _chain_states(upper, blocks, y0, y1, z0, z1)
-        z0, z1 = z0[1:blocks + 1], z1[1:blocks + 1]
 
-    # every node from the top state of its block; [t, j] is node j*W + t.
-    # psi is scratch while dpsi is formed, then the spent dpsi rows of
-    # `steps` (a contiguous (W, 2*blocks) real slab) while psi is
+def _leaf_states(tops: np.ndarray, count: int, a0: complex,
+                 a1: complex) -> tuple[list, list]:
+    """State at the top node of each of the bottom `count` blocks of a chain.
+
+    A scalar loop: (a0, a1) is the state at the top of block count - 1, and
+    each block's whole-block deviation in `tops` carries it one block down.
+    """
+    f00, f01, f10, f11 = (tops[r, c, :count].tolist() for r in (0, 1) for c in (0, 1))
+    z0, z1 = [0j] * count, [0j] * count
+    for j in range(count - 1, -1, -1):
+        z0[j], z1[j] = a0, a1
+        a0, a1 = (a0 + (f00[j] * a0 + f01[j] * a1),
+                  a1 + (f10[j] * a0 + f11[j] * a1))
+    return z0, z1
+
+
+def _node_states(steps: np.ndarray, z0: np.ndarray, z1: np.ndarray,
+                 psi: np.ndarray, dpsi: np.ndarray) -> None:
+    """Write every node of the blocks of `steps` from the state (z0, z1) at
+    the top of its block; [t, j] is node j*SCAN_WIDTH + t.
+
+    psi is scratch while dpsi is formed, then the spent dpsi rows of `steps`
+    (a contiguous (W, 2*blocks) real slab) while psi is.
+    """
+    blocks = steps.shape[-1]
     nodes = blocks * SCAN_WIDTH
     p = psi[:nodes].reshape(blocks, SCAN_WIDTH).T
     d = dpsi[:nodes].reshape(blocks, SCAN_WIDTH).T
@@ -218,7 +224,127 @@ def _chain_states(steps: np.ndarray, cells: int, y0: complex, y1: complex,
         np.multiply(steps[:, row, 0], z0, out=out)
         out += part
         out += z
+
+
+@dataclass
+class _Level:
+    """One level of a kept scan (see :func:`_chain_states`).
+
+    ``cells`` is the chain's cell count, ``tops`` its whole-block products
+    (2, 2, blocks), ``psi``/``dpsi`` its node states, and ``leaf`` the lists
+    of block-top states the scalar loop formed, at the last level only.
+    """
+
+    cells: int
+    tops: np.ndarray
+    psi: np.ndarray
+    dpsi: np.ndarray
+    leaf: tuple | None = None
+
+
+def _chain_states(steps: np.ndarray, cells: int, y0: complex, y1: complex,
+                  psi: np.ndarray, dpsi: np.ndarray, kept: list | None = None) -> None:
+    """Write the state at node i of a chain of cells into psi[i], dpsi[i].
+
+    Cell i carries the state at node i + 1 to node i.  `steps` holds every
+    cell's deviation N = M - I in scan layout (see :func:`_scan_layout`) and
+    is overwritten; (y0, y1) is the state at the top node `cells`.  psi and
+    dpsi hold one entry per node of the padded chain, blocks*SCAN_WIDTH + 1.
+
+    Inside a block the suffix products are formed in place
+    (:func:`_block_products`).  The whole-block products form a chain
+    SCAN_WIDTH times shorter, whose node states are the block tops: this
+    function one level up, or a scalar loop once that chain has at most
+    _LEAF_CELLS cells.  Blocks are aligned from node 0 and padded with
+    identity steps at the top, so every block product and block-top state is
+    formed from the cells at or above its own block alone.
+
+    With a list `kept`, one :class:`_Level` per level is appended to it, the
+    cell level first, for :func:`_rescan`.
+    """
+    blocks = steps.shape[-1]
+    _block_products(steps)
+    tops = steps[0]
+    level = None
+    if kept is not None:
+        level = _Level(cells, tops.copy(), psi, dpsi)
+        kept.append(level)
+
+    # state at the top node of every block, z[j] at node (j + 1)*SCAN_WIDTH
+    if blocks <= _LEAF_CELLS:
+        z0, z1 = _leaf_states(tops, blocks, y0, y1)
+        if level is not None:
+            level.leaf = (z0, z1)
+        z0, z1 = np.array(z0), np.array(z1)
+    else:
+        upper = _scan_layout(tops)
+        size = upper.shape[-1] * SCAN_WIDTH + 1
+        z0, z1 = np.empty(size, dtype=complex), np.empty(size, dtype=complex)
+        _chain_states(upper, blocks, y0, y1, z0, z1, kept)
+        z0, z1 = z0[1:blocks + 1], z1[1:blocks + 1]
+
+    _node_states(steps, z0, z1, psi, dpsi)
     psi[cells], dpsi[cells] = y0, y1
+
+
+def _rescan(kept: list, depth: int, steps: np.ndarray, y0: complex,
+            y1: complex) -> None:
+    """Scan the bottom blocks of level `depth` of a kept scan again.
+
+    `steps` holds, in scan layout, the new cell deviations of the level's
+    bottom `steps.shape[-1]` blocks and is overwritten; every block above
+    them must be the kept scan's.  Their block products are formed as
+    :func:`_chain_states` forms them, the blocks of the level above that
+    hold one of them are scanned again the same way, and the scalar loop
+    resumes from the kept state at the top of the last of them.  The states
+    at their nodes are written over the kept ones; all others stay valid.
+    """
+    level = kept[depth]
+    fresh = steps.shape[-1]
+    _block_products(steps)
+    tops = steps[0]
+    if level.leaf is not None:
+        z0, z1 = level.leaf
+        z0, z1 = _leaf_states(tops, fresh, z0[fresh - 1], z1[fresh - 1])
+        z0, z1 = np.array(z0), np.array(z1)
+    else:
+        # the new block products, then the kept ones up to the end of the
+        # last block above that holds a new one
+        stop = min(-(-fresh // SCAN_WIDTH) * SCAN_WIDTH, level.tops.shape[-1])
+        joined = np.empty((2, 2, stop))
+        joined[..., :fresh] = tops
+        joined[..., fresh:] = level.tops[..., fresh:stop]
+        _rescan(kept, depth + 1, _scan_layout(joined), y0, y1)
+        above = kept[depth + 1]
+        z0, z1 = above.psi[1:fresh + 1], above.dpsi[1:fresh + 1]
+    _node_states(steps, z0, z1, level.psi, level.dpsi)
+    level.psi[level.cells], level.dpsi[level.cells] = y0, y1
+
+
+def _top_state(k: float, x_max: float) -> tuple[complex, complex]:
+    """(psi, psi') at x_max: the free outgoing wave exp(-i k x).
+
+    Raises :class:`NonFiniteResult` when k x_max leaves the double range.
+    """
+    if not math.isfinite(k * x_max):
+        raise NonFiniteResult(
+            f"k * x_max = {k!r} * {x_max!r} is beyond the double range")
+    psi = cmath.exp(-1j * k * x_max)
+    return psi, -1j * k * psi
+
+
+def _integrate(k: float, grid: Grid, lower: np.ndarray, mid: np.ndarray,
+               upper: np.ndarray,
+               kept: list | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`integrate_wave_inward` from the cell samples; `kept` as in
+    :func:`_chain_states`."""
+    cells = grid.n_points - 1
+    steps = _cell_steps(k, grid.step, lower, mid, upper, cells)
+    blocks = steps.shape[-1]
+    psi = np.empty(blocks * SCAN_WIDTH + 1, dtype=complex)
+    dpsi = np.empty(blocks * SCAN_WIDTH + 1, dtype=complex)
+    _chain_states(steps, cells, *_top_state(k, grid.x_max), psi, dpsi, kept)
+    return psi[:cells + 1], dpsi[:cells + 1]
 
 
 def integrate_wave_inward(k: float, grid: Grid,
@@ -239,15 +365,14 @@ def integrate_wave_inward(k: float, grid: Grid,
     scan over blocks of SCAN_WIDTH cells (see :func:`_chain_states`).
 
     Returns the (psi, psi') node arrays; psi[-1] is exactly exp(-i k x_max).
+
+    Raises
+    ------
+    NonFiniteResult
+        If k x_max is beyond the double range, so the state at x_max is not
+        finite.
     """
-    cells = grid.n_points - 1
-    steps = _cell_steps(k, grid.step, samples, cells)
-    blocks = steps.shape[-1]
-    top_psi = cmath.exp(-1j * k * grid.x_max)
-    psi = np.empty(blocks * SCAN_WIDTH + 1, dtype=complex)
-    dpsi = np.empty(blocks * SCAN_WIDTH + 1, dtype=complex)
-    _chain_states(steps, cells, top_psi, -1j * k * top_psi, psi, dpsi)
-    return psi[:cells + 1], dpsi[:cells + 1]
+    return _integrate(k, grid, samples.lower, samples.mid, samples.upper)
 
 
 def wronskian_residual(k: float, psi: np.ndarray, dpsi: np.ndarray) -> float:
@@ -262,36 +387,122 @@ def wronskian_residual(k: float, psi: np.ndarray, dpsi: np.ndarray) -> float:
     return 2.0 * float(np.max(np.abs(w, out=w)))
 
 
-def certified_wave(k: float, grid: Grid, samples: PotentialSamples,
-                   tol_wronskian: float) -> tuple[np.ndarray, np.ndarray, float]:
-    """Integrate the wave inward and certify it; returns (psi, dpsi, residual).
-
-    The one certificate every solve goes through: the Wronskian residual
-    must be finite and at most ``tol_wronskian * k``, and the wave must have
-    no node.  A NaN or inf residual fails the comparison.
-
-    Raises
-    ------
-    NonpositiveK
-        If k <= 0.
-    WronskianViolation
-        If the residual is non-finite or over the bound, or psi has a node.
-    """
+def _require_positive_k(k: float) -> None:
     if k <= 0.0:
         raise NonpositiveK(f"k must be positive, got {k}")
-    # an overflowed wave gives a NaN residual, which fails the check below
-    with np.errstate(over="ignore", invalid="ignore"):
-        psi, dpsi = integrate_wave_inward(k, grid, samples)
-        residual = wronskian_residual(k, psi, dpsi)
+
+
+def _wave_bounds(k: float, psi: np.ndarray, dpsi: np.ndarray) -> tuple[float, float]:
+    """(Wronskian residual, min |psi|) over some nodes of a wave, for
+    :func:`_certificate`; a NaN anywhere makes both NaN."""
+    return wronskian_residual(k, psi, dpsi), float(np.min(np.abs(psi)))
+
+
+def _certificate(k: float, tol_wronskian: float, parts) -> float:
+    """Check the certificate of a wave from the :func:`_wave_bounds` of parts
+    that together cover all its nodes; returns the residual.
+
+    The residual must be finite and at most ``tol_wronskian * k``, and the
+    wave must have no node.  The parts are merged with np.max and np.min,
+    which keep a NaN (Python's max(a, nan) returns a), and a NaN fails both
+    comparisons.
+    """
+    residuals, minima = zip(*parts)
+    residual = float(np.max(residuals))
     bound = tol_wronskian * k
     if not residual <= bound:
         raise WronskianViolation(
             f"residual {residual:.3e} is not within {tol_wronskian:.1e} * k = "
             f"{bound:.3e}; refine the grid or check the potential"
         )
-    if not np.min(np.abs(psi)) > 0.0:
+    if not np.min(minima) > 0.0:
         raise WronskianViolation("wave has a node; solution untrustworthy")
-    return psi, dpsi, residual
+    return residual
+
+
+def certified_wave(k: float, grid: Grid, samples: PotentialSamples,
+                   tol_wronskian: float) -> tuple[np.ndarray, np.ndarray, float]:
+    """Integrate the wave inward and certify it; returns (psi, dpsi, residual).
+
+    The certificate every solve goes through (:class:`SharedTopScan` checks
+    the same one in two parts): the Wronskian residual must be finite and at
+    most ``tol_wronskian * k``, and the wave must have no node.  A NaN or inf
+    residual fails the comparison.
+
+    Raises
+    ------
+    NonpositiveK
+        If k <= 0.
+    NonFiniteResult
+        If k x_max is beyond the double range.
+    WronskianViolation
+        If the residual is non-finite or over the bound, or psi has a node.
+    """
+    _require_positive_k(k)
+    # an overflowed wave gives a NaN residual, which fails the check below
+    with np.errstate(over="ignore", invalid="ignore"):
+        psi, dpsi = integrate_wave_inward(k, grid, samples)
+        bounds = _wave_bounds(k, psi, dpsi)
+    return psi, dpsi, _certificate(k, tol_wronskian, (bounds,))
+
+
+class SharedTopScan:
+    """Certified waves of potentials that agree on every cell above the
+    first `fresh_cells`.
+
+    The constructor solves the first potential, given by its cell samples,
+    in full and keeps every level of its scan.  :meth:`rescan` solves
+    another one from the samples of its first :attr:`fresh_cells` cells
+    only: `fresh_cells` rounded up to whole blocks.  Only the blocks of each
+    level that hold one of those cells are scanned again (:func:`_rescan`);
+    every other block product and block-top state is formed from the cells
+    at or above its own block alone, so the kept ones are bit for bit those a
+    full scan would form.  psi(0) and the residual are therefore those of
+    :func:`certified_wave`.
+
+    The certificate is split the same way: the residual and min |psi| over
+    the nodes above the rescanned blocks are taken once, and those over the
+    rescanned nodes for each potential.
+
+    Raises
+    ------
+    NonpositiveK, NonFiniteResult, WronskianViolation
+        As :func:`certified_wave`, from the constructor and :meth:`rescan`.
+    """
+
+    def __init__(self, k: float, grid: Grid, lower: np.ndarray, mid: np.ndarray,
+                 upper: np.ndarray, fresh_cells: int, tol_wronskian: float) -> None:
+        _require_positive_k(k)
+        self._k, self._step, self._tol = k, grid.step, tol_wronskian
+        self._top = _top_state(k, grid.x_max)
+        self.fresh_cells = min(-(-fresh_cells // SCAN_WIDTH) * SCAN_WIDTH,
+                               grid.n_points - 1)
+        self._levels = []
+        fresh = self.fresh_cells
+        with np.errstate(over="ignore", invalid="ignore"):
+            psi, dpsi = _integrate(k, grid, lower, mid, upper, self._levels)
+            self._shared = _wave_bounds(k, psi[fresh:], dpsi[fresh:])
+        self.psi_at_zero, self.residual = self._certified()
+
+    def rescan(self, lower: np.ndarray, mid: np.ndarray,
+               upper: np.ndarray) -> tuple[complex, float]:
+        """(psi(0), residual) of the potential whose first `fresh_cells`
+        cells have these samples, certified."""
+        if self.fresh_cells:
+            with np.errstate(over="ignore", invalid="ignore"):
+                steps = _cell_steps(self._k, self._step, lower, mid, upper,
+                                    self.fresh_cells)
+                _rescan(self._levels, 0, steps, *self._top)
+        return self._certified()
+
+    def _certified(self) -> tuple[complex, float]:
+        level, fresh = self._levels[0], self.fresh_cells
+        parts = [self._shared]
+        if fresh:
+            with np.errstate(over="ignore", invalid="ignore"):
+                parts.append(_wave_bounds(self._k, level.psi[:fresh],
+                                          level.dpsi[:fresh]))
+        return complex(level.psi[0]), _certificate(self._k, self._tol, parts)
 
 
 def _reference_wave(k: float, grid: Grid, psi: np.ndarray, dpsi: np.ndarray,
@@ -347,8 +558,7 @@ def analytic_free_reference(k: float, grid: Grid) -> ReferenceWave:
     from psi as in :func:`solve_reference`, exp(-2ikx) and exp(2ikx) - 1 up
     to rounding.
     """
-    if k <= 0.0:
-        raise NonpositiveK(f"k must be positive, got {k}")
+    _require_positive_k(k)
     # k x beyond the double range gives a NaN wave: NonFiniteResult, no warning
     with np.errstate(over="ignore", invalid="ignore"):
         psi = np.exp(-1j * k * grid.nodes)

@@ -10,7 +10,10 @@ partition enumeration (pinned by brute force in ``test_partitions``) because
 it is a reference for the arithmetic of the sum, not for the partitions, and
 :func:`full_grid_recursion`, which samples U through the package and takes
 its reference wave because it is a reference for the windowed hierarchy
-step, not for the sampling or the wave.
+step, not for the sampling or the wave, and :func:`full_solves`, which
+combines, integrates and certifies through the package one coupling at a
+time because it is a reference for the oracle's shared sweep, not for the
+propagator.
 """
 
 import cmath
@@ -18,7 +21,8 @@ import math
 
 import numpy as np
 
-from phaseshift import enumerate_partitions, sample_potential
+from phaseshift import combine_samples, enumerate_partitions, sample_potential
+from phaseshift.refwave import integrate_wave_inward, wronskian_residual
 
 # Taylor coefficients (orders 1..6) of the exact phase of a unit-height
 # barrier on [0, 1] at k = 1, expanded around zero coupling.  Computed
@@ -253,3 +257,31 @@ def full_grid_hierarchy(ref, u, order):
             g = step(g)
             values.append(complex(g[-1]))
     return tuple(values), bool(np.all(np.isfinite(g)))
+
+
+# The per-coupling full solve the oracle's sweep replaced, kept as its
+# reference: every coupling samples V + c U by `combine_samples`, integrates
+# every cell by `integrate_wave_inward` and takes the residual over every
+# node by `wronskian_residual`.  The sweep must agree bit for bit.
+def full_solves(V, U, couplings, k, grid):
+    """[(psi(0), principal phase, Wronskian residual)] of V + c U for each
+    coupling c, each from a solve of its own over the whole grid."""
+    v, u = sample_potential(V, grid), sample_potential(U, grid)
+    results = []
+    for c in couplings:
+        with np.errstate(over="ignore", invalid="ignore"):
+            psi, dpsi = integrate_wave_inward(k, grid, combine_samples(v, u, c))
+            residual = wronskian_residual(k, psi, dpsi)
+        psi0 = complex(psi[0])
+        results.append((psi0, principal_phase(psi0), residual))
+    return results
+
+
+def unwrap(phases, seed):
+    """`phases` moved by multiples of pi onto the branch that starts at
+    `seed` and moves least from one to the next, as a sweep unwraps."""
+    out, previous = [], seed
+    for d in phases:
+        previous = d + math.pi * round((previous - d) / math.pi)
+        out.append(previous)
+    return out

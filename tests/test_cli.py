@@ -296,6 +296,20 @@ def test_exit_codes(tmp_path, capsys):
     assert "ComputationFailed: NonFiniteResult" in err
     assert "Traceback" not in err
 
+    # k x_max beyond the double range: the state at x_max is not finite
+    barrier = {"kind": "piecewise_constant", "segments": [[0.0, 1.0, 1.0]]}
+    for command in ("phases", "sweep"):
+        path = tmp_path / f"huge_k_{command}.json"
+        path.write_text(json.dumps({
+            "command": command, "k": 1e308, "max_order": 1,
+            "grid": {"x_max": 2.0, "n_points": 101}, "lambda": [0.1],
+            "V": barrier, "U": barrier,
+        }))
+        assert main([command, "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "ComputationFailed: NonFiniteResult" in err
+        assert "Traceback" not in err
+
     ok = tmp_path / "ok.json"
     ok.write_text(json.dumps({
         "command": "phases", "k": 1.0, "max_order": 1,

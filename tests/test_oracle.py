@@ -7,6 +7,7 @@ import pytest
 from phaseshift import (
     DegenerateSweep,
     Grid,
+    NonFiniteResult,
     NonpositiveK,
     PotentialSpec,
     WronskianViolation,
@@ -19,8 +20,10 @@ from phaseshift import (
     sweep_exact,
 )
 from phaseshift.oracle import ORACLE_REFINEMENT
+from phaseshift.potential import combine_samples, sample_potential
+from phaseshift.refwave import integrate_wave_inward
 
-from _oracles import transfer_matrix_phase
+from _oracles import full_solves, transfer_matrix_phase, unwrap
 
 ZERO = PotentialSpec.zero()
 
@@ -93,6 +96,14 @@ def test_sweep_equals_unwrapped_single_solves(barrier):
             assert res.delta_exact == expected
             assert res.psi_at_zero == single.psi_at_zero
             previous = expected
+        # solve_exact runs the sweep's path too: check both against a solve
+        # of each coupling over the whole grid
+        reference = full_solves(background, U, lams, 1.0, grid)
+        phases = unwrap([phase for _, phase, _ in reference], 0.3)
+        for res, (psi0, _, residual), phase in zip(swept, reference, phases):
+            assert res.psi_at_zero == psi0
+            assert res.delta_exact == phase
+            assert res.wronskian_residual == residual
 
 
 def test_first_order_slope(barrier, barrier_series):
@@ -168,6 +179,72 @@ def test_oracle_certificate_rejects_overflow_and_tight_tolerance(barrier):
     # a bound no double-precision solve can meet
     with pytest.raises(WronskianViolation):
         solve_exact(ZERO, barrier, 0.1, 1.0, grid, tol_wronskian=1e-30)
+
+
+def test_huge_k_is_a_nonfinite_result(barrier):
+    # k x_max = 2e308 overflows: the state at x_max is not finite
+    grid = Grid(2.0, 101)
+    with pytest.raises(NonFiniteResult):
+        solve_exact(ZERO, barrier, 0.1, 1e308, grid)
+    with pytest.raises(NonFiniteResult):
+        sweep_exact(barrier, barrier, (0.1, 0.05), 1e308, grid)
+    with pytest.raises(NonFiniteResult):
+        solve_reference(barrier, 1e308, grid)
+
+
+def test_certificate_fails_on_a_fresh_nan_at_a_later_coupling(barrier):
+    # the wave overflows to NaN below U's support at 1e6 only; the nodes
+    # above it are shared with 0.1 and pass
+    grid = Grid(2.0, 401)
+    with pytest.raises(WronskianViolation) as single:
+        solve_exact(ZERO, barrier, 1e6, 1.0, grid)
+    with pytest.raises(WronskianViolation) as swept:
+        sweep_exact(ZERO, barrier, (0.1, 1e6), 1.0, grid)
+    assert str(swept.value) == str(single.value)
+    assert str(single.value).startswith("residual nan is not within")
+
+
+def test_certificate_over_shared_nodes_fails_at_the_first_coupling():
+    # U's 25 cells lie in the bottom two blocks of 16 cells, which the sweep
+    # scans again at each coupling; the nodes above them it certifies once.
+    # The largest residual sits on those, at the background's edge x = 1
+    V = PotentialSpec.piecewise_constant([(1.0, 2.0, 3.0)])
+    U = PotentialSpec.piecewise_constant([(0.0, 0.25, 0.1)])
+    grid = Grid(2.0, 201)
+    samples = combine_samples(sample_potential(V, grid),
+                              sample_potential(U, grid), 0.5)
+    psi, dpsi = integrate_wave_inward(1.0, grid, samples)
+    w = 2.0 * np.abs(psi.imag * dpsi.real - psi.real * dpsi.imag - 1.0)
+    fresh, shared = w[:32].max(), w[32:].max()
+    assert shared > fresh
+    tol = 0.5 * (fresh + shared)  # as a coefficient on k = 1
+    with pytest.raises(WronskianViolation) as single:
+        solve_exact(V, U, 0.5, 1.0, grid, tol_wronskian=tol)
+    with pytest.raises(WronskianViolation) as swept:
+        sweep_exact(V, U, (0.5, 0.25), 1.0, grid, tol_wronskian=tol)
+    assert str(swept.value) == str(single.value)
+
+
+def test_non_finite_coupling_fails_like_a_full_solve():
+    # 0 * inf is NaN on every cell, also where U is zero
+    grid = Grid(2.0, 401)
+    U = PotentialSpec.piecewise_constant([(0.0, 0.5, 1.0)])
+    for coupling in (math.inf, math.nan):
+        with pytest.raises(WronskianViolation) as single:
+            solve_exact(ZERO, U, coupling, 1.0, grid)
+        with pytest.raises(WronskianViolation) as swept:
+            sweep_exact(ZERO, U, (0.1, coupling), 1.0, grid)
+        assert str(swept.value) == str(single.value)
+
+
+def test_zero_perturbation_sweep_repeats_one_result(barrier03):
+    grid = Grid(2.0, 1001)
+    swept = sweep_exact(barrier03, ZERO, (0.4, -2.0, 1e3), 1.0, grid)
+    first = swept[0]
+    assert first.psi_at_zero == full_solves(barrier03, ZERO, (0.0,), 1.0, grid)[0][0]
+    for res in swept[1:]:
+        assert (res.delta_exact, res.psi_at_zero, res.wronskian_residual) == (
+            first.delta_exact, first.psi_at_zero, first.wronskian_residual)
 
 
 @pytest.mark.xfail(strict=True, reason="a jump between grid nodes is read as "

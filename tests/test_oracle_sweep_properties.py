@@ -1,0 +1,114 @@
+"""Property tests of the oracle's coupling sweep (hypothesis).
+
+A sweep integrates the wave above U's support once and scans only the blocks
+below it again for each later coupling.  Every result must still be, bit for
+bit, that of a solve of each coupling over the whole grid
+(`tests/_oracles.py::full_solves`): psi(0), the unwrapped phase and the
+Wronskian residual.  Examples are drawn from a fixed seed (``derandomize``),
+so every run checks the same inputs; the module is skipped where hypothesis
+is not installed.
+
+The grids run from one cell to 64000 cells: a scan of one level, of two and
+of three above the scalar leaf, most with a partial last block.
+"""
+
+import pytest
+
+pytest.importorskip("hypothesis")
+
+from hypothesis import Phase, example, given, settings, strategies as st  # noqa: E402
+
+from phaseshift import Grid, PotentialSpec, solve_exact, sweep_exact  # noqa: E402
+from phaseshift.potential import sample_potential  # noqa: E402
+
+from _oracles import full_solves, unwrap  # noqa: E402
+
+X_MAX = 2.0
+#: the bound is not under test here, only the bits: every wave passes it
+LOOSE_TOL = 1e6
+
+PROPERTY_SETTINGS = settings(max_examples=40, derandomize=True,
+                             database=None, deadline=None,
+                             phases=(Phase.explicit, Phase.generate))
+
+_n_points = st.sampled_from((3, 5, 33, 1027, 4003, 16003, 64001))
+
+_height = st.floats(0.2, 2.0) | st.floats(-2.0, -0.2)
+
+# a barrier anywhere, from x = 0 or away from it, up to the top cell or
+# beyond x_max; a sum of gaussians; or no perturbation at all
+_barrier = st.tuples(st.floats(0.0, 1.9), st.floats(0.01, 2.5), _height).map(
+    lambda b: PotentialSpec.piecewise_constant([(b[0], b[0] + b[1], b[2])]))
+_gaussians = st.lists(
+    st.tuples(st.floats(0.1, 1.9), st.floats(0.02, 0.3), _height),
+    min_size=1, max_size=2).map(PotentialSpec.gaussian_sum)
+_U = _barrier | _gaussians | st.just(PotentialSpec.zero())
+
+_V = st.just(PotentialSpec.zero()) | st.tuples(
+    st.floats(0.2, 1.8), st.floats(0.1, 0.4), st.floats(-0.5, 0.5)).map(
+    lambda b: PotentialSpec.gaussian_sum([b]))
+
+_couplings = st.lists(st.floats(-1.0, 1.0), min_size=2, max_size=4)
+
+# U whose last nonzero sample is a cell's centre: on 401 points the narrow
+# bump at cell 300's centre is below the tail tolerance at every node, so
+# `mid` is nonzero up to cell 300 and `lower`/`upper` stop at cell 248.
+# Sharing from the end of `lower`/`upper` would reuse cell 300's step from
+# the first coupling
+_H = X_MAX / 400
+MID_ONLY = PotentialSpec.gaussian_sum([(0.5, 0.1, 0.8),
+                                       (300.5 * _H, _H / 20.0, 0.9)])
+
+
+def _assert_sweep_is_full_solves(V, U, couplings, k, n_points):
+    grid = Grid(X_MAX, n_points)
+    swept = sweep_exact(V, U, couplings, k, grid, seed_delta=0.2,
+                        tol_wronskian=LOOSE_TOL)
+    reference = full_solves(V, U, couplings, k, grid)
+    phases = unwrap([phase for _, phase, _ in reference], 0.2)
+    assert len(swept) == len(couplings)
+    for res, c, (psi0, phase, residual), unwrapped in zip(
+            swept, couplings, reference, phases):
+        assert res.coupling == c
+        assert res.psi_at_zero == psi0
+        assert res.delta_exact == unwrapped
+        assert res.wronskian_residual == residual
+        single = solve_exact(V, U, c, k, grid, tol_wronskian=LOOSE_TOL)
+        assert (single.psi_at_zero, single.delta_exact,
+                single.wronskian_residual) == (psi0, phase, residual)
+
+
+def test_mid_only_cell_lies_above_the_lower_upper_support():
+    u = sample_potential(MID_ONLY, Grid(X_MAX, 401))
+    assert u.mid[300] != 0.0 and not u.mid[301:].any()
+    ends = (u.lower != 0.0) | (u.upper != 0.0)
+    assert ends[248] and not ends[249:].any()
+
+
+@PROPERTY_SETTINGS
+@given(V=_V, U=_U, couplings=_couplings, k=st.floats(0.5, 3.0),
+       n_points=_n_points)
+@example(V=PotentialSpec.zero(), U=MID_ONLY, couplings=[0.3, -0.7, 1.0],
+         k=1.0, n_points=401)
+@example(V=PotentialSpec.zero(), U=PotentialSpec.zero(),
+         couplings=[0.5, -1.0, 1.0], k=1.0, n_points=16003)
+@example(V=PotentialSpec.zero(),  # U up to the top cell
+         U=PotentialSpec.piecewise_constant([(0.3, 2.0, 1.0)]),
+         couplings=[0.5, 0.25], k=1.0, n_points=4003)
+@example(V=PotentialSpec.gaussian_sum([(1.5, 0.2, 0.4)]),  # U away from 0
+         U=PotentialSpec.piecewise_constant([(0.7, 1.1, -1.5)]),
+         couplings=[0.4, 0.2, 0.1, 0.05], k=1.3, n_points=64001)
+@example(V=PotentialSpec.gaussian_sum([(0.5, 0.3, 0.4)]),
+         U=PotentialSpec.piecewise_constant([(0.0, 1.0, 1.0)]),
+         couplings=[0.4, -0.2], k=2.0, n_points=1027)
+@example(V=PotentialSpec.zero(),
+         U=PotentialSpec.piecewise_constant([(0.0, 0.5, 1.0)]),
+         couplings=[0.4, 0.2], k=1.0, n_points=3)
+@example(V=PotentialSpec.zero(),
+         U=PotentialSpec.piecewise_constant([(0.0, 1.5, 1.0)]),
+         couplings=[0.4, 0.2], k=1.0, n_points=5)
+@example(V=PotentialSpec.zero(),
+         U=PotentialSpec.piecewise_constant([(0.0, 1.0, 1.0)]),
+         couplings=[0.4, 0.2], k=1.0, n_points=33)
+def test_sweep_is_bit_identical_to_full_solves(V, U, couplings, k, n_points):
+    _assert_sweep_is_full_solves(V, U, couplings, k, n_points)
