@@ -83,15 +83,15 @@ def _solve_couplings(V: PotentialSpec, U: PotentialSpec, couplings, k: float,
         if scan is not None and math.isfinite(c):
             with np.errstate(over="ignore"):
                 cells = combine_cells(v, u, c, scan.fresh_cells)
-            psi0, residual = scan.rescan(*cells)
+            scan.rescan(*cells)
         else:
             # a non-finite coupling is solved in full too: 0 * inf puts NaN
             # on the cells where U is zero as well
             with np.errstate(over="ignore", invalid="ignore"):
                 cells = combine_cells(v, u, c)
             scan = SharedTopScan(k, grid, *cells, support, tol_wronskian)
-            psi0, residual = scan.psi_at_zero, scan.residual
-        yield OracleResult(c, phase_from_wave(psi0), psi0, residual)
+        psi0 = complex(scan.psi[0])
+        yield OracleResult(c, phase_from_wave(psi0), psi0, scan.residual)
 
 
 def solve_exact(V: PotentialSpec, U: PotentialSpec, coupling: float, k: float,

@@ -12,21 +12,22 @@ wave, the two auxiliary grid functions the perturbation hierarchy consumes:
 
 The solved wave comes from one fixed-step RK4 propagator: each cell's step is a
 real 2x2 matrix built from its closed form, and the node states are the
-suffix products of those matrices, formed by a recursive scan over blocks of
-SCAN_WIDTH cells (:func:`integrate_wave_inward`).  Blocks are aligned from
-x = 0, so each block product and block-top state depends only on the cells
-at or above its block.  :class:`SharedTopScan` uses that for a family of
-potentials that agree above some cell, such as V + c U over the couplings c
-of a sweep: it keeps the scan of the first and scans only the bottom blocks
-again for each other one, with the bits of a full solve.
+suffix products of those matrices, formed by one recursive scan over blocks
+of SCAN_WIDTH cells (:func:`_scan`).  Blocks are aligned from x = 0, so each
+block product and block-top state depends only on the cells at or above its
+block, and a scan can be kept and resumed: a first scan is the resumption
+of every block.  :func:`integrate_wave_inward` is that first scan,
+uncertified.  :class:`SharedTopScan` is the certified solve: of one
+potential for :func:`solve_reference`, and of a family of potentials that
+agree above some cell, such as V + c U over the couplings c of a sweep, for
+which it keeps the scan of the first and scans only the bottom blocks again
+for each other one, with the bits of a full solve.
 
 The Wronskian  psi * conj(psi)' - conj(psi) * psi' = 2ik  is an exact
 invariant of the continuum equation; its maximum grid residual is the
 certificate that the integration can be trusted, and it also guarantees the
-wave has no nodes (so dividing by psi is safe).  :func:`_certificate` is
-the one place that certificate is checked: over the whole wave for
-:func:`certified_wave`, and over its shared and rescanned nodes as two parts
-for :class:`SharedTopScan`.
+wave has no nodes (so dividing by psi is safe).  :class:`SharedTopScan` is
+the one place that certificate is checked.
 """
 
 from __future__ import annotations
@@ -190,14 +191,14 @@ def _block_products(steps: np.ndarray) -> None:
         n += prod
 
 
-def _leaf_states(tops: np.ndarray, count: int, a0: complex,
-                 a1: complex) -> tuple[list, list]:
-    """State at the top node of each of the bottom `count` blocks of a chain.
+def _leaf_states(tops: np.ndarray, a0: complex, a1: complex) -> tuple[list, list]:
+    """State at the top node of every block of a chain.
 
-    A scalar loop: (a0, a1) is the state at the top of block count - 1, and
-    each block's whole-block deviation in `tops` carries it one block down.
+    A scalar loop: (a0, a1) is the state at the chain's top, and each block's
+    whole-block deviation in `tops` carries it one block down.
     """
-    f00, f01, f10, f11 = (tops[r, c, :count].tolist() for r in (0, 1) for c in (0, 1))
+    f00, f01, f10, f11 = (tops[r, c].tolist() for r in (0, 1) for c in (0, 1))
+    count = len(f00)
     z0, z1 = [0j] * count, [0j] * count
     for j in range(count - 1, -1, -1):
         z0[j], z1[j] = a0, a1
@@ -226,99 +227,56 @@ def _node_states(steps: np.ndarray, z0: np.ndarray, z1: np.ndarray,
         out += z
 
 
-@dataclass
-class _Level:
-    """One level of a kept scan (see :func:`_chain_states`).
+def _scan(levels: list, depth: int, steps: np.ndarray, y0: complex,
+          y1: complex, cells: int) -> None:
+    """Scan the bottom blocks of level `depth` of the scan kept in `levels`.
 
-    ``cells`` is the chain's cell count, ``tops`` its whole-block products
-    (2, 2, blocks), ``psi``/``dpsi`` its node states, and ``leaf`` the lists
-    of block-top states the scalar loop formed, at the last level only.
+    A level is a chain of `cells` cells: cell i carries the state at node
+    i + 1 to node i, and (y0, y1) is the state at the top node `cells`.
+    Level 0 is the chain of grid cells, each level above the chain of the
+    whole-block products of the one below.  ``levels[depth]`` is (tops, psi,
+    dpsi): the level's whole-block products (2, 2, blocks) and its states at
+    the blocks*SCAN_WIDTH + 1 nodes of the padded chain.  A first scan finds
+    no level `depth` yet and appends it, with every block new.
+
+    `steps` holds, in scan layout (see :func:`_scan_layout`), the new cell
+    deviations N = M - I of the level's bottom `steps.shape[-1]` blocks and
+    is overwritten; every block above them must be the kept scan's.  Inside
+    a block the suffix products are formed in place
+    (:func:`_block_products`) and kept.  The states at the block tops are
+    the node states of the level above, whose blocks that hold a new block
+    product this function scans again; once the level has at most
+    _LEAF_CELLS blocks they come instead from a scalar loop down all its
+    block products, kept and new, from (y0, y1).  The new blocks' node
+    states are written over the kept ones.
+
+    Blocks are aligned from node 0 and padded with identity steps at the
+    top, so every block product and block-top state is formed from the
+    cells at or above its own block alone: the kept ones are bit for bit
+    those a scan of the whole chain would form.
     """
-
-    cells: int
-    tops: np.ndarray
-    psi: np.ndarray
-    dpsi: np.ndarray
-    leaf: tuple | None = None
-
-
-def _chain_states(steps: np.ndarray, cells: int, y0: complex, y1: complex,
-                  psi: np.ndarray, dpsi: np.ndarray, kept: list | None = None) -> None:
-    """Write the state at node i of a chain of cells into psi[i], dpsi[i].
-
-    Cell i carries the state at node i + 1 to node i.  `steps` holds every
-    cell's deviation N = M - I in scan layout (see :func:`_scan_layout`) and
-    is overwritten; (y0, y1) is the state at the top node `cells`.  psi and
-    dpsi hold one entry per node of the padded chain, blocks*SCAN_WIDTH + 1.
-
-    Inside a block the suffix products are formed in place
-    (:func:`_block_products`).  The whole-block products form a chain
-    SCAN_WIDTH times shorter, whose node states are the block tops: this
-    function one level up, or a scalar loop once that chain has at most
-    _LEAF_CELLS cells.  Blocks are aligned from node 0 and padded with
-    identity steps at the top, so every block product and block-top state is
-    formed from the cells at or above its own block alone.
-
-    With a list `kept`, one :class:`_Level` per level is appended to it, the
-    cell level first, for :func:`_rescan`.
-    """
-    blocks = steps.shape[-1]
+    fresh = steps.shape[-1]
     _block_products(steps)
-    tops = steps[0]
-    level = None
-    if kept is not None:
-        level = _Level(cells, tops.copy(), psi, dpsi)
-        kept.append(level)
+    if depth == len(levels):
+        nodes = fresh * SCAN_WIDTH + 1
+        levels.append((np.empty((2, 2, fresh)), np.empty(nodes, dtype=complex),
+                       np.empty(nodes, dtype=complex)))
+    tops, psi, dpsi = levels[depth]
+    tops[..., :fresh] = steps[0]
+    blocks = tops.shape[-1]
 
-    # state at the top node of every block, z[j] at node (j + 1)*SCAN_WIDTH
+    # state at the top node of every new block, z[j] at node (j + 1)*SCAN_WIDTH
     if blocks <= _LEAF_CELLS:
-        z0, z1 = _leaf_states(tops, blocks, y0, y1)
-        if level is not None:
-            level.leaf = (z0, z1)
-        z0, z1 = np.array(z0), np.array(z1)
+        z0, z1 = _leaf_states(tops, y0, y1)
+        z0, z1 = np.array(z0[:fresh]), np.array(z1[:fresh])
     else:
-        upper = _scan_layout(tops)
-        size = upper.shape[-1] * SCAN_WIDTH + 1
-        z0, z1 = np.empty(size, dtype=complex), np.empty(size, dtype=complex)
-        _chain_states(upper, blocks, y0, y1, z0, z1, kept)
-        z0, z1 = z0[1:blocks + 1], z1[1:blocks + 1]
+        stop = min(-(-fresh // SCAN_WIDTH) * SCAN_WIDTH, blocks)
+        _scan(levels, depth + 1, _scan_layout(tops[..., :stop]), y0, y1, blocks)
+        _, above, dabove = levels[depth + 1]
+        z0, z1 = above[1:fresh + 1], dabove[1:fresh + 1]
 
     _node_states(steps, z0, z1, psi, dpsi)
     psi[cells], dpsi[cells] = y0, y1
-
-
-def _rescan(kept: list, depth: int, steps: np.ndarray, y0: complex,
-            y1: complex) -> None:
-    """Scan the bottom blocks of level `depth` of a kept scan again.
-
-    `steps` holds, in scan layout, the new cell deviations of the level's
-    bottom `steps.shape[-1]` blocks and is overwritten; every block above
-    them must be the kept scan's.  Their block products are formed as
-    :func:`_chain_states` forms them, the blocks of the level above that
-    hold one of them are scanned again the same way, and the scalar loop
-    resumes from the kept state at the top of the last of them.  The states
-    at their nodes are written over the kept ones; all others stay valid.
-    """
-    level = kept[depth]
-    fresh = steps.shape[-1]
-    _block_products(steps)
-    tops = steps[0]
-    if level.leaf is not None:
-        z0, z1 = level.leaf
-        z0, z1 = _leaf_states(tops, fresh, z0[fresh - 1], z1[fresh - 1])
-        z0, z1 = np.array(z0), np.array(z1)
-    else:
-        # the new block products, then the kept ones up to the end of the
-        # last block above that holds a new one
-        stop = min(-(-fresh // SCAN_WIDTH) * SCAN_WIDTH, level.tops.shape[-1])
-        joined = np.empty((2, 2, stop))
-        joined[..., :fresh] = tops
-        joined[..., fresh:] = level.tops[..., fresh:stop]
-        _rescan(kept, depth + 1, _scan_layout(joined), y0, y1)
-        above = kept[depth + 1]
-        z0, z1 = above.psi[1:fresh + 1], above.dpsi[1:fresh + 1]
-    _node_states(steps, z0, z1, level.psi, level.dpsi)
-    level.psi[level.cells], level.dpsi[level.cells] = y0, y1
 
 
 def _top_state(k: float, x_max: float) -> tuple[complex, complex]:
@@ -331,20 +289,6 @@ def _top_state(k: float, x_max: float) -> tuple[complex, complex]:
             f"k * x_max = {k!r} * {x_max!r} is beyond the double range")
     psi = cmath.exp(-1j * k * x_max)
     return psi, -1j * k * psi
-
-
-def _integrate(k: float, grid: Grid, lower: np.ndarray, mid: np.ndarray,
-               upper: np.ndarray,
-               kept: list | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`integrate_wave_inward` from the cell samples; `kept` as in
-    :func:`_chain_states`."""
-    cells = grid.n_points - 1
-    steps = _cell_steps(k, grid.step, lower, mid, upper, cells)
-    blocks = steps.shape[-1]
-    psi = np.empty(blocks * SCAN_WIDTH + 1, dtype=complex)
-    dpsi = np.empty(blocks * SCAN_WIDTH + 1, dtype=complex)
-    _chain_states(steps, cells, *_top_state(k, grid.x_max), psi, dpsi, kept)
-    return psi[:cells + 1], dpsi[:cells + 1]
 
 
 def integrate_wave_inward(k: float, grid: Grid,
@@ -362,7 +306,8 @@ def integrate_wave_inward(k: float, grid: Grid,
     x_max.  Each step is built from the closed form of its deviation
     N = M - I (the RK4 stages, `tests/_oracles.py::rk4_wave_loop`, applied to
     the unit states), written straight into the layout of a recursive suffix
-    scan over blocks of SCAN_WIDTH cells (see :func:`_chain_states`).
+    scan over blocks of SCAN_WIDTH cells (see :func:`_scan`), here a first
+    scan.  Uncertified: :class:`SharedTopScan` certifies the same scan.
 
     Returns the (psi, psi') node arrays; psi[-1] is exactly exp(-i k x_max).
 
@@ -372,7 +317,13 @@ def integrate_wave_inward(k: float, grid: Grid,
         If k x_max is beyond the double range, so the state at x_max is not
         finite.
     """
-    return _integrate(k, grid, samples.lower, samples.mid, samples.upper)
+    cells = grid.n_points - 1
+    levels = []
+    _scan(levels, 0, _cell_steps(k, grid.step, samples.lower, samples.mid,
+                                 samples.upper, cells),
+          *_top_state(k, grid.x_max), cells)
+    _, psi, dpsi = levels[0]
+    return psi[:cells + 1], dpsi[:cells + 1]
 
 
 def wronskian_residual(k: float, psi: np.ndarray, dpsi: np.ndarray) -> float:
@@ -393,41 +344,35 @@ def _require_positive_k(k: float) -> None:
 
 
 def _wave_bounds(k: float, psi: np.ndarray, dpsi: np.ndarray) -> tuple[float, float]:
-    """(Wronskian residual, min |psi|) over some nodes of a wave, for
-    :func:`_certificate`; a NaN anywhere makes both NaN."""
+    """(Wronskian residual, min |psi|) over some nodes of a wave; a NaN
+    anywhere makes both NaN."""
     return wronskian_residual(k, psi, dpsi), float(np.min(np.abs(psi)))
 
 
-def _certificate(k: float, tol_wronskian: float, parts) -> float:
-    """Check the certificate of a wave from the :func:`_wave_bounds` of parts
-    that together cover all its nodes; returns the residual.
+class SharedTopScan:
+    """Certified RK4 waves of potentials that agree on every cell above the
+    first `fresh_cells`.
 
-    The residual must be finite and at most ``tol_wronskian * k``, and the
-    wave must have no node.  The parts are merged with np.max and np.min,
-    which keep a NaN (Python's max(a, nan) returns a), and a NaN fails both
-    comparisons.
-    """
-    residuals, minima = zip(*parts)
-    residual = float(np.max(residuals))
-    bound = tol_wronskian * k
-    if not residual <= bound:
-        raise WronskianViolation(
-            f"residual {residual:.3e} is not within {tol_wronskian:.1e} * k = "
-            f"{bound:.3e}; refine the grid or check the potential"
-        )
-    if not np.min(minima) > 0.0:
-        raise WronskianViolation("wave has a node; solution untrustworthy")
-    return residual
+    The constructor solves the first potential, given by its cell samples,
+    in full (:func:`integrate_wave_inward`'s scan) and keeps every level of
+    its scan.  :meth:`rescan` solves another one from the samples of its
+    first :attr:`fresh_cells` cells only: `fresh_cells` rounded up to whole
+    blocks.  Only the blocks of each level that hold one of those cells are
+    scanned again (:func:`_scan`); every other block product and block-top
+    state is formed from the cells at or above its own block alone, so the
+    kept ones are bit for bit those a full scan would form.  With
+    `fresh_cells` 0 it is the plain certified solve of one potential.
 
+    :attr:`psi` and :attr:`dpsi` are the node arrays of the wave last
+    solved, :attr:`residual` its Wronskian residual; the arrays are views
+    that the next :meth:`rescan` overwrites.
 
-def certified_wave(k: float, grid: Grid, samples: PotentialSamples,
-                   tol_wronskian: float) -> tuple[np.ndarray, np.ndarray, float]:
-    """Integrate the wave inward and certify it; returns (psi, dpsi, residual).
-
-    The certificate every solve goes through (:class:`SharedTopScan` checks
-    the same one in two parts): the Wronskian residual must be finite and at
-    most ``tol_wronskian * k``, and the wave must have no node.  A NaN or inf
-    residual fails the comparison.
+    The certificate: the residual must be finite and at most
+    ``tol_wronskian * k``, and the wave must have no node.  The residual and
+    min |psi| over the nodes above the rescanned blocks are taken once, and
+    those over the rescanned nodes for each potential; they are merged with
+    np.max and np.min, which keep a NaN (Python's max(a, nan) returns a),
+    and a NaN fails both comparisons.
 
     Raises
     ------
@@ -436,38 +381,8 @@ def certified_wave(k: float, grid: Grid, samples: PotentialSamples,
     NonFiniteResult
         If k x_max is beyond the double range.
     WronskianViolation
-        If the residual is non-finite or over the bound, or psi has a node.
-    """
-    _require_positive_k(k)
-    # an overflowed wave gives a NaN residual, which fails the check below
-    with np.errstate(over="ignore", invalid="ignore"):
-        psi, dpsi = integrate_wave_inward(k, grid, samples)
-        bounds = _wave_bounds(k, psi, dpsi)
-    return psi, dpsi, _certificate(k, tol_wronskian, (bounds,))
-
-
-class SharedTopScan:
-    """Certified waves of potentials that agree on every cell above the
-    first `fresh_cells`.
-
-    The constructor solves the first potential, given by its cell samples,
-    in full and keeps every level of its scan.  :meth:`rescan` solves
-    another one from the samples of its first :attr:`fresh_cells` cells
-    only: `fresh_cells` rounded up to whole blocks.  Only the blocks of each
-    level that hold one of those cells are scanned again (:func:`_rescan`);
-    every other block product and block-top state is formed from the cells
-    at or above its own block alone, so the kept ones are bit for bit those a
-    full scan would form.  psi(0) and the residual are therefore those of
-    :func:`certified_wave`.
-
-    The certificate is split the same way: the residual and min |psi| over
-    the nodes above the rescanned blocks are taken once, and those over the
-    rescanned nodes for each potential.
-
-    Raises
-    ------
-    NonpositiveK, NonFiniteResult, WronskianViolation
-        As :func:`certified_wave`, from the constructor and :meth:`rescan`.
+        If the residual is non-finite or over the bound, or psi has a node;
+        from the constructor and :meth:`rescan`.
     """
 
     def __init__(self, k: float, grid: Grid, lower: np.ndarray, mid: np.ndarray,
@@ -475,34 +390,46 @@ class SharedTopScan:
         _require_positive_k(k)
         self._k, self._step, self._tol = k, grid.step, tol_wronskian
         self._top = _top_state(k, grid.x_max)
-        self.fresh_cells = min(-(-fresh_cells // SCAN_WIDTH) * SCAN_WIDTH,
-                               grid.n_points - 1)
+        self._cells = cells = grid.n_points - 1
+        self.fresh_cells = fresh = min(-(-fresh_cells // SCAN_WIDTH) * SCAN_WIDTH,
+                                       cells)
         self._levels = []
-        fresh = self.fresh_cells
+        # an overflowed wave gives a NaN residual, which fails the certificate
         with np.errstate(over="ignore", invalid="ignore"):
-            psi, dpsi = _integrate(k, grid, lower, mid, upper, self._levels)
-            self._shared = _wave_bounds(k, psi[fresh:], dpsi[fresh:])
-        self.psi_at_zero, self.residual = self._certified()
+            _scan(self._levels, 0, _cell_steps(k, self._step, lower, mid, upper, cells),
+                  *self._top, cells)
+            _, psi, dpsi = self._levels[0]
+            self.psi, self.dpsi = psi[:cells + 1], dpsi[:cells + 1]
+            self._shared = _wave_bounds(k, self.psi[fresh:], self.dpsi[fresh:])
+        self._certify()
 
-    def rescan(self, lower: np.ndarray, mid: np.ndarray,
-               upper: np.ndarray) -> tuple[complex, float]:
-        """(psi(0), residual) of the potential whose first `fresh_cells`
-        cells have these samples, certified."""
+    def rescan(self, lower: np.ndarray, mid: np.ndarray, upper: np.ndarray) -> None:
+        """Solve and certify the potential whose first `fresh_cells` cells
+        have these samples."""
         if self.fresh_cells:
             with np.errstate(over="ignore", invalid="ignore"):
                 steps = _cell_steps(self._k, self._step, lower, mid, upper,
                                     self.fresh_cells)
-                _rescan(self._levels, 0, steps, *self._top)
-        return self._certified()
+                _scan(self._levels, 0, steps, *self._top, self._cells)
+            self._certify()
 
-    def _certified(self) -> tuple[complex, float]:
-        level, fresh = self._levels[0], self.fresh_cells
+    def _certify(self) -> None:
+        fresh, k = self.fresh_cells, self._k
         parts = [self._shared]
         if fresh:
             with np.errstate(over="ignore", invalid="ignore"):
-                parts.append(_wave_bounds(self._k, level.psi[:fresh],
-                                          level.dpsi[:fresh]))
-        return complex(level.psi[0]), _certificate(self._k, self._tol, parts)
+                parts.append(_wave_bounds(k, self.psi[:fresh], self.dpsi[:fresh]))
+        residuals, minima = zip(*parts)
+        residual = float(np.max(residuals))
+        bound = self._tol * k
+        if not residual <= bound:
+            raise WronskianViolation(
+                f"residual {residual:.3e} is not within {self._tol:.1e} * k = "
+                f"{bound:.3e}; refine the grid or check the potential"
+            )
+        if not np.min(minima) > 0.0:
+            raise WronskianViolation("wave has a node; solution untrustworthy")
+        self.residual = residual
 
 
 def _reference_wave(k: float, grid: Grid, psi: np.ndarray, dpsi: np.ndarray,
@@ -546,9 +473,9 @@ def solve_reference(V: PotentialSpec, k: float, grid: Grid,
     WronskianViolation
         If the integration cannot be certified at the requested tolerance.
     """
-    psi, dpsi, residual = certified_wave(k, grid, sample_potential(V, grid),
-                                         tol_wronskian)
-    return _reference_wave(k, grid, psi, dpsi, residual)
+    v = sample_potential(V, grid)
+    wave = SharedTopScan(k, grid, v.lower, v.mid, v.upper, 0, tol_wronskian)
+    return _reference_wave(k, grid, wave.psi, wave.dpsi, wave.residual)
 
 
 def analytic_free_reference(k: float, grid: Grid) -> ReferenceWave:

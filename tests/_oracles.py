@@ -265,7 +265,12 @@ def full_grid_hierarchy(ref, u, order):
 # node by `wronskian_residual`.  The sweep must agree bit for bit.
 def full_solves(V, U, couplings, k, grid):
     """[(psi(0), principal phase, Wronskian residual)] of V + c U for each
-    coupling c, each from a solve of its own over the whole grid."""
+    coupling c, each from a solve of its own over the whole grid.
+
+    Each solve is :func:`integrate_wave_inward`, the first-scan branch of
+    the same recursive scan the oracle's sweep resumes, so this checks the
+    resumption and the certificate's split, not the propagator
+    (:func:`rk4_wave_loop` checks that)."""
     v, u = sample_potential(V, grid), sample_potential(U, grid)
     results = []
     for c in couplings:

@@ -6,7 +6,8 @@ bit, that of a solve of each coupling over the whole grid
 (`tests/_oracles.py::full_solves`): psi(0), the unwrapped phase and the
 Wronskian residual.  Examples are drawn from a fixed seed (``derandomize``),
 so every run checks the same inputs; the module is skipped where hypothesis
-is not installed.
+is not installed.  A sibling test drives the scan directly and compares the
+whole wave, node by node, after every rescan.
 
 The grids run from one cell to 64000 cells: a scan of one level, of two and
 of three above the scalar leaf, most with a partial last block.
@@ -19,7 +20,13 @@ pytest.importorskip("hypothesis")
 from hypothesis import Phase, example, given, settings, strategies as st  # noqa: E402
 
 from phaseshift import Grid, PotentialSpec, solve_exact, sweep_exact  # noqa: E402
-from phaseshift.potential import sample_potential  # noqa: E402
+from phaseshift.oracle import _support_cells  # noqa: E402
+from phaseshift.potential import (  # noqa: E402
+    combine_cells,
+    combine_samples,
+    sample_potential,
+)
+from phaseshift.refwave import SharedTopScan, integrate_wave_inward  # noqa: E402
 
 from _oracles import full_solves, unwrap  # noqa: E402
 
@@ -112,3 +119,20 @@ def test_mid_only_cell_lies_above_the_lower_upper_support():
          couplings=[0.4, 0.2], k=1.0, n_points=33)
 def test_sweep_is_bit_identical_to_full_solves(V, U, couplings, k, n_points):
     _assert_sweep_is_full_solves(V, U, couplings, k, n_points)
+
+
+@pytest.mark.parametrize("n_points", (33, 1027, 4003, 16003, 64001))
+def test_every_rescanned_node_is_that_of_a_full_solve(n_points):
+    # psi(0) and the residual do not see a stale node above x = 0: a wave
+    # left over from an earlier coupling still keeps the Wronskian there
+    grid, k = Grid(X_MAX, n_points), 1.3
+    v = sample_potential(PotentialSpec.gaussian_sum([(1.2, 0.4, 0.3)]), grid)
+    u = sample_potential(PotentialSpec.piecewise_constant([(0.3, 1.1, 1.0)]), grid)
+    first, *later = (0.4, -0.3, 0.7)
+    scan = SharedTopScan(k, grid, *combine_cells(v, u, first), _support_cells(u),
+                         LOOSE_TOL)
+    for c in later:
+        scan.rescan(*combine_cells(v, u, c, scan.fresh_cells))
+        psi, dpsi = integrate_wave_inward(k, grid, combine_samples(v, u, c))
+        assert scan.psi.tobytes() == psi.tobytes()
+        assert scan.dpsi.tobytes() == dpsi.tobytes()

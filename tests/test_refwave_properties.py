@@ -23,10 +23,11 @@ from phaseshift.potential import sample_potential  # noqa: E402
 from phaseshift.refwave import (  # noqa: E402
     DEFAULT_WRONSKIAN_TOL,
     SCAN_WIDTH,
-    certified_wave,
     integrate_wave_inward,
     phase_from_wave,
     reduce_phase,
+    solve_reference,
+    wronskian_residual,
 )
 
 from _oracles import rk4_wave_loop  # noqa: E402
@@ -87,9 +88,12 @@ def test_propagator_matches_the_rk4_loop_and_is_certified(case):
     assert np.all(np.abs(dpsi - loop_dpsi) <= 1e-13 * np.abs(loop_dpsi))
     assert psi[-1] == cmath.exp(-1j * k * X_MAX)
 
-    # certified_wave raises unless the residual is finite and within bound
-    _, _, residual = certified_wave(k, grid, samples, DEFAULT_WRONSKIAN_TOL)
-    assert residual <= DEFAULT_WRONSKIAN_TOL * k
+    # solve_reference raises unless the residual is finite and within
+    # bound, and its certified wave is the propagator's, bit for bit
+    ref = solve_reference(spec, k, grid, DEFAULT_WRONSKIAN_TOL)
+    assert ref.psi.values.tobytes() == psi.tobytes()
+    assert ref.wronskian_residual == wronskian_residual(k, psi, dpsi)
+    assert ref.wronskian_residual <= DEFAULT_WRONSKIAN_TOL * k
 
 
 def _phase(spec, k, n_points):
