@@ -207,8 +207,10 @@ def parse_config(doc: dict, command: str | None = None) -> JobConfig:
             couplings = halving_ladder(couplings)
         except DegenerateSweep as exc:
             raise ConfigInvalid(f"'lambda': {exc}") from exc
-    if effective == "phases" and not couplings:
-        couplings = (1.0,)  # coupling at which the divergence flag is evaluated
+    if effective == "phases":
+        if len(couplings) > 1:
+            raise ConfigInvalid("'phases' uses a single lambda")
+        couplings = couplings or (1.0,)  # where the divergence flag is evaluated
 
     V = _parse_potential(doc, "V", grid, eps_tail)
     U = _parse_potential(doc, "U", grid, eps_tail)

@@ -24,14 +24,14 @@ and P no longer change, so the correction is W - r(x) P with the two
 integrals over the whole window, and at x = 0, where r is exactly 0, it is
 W.  Only g changes from one order to the next, so the weights are folded
 once per series, over the window only: the trapezoid half-step, 1/(ik), and
-U and d at the lower and the upper end of each cell.  Node arrays are stored
-from x_max down to x = 0, which makes both integrals forward cumulative sums
-whose entry at the window's top stays 0.  One order is then four products,
-two sums, the two cumulative sums and g = W - r P on the window; the two
-complex cumulative sums are most of its cost.  They add the same terms in
-the same order as over the whole grid, so every nonzero value is the same to
-the bit; an exact zero can carry the other sign, since the whole grid also
-adds the signed zeros of the cells the window skips.
+U and d at the lower and the upper end of each cell.  Both integrals are
+cumulative sums from the window's top down, through reversed views, whose
+entry at the top stays 0.  One order is then four products, two sums, the
+two cumulative sums and g = W - r P on the window; the two complex
+cumulative sums are most of its cost.  They add the same terms in the same
+order as over the whole grid, so every nonzero value is the same to the
+bit; an exact zero can carry the other sign, since the whole grid also adds
+the signed zeros of the cells the window skips.
 
 The mathematically equivalent double-integral form (inner integral of
 2 U d g, outer integral against 1/d) is kept as an independent,
@@ -67,55 +67,53 @@ class HierarchyResult:
 def _recursion(ref: ReferenceWave, u):
     """The hierarchy operator for `ref` and `u`, built once over U's cells.
 
-    Node arrays are stored from x_max down to x = 0; cell c spans stored
-    nodes c (its upper node) and c + 1 (its lower node).  The window is the
-    run of cells from the first to the last one with a nonzero weight, that
-    is with U's ``lower`` or ``upper`` sample nonzero.  Returns None when no
-    cell has one, and otherwise ``(nodes, step, ends)``:
+    Cell c spans nodes c and c + 1.  The window is the run of cells from
+    the first to the last one with a nonzero weight, that is with U's
+    ``lower`` or ``upper`` sample nonzero.  Returns None when no cell has
+    one, and otherwise ``(nodes, step, ends)``:
 
-    * ``nodes`` -- the slice of stored nodes the window spans;
-    * ``step`` -- maps the values of g on those nodes, in a contiguous
-      complex array, to those of the next correction in a new array;
+    * ``nodes`` -- the slice of nodes the window spans;
+    * ``step`` -- maps the values of g on those nodes to those of the next
+      correction in a new array;
     * ``ends`` -- a view of the last step's totals (W, P) over the window,
       so the next correction at a node below it is W - r P.
     """
     grid = ref.grid
     samples = sample_potential(u, grid)
-    u_lower, u_upper = samples.lower[::-1], samples.upper[::-1]
-    cells = np.flatnonzero((u_lower != 0.0) | (u_upper != 0.0))
+    cells = np.flatnonzero((samples.lower != 0.0) | (samples.upper != 0.0))
     if not cells.size:
         return None
     window = slice(int(cells[0]), int(cells[-1]) + 1)
     nodes = slice(window.start, window.stop + 1)
     scale = 0.5 * grid.step / (1j * ref.k)
-    d = ref.density.values[::-1][nodes]
+    d = ref.density.values[nodes]
     # an overflowing weight ends in the callers' NonFiniteResult, not a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        lower = u_lower[window] * d[1:] * scale
-        upper = u_upper[window] * d[:-1] * scale
-    r = np.ascontiguousarray(ref.ratio_shift.values[::-1][nodes])
-    r_lo, r_hi = r[1:], r[:-1]
+        lower = samples.lower[window] * d[:-1] * scale
+        upper = samples.upper[window] * d[1:] * scale
+    r = ref.ratio_shift.values[nodes]
+    r_lo, r_hi = r[:-1], r[1:]
     m = len(r)
     lo, hi, lo_r, hi_r = (np.empty(m - 1, dtype=complex) for _ in range(4))
     # one row each for the integrals W (of the weights times r g) and P;
-    # the last column holds their totals over the window
+    # the first column holds their totals over the window
     sums = np.zeros((2, m), dtype=complex)
     weighted, plain = sums
 
     def step(g: np.ndarray) -> np.ndarray:
-        np.multiply(lower, g[1:], out=lo)
-        np.multiply(upper, g[:-1], out=hi)
+        np.multiply(lower, g[:-1], out=lo)
+        np.multiply(upper, g[1:], out=hi)
         np.multiply(lo, r_lo, out=lo_r)
         np.multiply(hi, r_hi, out=hi_r)
         np.add(lo_r, hi_r, out=lo_r)
         np.add(lo, hi, out=lo)
-        np.cumsum(lo_r, out=weighted[1:])
-        np.cumsum(lo, out=plain[1:])
+        np.cumsum(lo_r[::-1], out=weighted[-2::-1])
+        np.cumsum(lo[::-1], out=plain[-2::-1])
         out = r * plain
         np.subtract(weighted, out, out=out)
         return out
 
-    return nodes, step, sums[:, -1]
+    return nodes, step, sums[:, 0]
 
 
 def apply_recursion_step(ref: ReferenceWave, u,
@@ -150,16 +148,16 @@ def apply_recursion_step(ref: ReferenceWave, u,
         If the next correction overflows to inf or NaN.
     """
     grid = require_same_grid(ref.psi, g)
-    out = np.zeros(grid.n_points, dtype=complex)  # stored from x_max down
+    out = np.zeros(grid.n_points, dtype=complex)
     window = _recursion(ref, u)
     if window is not None:
         nodes, step, ends = window
-        r_below = ref.ratio_shift.values[::-1][nodes.stop:]
+        r_below = ref.ratio_shift.values[:nodes.start]
         # an overflow is reported as NonFiniteResult, not as a warning
         with np.errstate(over="ignore", invalid="ignore"):
-            out[nodes] = step(np.ascontiguousarray(g.values[::-1][nodes]))
-            out[nodes.stop:] = ends[0] - r_below * ends[1]
-    return ComplexGridFunction(grid, out[::-1])
+            out[nodes] = step(g.values[nodes])
+            out[:nodes.start] = ends[0] - r_below * ends[1]
+    return ComplexGridFunction(grid, out)
 
 
 def compute_hierarchy(ref: ReferenceWave, u, order: int) -> HierarchyResult:
@@ -181,7 +179,7 @@ def compute_hierarchy(ref: ReferenceWave, u, order: int) -> HierarchyResult:
     if window is None:
         return HierarchyResult(values_at_zero=(0j,) * order)
     nodes, step, ends = window
-    r_below = ref.ratio_shift.values[::-1][nodes.stop:]
+    r_below = ref.ratio_shift.values[:nodes.start]
     g = np.ones(nodes.stop - nodes.start, dtype=complex)
     totals = np.empty((2, order), dtype=complex)
     # an overflow is reported once, as NonFiniteResult, not as a warning

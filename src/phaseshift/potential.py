@@ -356,5 +356,5 @@ def cumulative_from_right(lower: np.ndarray, upper: np.ndarray,
     """
     seg = 0.5 * step * (lower + upper)
     out = np.zeros(len(seg) + 1, dtype=seg.dtype)
-    out[:-1] = np.cumsum(seg[::-1])[::-1]
+    np.cumsum(seg[::-1], out=out[-2::-1])
     return out

@@ -343,12 +343,6 @@ def _require_positive_k(k: float) -> None:
         raise NonpositiveK(f"k must be positive, got {k}")
 
 
-def _wave_bounds(k: float, psi: np.ndarray, dpsi: np.ndarray) -> tuple[float, float]:
-    """(Wronskian residual, min |psi|) over some nodes of a wave; a NaN
-    anywhere makes both NaN."""
-    return wronskian_residual(k, psi, dpsi), float(np.min(np.abs(psi)))
-
-
 class SharedTopScan:
     """Certified RK4 waves of potentials that agree on every cell above the
     first `fresh_cells`.
@@ -367,12 +361,11 @@ class SharedTopScan:
     solved, :attr:`residual` its Wronskian residual; the arrays are views
     that the next :meth:`rescan` overwrites.
 
-    The certificate: the residual must be finite and at most
-    ``tol_wronskian * k``, and the wave must have no node.  The residual and
-    min |psi| over the nodes above the rescanned blocks are taken once, and
-    those over the rescanned nodes for each potential; they are merged with
-    np.max and np.min, which keep a NaN (Python's max(a, nan) returns a),
-    and a NaN fails both comparisons.
+    The certificate is one pass over every node of the wave last solved:
+    the residual must be at most ``tol_wronskian * k``, and psi must be
+    nonzero at every node.  A NaN in psi or psi' makes the residual NaN,
+    which fails the bound, so the node test reads a psi without NaN, for
+    which psi != 0 is |psi| > 0.
 
     Raises
     ------
@@ -391,16 +384,14 @@ class SharedTopScan:
         self._k, self._step, self._tol = k, grid.step, tol_wronskian
         self._top = _top_state(k, grid.x_max)
         self._cells = cells = grid.n_points - 1
-        self.fresh_cells = fresh = min(-(-fresh_cells // SCAN_WIDTH) * SCAN_WIDTH,
-                                       cells)
+        self.fresh_cells = min(-(-fresh_cells // SCAN_WIDTH) * SCAN_WIDTH, cells)
         self._levels = []
         # an overflowed wave gives a NaN residual, which fails the certificate
         with np.errstate(over="ignore", invalid="ignore"):
             _scan(self._levels, 0, _cell_steps(k, self._step, lower, mid, upper, cells),
                   *self._top, cells)
-            _, psi, dpsi = self._levels[0]
-            self.psi, self.dpsi = psi[:cells + 1], dpsi[:cells + 1]
-            self._shared = _wave_bounds(k, self.psi[fresh:], self.dpsi[fresh:])
+        _, psi, dpsi = self._levels[0]
+        self.psi, self.dpsi = psi[:cells + 1], dpsi[:cells + 1]
         self._certify()
 
     def rescan(self, lower: np.ndarray, mid: np.ndarray, upper: np.ndarray) -> None:
@@ -414,20 +405,15 @@ class SharedTopScan:
             self._certify()
 
     def _certify(self) -> None:
-        fresh, k = self.fresh_cells, self._k
-        parts = [self._shared]
-        if fresh:
-            with np.errstate(over="ignore", invalid="ignore"):
-                parts.append(_wave_bounds(k, self.psi[:fresh], self.dpsi[:fresh]))
-        residuals, minima = zip(*parts)
-        residual = float(np.max(residuals))
-        bound = self._tol * k
+        with np.errstate(over="ignore", invalid="ignore"):
+            residual = wronskian_residual(self._k, self.psi, self.dpsi)
+        bound = self._tol * self._k
         if not residual <= bound:
             raise WronskianViolation(
                 f"residual {residual:.3e} is not within {self._tol:.1e} * k = "
                 f"{bound:.3e}; refine the grid or check the potential"
             )
-        if not np.min(minima) > 0.0:
+        if not np.all(self.psi):
             raise WronskianViolation("wave has a node; solution untrustworthy")
         self.residual = residual
 

@@ -178,6 +178,9 @@ BAD_DOCS = (
     ("sweep with several k", {"command": "sweep", "k": [1.0, 2.0],
                               "lambda": 0.1, "max_order": 1,
                               "grid": {"x_max": 1.0, "n_points": 11}}),
+    ("phases with several lambda", {"command": "phases", "k": 1.0,
+                                    "lambda": [0.5, 2.0], "max_order": 1,
+                                    "grid": {"x_max": 1.0, "n_points": 11}}),
     ("missing grid", {"command": "phases", "k": 1.0, "max_order": 1}),
     ("even n_points", {"command": "phases", "k": 1.0, "max_order": 1,
                        "grid": {"x_max": 1.0, "n_points": 10}}),
@@ -375,24 +378,29 @@ def test_non_finite_json_numbers_are_config_errors(tmp_path, capsys):
 def test_parse_config_refuses_non_finite_numbers():
     # a document built in Python skips the JSON hooks in main, so
     # parse_config itself refuses NaN and the infinities
-    doc = _number_doc()
-    doc["k"] = [1.0, 1.5]
-    doc["lambda"] = [0.1, 0.2]
-    doc["tolerances"]["tol_wronskian"] = 1e-8
-    parse_config(doc)
-    places = {("k",): "k", ("k", 1): "k", ("lambda",): "lambda",
-              ("lambda", 1): "lambda", ("grid", "x_max"): "x_max",
-              ("tolerances", "tol_wronskian"): "tol_wronskian",
-              ("tolerances", "eps_tail"): "eps_tail"}
-    for (*parents, last), key in places.items():
-        for bad in (math.nan, math.inf, -math.inf):
-            marked = json.loads(json.dumps(doc))
-            target = marked
-            for name in parents:
-                target = target[name]
-            target[last] = bad
-            with pytest.raises(ConfigInvalid, match=f"'{key}' must be finite"):
-                parse_config(marked)
+    phases = _number_doc()
+    phases["k"] = [1.0, 1.5]
+    phases["tolerances"]["tol_wronskian"] = 1e-8
+    # phases takes a single lambda, sweep a single k
+    sweep = dict(phases, command="sweep", k=1.0)
+    sweep["lambda"] = [0.1, 0.2]
+    cases = (
+        (phases, {("k",): "k", ("k", 1): "k", ("lambda",): "lambda",
+                  ("grid", "x_max"): "x_max",
+                  ("tolerances", "tol_wronskian"): "tol_wronskian",
+                  ("tolerances", "eps_tail"): "eps_tail"}),
+        (sweep, {("lambda",): "lambda", ("lambda", 1): "lambda"}))
+    for doc, places in cases:
+        parse_config(doc)
+        for (*parents, last), key in places.items():
+            for bad in (math.nan, math.inf, -math.inf):
+                marked = json.loads(json.dumps(doc))
+                target = marked
+                for name in parents:
+                    target = target[name]
+                target[last] = bad
+                with pytest.raises(ConfigInvalid, match=f"'{key}' must be finite"):
+                    parse_config(marked)
 
 
 def test_huge_integers_are_config_errors(tmp_path, capsys):
@@ -495,7 +503,8 @@ def test_extreme_wavenumbers_and_extents_are_typed_errors(tmp_path, capsys):
                                (1.0, sys.float_info.max, 2)):
             path = tmp_path / "extreme.json"
             path.write_text(json.dumps({
-                "command": command, "k": k, "lambda": [0.2, 0.1],
+                "command": command, "k": k,
+                "lambda": [0.2] if command == "phases" else [0.2, 0.1],
                 "max_order": 2, "grid": {"x_max": x_max, "n_points": 101},
                 "U": barrier}))
             assert main([command, "--config", str(path)]) == code, (command, k)

@@ -88,7 +88,8 @@ def _valid_document(draw, command):
         "k": draw(st.one_of(_finite(0.2, 3.0),
                             st.lists(_finite(0.2, 3.0), min_size=1,
                                      max_size=1 if command != "phases" else 3))),
-        "lambda": list(ladder[:draw(st.integers(2, len(ladder)))]),
+        "lambda": list(ladder[:1 if command == "phases"
+                              else draw(st.integers(2, len(ladder)))]),
         "max_order": draw(st.integers(1, 20)),
         "grid": {"x_max": x_max, "n_points": n_points},
     }

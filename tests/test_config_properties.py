@@ -68,7 +68,7 @@ def job_documents(draw):
         doc["lambda"] = [top / 2 ** j for j in range(draw(st.integers(2, 4)))]
     elif command == "sweep" or draw(st.booleans()):
         doc["lambda"] = draw(st.lists(_finite(-1.0, 1.0), min_size=1,
-                                      max_size=4))
+                                      max_size=1 if command == "phases" else 4))
     tolerances = {}
     if draw(st.booleans()):
         tolerances["tol_wronskian"] = draw(_finite(1e-12, 1e-2))

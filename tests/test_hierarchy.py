@@ -300,8 +300,7 @@ def test_window_matches_the_full_grid_operator(shape, background):
 def test_window_spans_exactly_the_cells_with_a_nonzero_weight():
     # Cell i spans nodes i and i + 1 (x = 0 first).  Its weights are U's
     # right limit at node i and U's left limit at node i + 1; the window
-    # runs from the first to the last cell with either nonzero, and the
-    # operator stores nodes from x_max down.
+    # runs from the first to the last cell with either nonzero.
     for n in WINDOW_GRIDS:
         grid = Grid(4.0, n)
         ref = analytic_free_reference(1.3, grid)
@@ -314,7 +313,7 @@ def test_window_spans_exactly_the_cells_with_a_nonzero_weight():
                 assert window is None, shape
                 continue
             nodes = window[0]
-            assert (n - nodes.stop, n - 1 - nodes.start) == \
+            assert (nodes.start, nodes.stop - 1) == \
                 (cells[0], cells[-1] + 1), (shape, n)
 
 

@@ -1,3 +1,6 @@
+import ast
+import importlib
+import inspect
 import os
 import subprocess
 import sys
@@ -24,3 +27,58 @@ def test_import_loads_no_scipy():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, timeout=60, env=env, check=True)
     assert proc.stdout.strip() == "[]"
+
+
+# The benchmark under bench/ reaches into the library by name: it imports
+# functions and rebinds the traced ones listed in bench/spans.py TARGETS.
+# These tests read bench/ as text, so a rename or a deletion in the library
+# shows up here instead of as a broken benchmark run.
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+def test_every_library_name_the_benchmark_imports_resolves():
+    imported, missing = set(), []
+    for path in sorted(BENCH.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if (isinstance(node, ast.ImportFrom) and node.level == 0
+                    and node.module.split(".")[0] == "phaseshift"):
+                module = importlib.import_module(node.module)
+                for alias in node.names:
+                    imported.add((node.module, alias.name))
+                    if not hasattr(module, alias.name):
+                        missing.append(f"{path.name}: {node.module}.{alias.name}")
+    assert ("phaseshift.refwave", "integrate_wave_inward") in imported
+    assert missing == []
+
+
+def _traced_targets():
+    """(module, function, parameters its span reads) of each TARGETS entry."""
+    tree = ast.parse((BENCH / "spans.py").read_text())
+    table = next(node.value for node in tree.body
+                 if isinstance(node, ast.Assign)
+                 and [t.id for t in node.targets] == ["TARGETS"])
+    for entry in table.elts:
+        module, function, _, keep = entry.elts
+        read = set()
+        if isinstance(keep, ast.Lambda):
+            getter = keep.args.args[0].arg
+            read = {call.args[0].value for call in ast.walk(keep.body)
+                    if isinstance(call, ast.Call)
+                    and isinstance(call.func, ast.Name) and call.func.id == getter}
+        yield module.value, function.value, read
+
+
+def test_every_function_the_benchmark_traces_resolves():
+    targets = list(_traced_targets())
+    assert len(targets) >= 15
+    missing = []
+    for module, function, read in targets:
+        original = getattr(importlib.import_module(f"phaseshift.{module}"),
+                           function, None)
+        if not callable(original):
+            missing.append(f"{module}.{function}")
+            continue
+        parameters = inspect.signature(original).parameters
+        missing += [f"{module}.{function}({name})" for name in sorted(read)
+                    if name not in parameters]
+    assert missing == []

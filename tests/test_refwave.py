@@ -15,6 +15,7 @@ from phaseshift import (
 )
 from phaseshift.potential import combine_samples, sample_potential
 from phaseshift.refwave import (
+    SharedTopScan,
     integrate_wave_inward,
     phase_from_wave,
     reduce_phase,
@@ -109,6 +110,28 @@ def test_wronskian_violation_on_coarse_strong_potential():
     with pytest.raises(WronskianViolation):
         solve_reference(PotentialSpec.piecewise_constant([(0.0, 1.0, 1e6)]),
                         1.0, Grid(2.0, 401))
+
+
+def test_a_wave_with_a_node_is_refused():
+    # k = 1 on two cells of width 0.5.  The upper cell's samples make its
+    # RK4 step N01 = 0 and N00 = -1 exactly, so psi at node 1 is exactly 0,
+    # while the residual there (2k) passes a bound of 10 k: only the node
+    # test refuses this wave.
+    grid, k = Grid(1.0, 3), 1.0
+    lower = np.zeros(2)
+    mid = np.array([0.0, -11.500000000000002])
+    upper = np.array([0.0, -23.5])
+    node = "wave has a node; solution untrustworthy"
+    for tol in (10.0, math.inf):
+        with pytest.raises(WronskianViolation, match=node):
+            SharedTopScan(k, grid, lower, mid, upper, 0, tol)
+    # the same wave reached by a rescan of a certified free wave
+    scan = SharedTopScan(k, grid, lower, np.zeros(2), lower, 2, 10.0)
+    assert scan.fresh_cells == 2
+    with pytest.raises(WronskianViolation, match=node):
+        scan.rescan(lower, mid, upper)
+    assert scan.psi[1] == 0.0
+    assert wronskian_residual(k, scan.psi, scan.dpsi) <= 10.0 * k
 
 
 def test_reduce_phase_branch_convention():
