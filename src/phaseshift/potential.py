@@ -279,25 +279,31 @@ class PotentialSamples:
             object.__setattr__(self, name, arr)
 
 
-def combine_cells(a: PotentialSamples, b: PotentialSamples, weight_b: float,
-                  cells: int | None = None) -> tuple:
-    """(lower, mid, upper) of ``a + weight_b * b`` over the first `cells`
-    cells (all by default) of their common grid.
+def combine_cells(a: PotentialSamples, b: PotentialSamples, weights,
+                  cells: slice = slice(None), out: np.ndarray | None = None
+                  ) -> np.ndarray:
+    """Samples of ``a + w * b`` for each weight w in `weights`, over `cells`
+    of their common grid: a (3, len(weights), n) array of the lower, mid
+    and upper samples, written into `out` when one is given.
 
-    The one formula for a combined potential: :func:`combine_samples` wraps
-    it, and a coupling sweep of the oracle takes only the cells it solves
-    again.
+    The one formula for a combined potential: :func:`combine_samples` takes
+    one weight, and a coupling sweep of the oracle every coupling at once.
     """
     require_same_grid(a, b)
-    return tuple(x[:cells] + weight_b * y[:cells]
-                 for x, y in ((a.lower, b.lower), (a.mid, b.mid),
-                              (a.upper, b.upper)))
+    weights = np.asarray(weights, dtype=float)[:, None]
+    pairs = ((a.lower, b.lower), (a.mid, b.mid), (a.upper, b.upper))
+    if out is None:
+        out = np.empty((3, len(weights), len(a.lower[cells])))
+    for combined, (x, y) in zip(out, pairs):
+        np.multiply(weights, y[cells], out=combined)
+        combined += x[cells]
+    return out
 
 
 def combine_samples(a: PotentialSamples, b: PotentialSamples,
                     weight_b: float) -> PotentialSamples:
     """Samples of ``a + weight_b * b`` on the common grid."""
-    return PotentialSamples(a.grid, *combine_cells(a, b, weight_b))
+    return PotentialSamples(a.grid, *combine_cells(a, b, (weight_b,))[:, 0])
 
 
 def sample_potential(spec: PotentialSpec, grid: Grid) -> PotentialSamples:

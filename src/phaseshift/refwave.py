@@ -13,21 +13,23 @@ wave, the two auxiliary grid functions the perturbation hierarchy consumes:
 The solved wave comes from one fixed-step RK4 propagator: each cell's step is a
 real 2x2 matrix built from its closed form, and the node states are the
 suffix products of those matrices, formed by one recursive scan over blocks
-of SCAN_WIDTH cells (:func:`_scan`).  Blocks are aligned from x = 0, so each
-block product and block-top state depends only on the cells at or above its
-block, and a scan can be kept and resumed: a first scan is the resumption
-of every block.  :func:`integrate_wave_inward` is that first scan,
-uncertified.  :class:`SharedTopScan` is the certified solve: of one
-potential for :func:`solve_reference`, and of a family of potentials that
-agree above some cell, such as V + c U over the couplings c of a sweep, for
-which it keeps the scan of the first and scans only the bottom blocks again
-for each other one, with the bits of a full solve.
+of SCAN_WIDTH cells (:func:`_scan`).  One scan solves a family of chains,
+the potentials V + c U of a coupling sweep, that agree on every cell above
+some block (:class:`ChainLayout`): each chain's own blocks and the shared
+blocks above them, taken once, go through every level of the scan
+together.  Blocks are aligned from x = 0, so each block product and
+block-top state depends only on the cells at or above its block, and every
+chain's wave is bit for bit that of a scan of its potential alone.  One
+chain is the plain solve of one potential: :func:`integrate_wave_inward`
+uncertified, and :func:`solve_chains`, the certified solve of a family,
+for :func:`solve_reference`.
 
 The Wronskian  psi * conj(psi)' - conj(psi) * psi' = 2ik  is an exact
 invariant of the continuum equation; its maximum grid residual is the
 certificate that the integration can be trusted, and it also guarantees the
-wave has no nodes (so dividing by psi is safe).  :class:`SharedTopScan` is
-the one place that certificate is checked.
+wave has no nodes (so dividing by psi is safe).  :func:`solve_chains`
+checks that certificate for each chain (:func:`_certify`), the one place
+it is checked.
 """
 
 from __future__ import annotations
@@ -104,35 +106,87 @@ def phase_from_wave(value: complex) -> float:
     return reduce_phase(d)
 
 
-def _scan_layout(dev: np.ndarray) -> np.ndarray:
-    """Copy of the cell deviations `dev` (2, 2, n) in scan layout.
+@dataclass(frozen=True)
+class ChainLayout:
+    """Where the cells and nodes of a family of chains sit in one array.
 
-    Cell j*SCAN_WIDTH + t sits at [t, :, :, j]; the last block is padded with
-    identity steps (N = 0).
+    There are `chains` chains of `cells` cells each, and they agree on every
+    cell from `own` up.  Entry `index` of a chain (a cell, or a node from 0
+    up to the chain's top node `cells`) sits at slot ``chain * own + index``
+    below `own`; the shared entries sit once, after every chain's own ones,
+    at ``(chains - 1) * own + index``.  With `own` above `cells` nothing is
+    shared and each chain is padded up to `own` cells; with `own` 0 the
+    chains are one chain.  A single chain is laid out as itself for any
+    `own`.
     """
-    n = dev.shape[-1]
-    blocks = -(-n // SCAN_WIDTH)
-    padded = np.zeros((2, 2, blocks * SCAN_WIDTH))
-    padded[:, :, :n] = dev
-    return np.ascontiguousarray(
-        padded.reshape(2, 2, blocks, SCAN_WIDTH).transpose(3, 0, 1, 2))
+
+    chains: int
+    own: int
+    cells: int
+
+    @classmethod
+    def above(cls, chains: int, cells: int, support: int) -> "ChainLayout":
+        """Chains that agree on every cell from `support` up: `own` is
+        `support` rounded up to whole blocks of SCAN_WIDTH cells, so each
+        block of the scan holds one chain's own cells or shared ones, and
+        0 for a single chain."""
+        own = -(-support // SCAN_WIDTH) * SCAN_WIDTH if chains > 1 else 0
+        return cls(chains, own, cells)
+
+    @property
+    def size(self) -> int:
+        """Cell slots: every chain's own cells, then the shared ones."""
+        return self.chains * self.own + max(self.cells - self.own, 0)
+
+    def slot(self, chain: int, index: int) -> int:
+        """Slot of entry `index` of chain `chain`."""
+        if index < self.own:
+            return chain * self.own + index
+        return (self.chains - 1) * self.own + index
+
+    def nodes(self, chain: int) -> tuple[slice, slice]:
+        """Slots of the nodes of chain `chain`: its own ones and the shared
+        ones, in order from node 0; either may be empty."""
+        own = min(self.own, self.cells + 1)
+        start = self.chains * self.own
+        return (slice(chain * self.own, chain * self.own + own),
+                slice(start, start + self.cells + 1 - own))
+
+    def node_buffer(self) -> np.ndarray:
+        """An empty (2, slots) complex buffer for psi and psi' at every node
+        slot of the scan, padding included."""
+        return np.empty((2, -(-self.size // SCAN_WIDTH) * SCAN_WIDTH + 1),
+                        dtype=complex)
+
+    def sample_views(self, states: np.ndarray) -> tuple:
+        """Views of a :meth:`node_buffer` as the (lower, mid, upper) samples
+        of every cell slot, shape (3, size), and of the parts to fill: the
+        chains' own cells, (3, chains, min(own, cells)), and the shared
+        ones, (3, cells - own).  Padding cells are set to zero.
+
+        :func:`solve_chains` reads the samples before it writes the node
+        states over them, so one buffer serves both.
+        """
+        samples = states.reshape(-1).view(float)[:3 * self.size].reshape(3, self.size)
+        own = samples[:, :self.chains * self.own].reshape(3, self.chains, self.own)
+        own[:, :, self.cells:] = 0.0
+        return samples, own[:, :, :self.cells], samples[:, self.chains * self.own:]
 
 
 def _cell_steps(k: float, h: float, lower: np.ndarray, mid: np.ndarray,
-                upper: np.ndarray, cells: int) -> np.ndarray:
-    """Deviation N = M - I of the RK4 step of each of the first `cells`
-    cells, in scan layout.
+                upper: np.ndarray) -> np.ndarray:
+    """Deviation N = M - I of the RK4 step of each cell, in scan layout.
 
     With s = -h (stepping toward smaller x), q = s^2 and hi, mid, lo the
     coefficient c = 2 V - k^2 from the cell's ``upper``, ``mid`` and
-    ``lower`` samples (only the first `cells` entries of each are read), the
-    RK4 stages give
+    ``lower`` samples, the RK4 stages give
 
         N00 = (q/6)(hi + 2 mid) + (q^2/24) hi mid
         N01 = s + (s q/6) mid
         N10 = (s/6)(hi + 4 mid + lo) + (s q/12) mid (hi + lo)
         N11 = (q/6)(2 mid + lo) + (q^2/24) lo mid
     """
+    cells = len(lower)
     blocks = -(-cells // SCAN_WIDTH)
     full, rest = divmod(cells, SCAN_WIDTH)
     s = -h
@@ -191,20 +245,31 @@ def _block_products(steps: np.ndarray) -> None:
         n += prod
 
 
-def _leaf_states(tops: np.ndarray, a0: complex, a1: complex) -> tuple[list, list]:
-    """State at the top node of every block of a chain.
+def _leaf_states(tops: np.ndarray, chains: int, own: int, a0: complex,
+                 a1: complex) -> tuple[np.ndarray, np.ndarray]:
+    """State at the top node of every block of a level's chains.
 
-    A scalar loop: (a0, a1) is the state at the chain's top, and each block's
-    whole-block deviation in `tops` carries it one block down.
+    `tops` holds the level's whole-block deviations, each chain's `own`
+    blocks and then the shared ones.  A scalar loop, in which each block
+    carries a state one block down: once down the shared blocks from the
+    state (a0, a1) at the chains' top, then down each chain's own blocks
+    from the state below the shared ones.
     """
     f00, f01, f10, f11 = (tops[r, c].tolist() for r in (0, 1) for c in (0, 1))
     count = len(f00)
     z0, z1 = [0j] * count, [0j] * count
-    for j in range(count - 1, -1, -1):
-        z0[j], z1[j] = a0, a1
-        a0, a1 = (a0 + (f00[j] * a0 + f01[j] * a1),
-                  a1 + (f10[j] * a0 + f11[j] * a1))
-    return z0, z1
+
+    def down(start, stop, a0, a1):
+        for j in range(stop - 1, start - 1, -1):
+            z0[j], z1[j] = a0, a1
+            a0, a1 = (a0 + (f00[j] * a0 + f01[j] * a1),
+                      a1 + (f10[j] * a0 + f11[j] * a1))
+        return a0, a1
+
+    below = down(chains * own, count, a0, a1)
+    for chain in range(chains):
+        down(chain * own, (chain + 1) * own, *below)
+    return np.array(z0), np.array(z1)
 
 
 def _node_states(steps: np.ndarray, z0: np.ndarray, z1: np.ndarray,
@@ -227,56 +292,114 @@ def _node_states(steps: np.ndarray, z0: np.ndarray, z1: np.ndarray,
         out += z
 
 
-def _scan(levels: list, depth: int, steps: np.ndarray, y0: complex,
-          y1: complex, cells: int) -> None:
-    """Scan the bottom blocks of level `depth` of the scan kept in `levels`.
+def _copy_entries(dst: np.ndarray, into: ChainLayout, src: np.ndarray,
+                  source: ChainLayout, count: int, shift: int = 0) -> None:
+    """Set entries 0 to count - 1 of every chain of `into`, along the last
+    axis of `dst`, to the entries `shift` further up the same chain of
+    `source`, in `src`.
 
-    A level is a chain of `cells` cells: cell i carries the state at node
-    i + 1 to node i, and (y0, y1) is the state at the top node `cells`.
-    Level 0 is the chain of grid cells, each level above the chain of the
-    whole-block products of the one below.  ``levels[depth]`` is (tops, psi,
-    dpsi): the level's whole-block products (2, 2, blocks) and its states at
-    the blocks*SCAN_WIDTH + 1 nodes of the padded chain.  A first scan finds
-    no level `depth` yet and appends it, with every block new.
+    Each chain's own entries and the shared ones are one run of slots in
+    either layout, split at most once where `source`'s own entries end: a
+    few slice copies, and one for a single chain.
+    """
+    parts = [(chain, 0, min(into.own, count)) for chain in range(into.chains)
+             if into.own]
+    parts.append((into.chains - 1, into.own, count))
+    split = source.own - shift
+    for chain, start, stop in parts:
+        for lo, hi in ((start, min(stop, split)), (max(start, split), stop)):
+            if lo < hi:
+                at, origin = into.slot(chain, lo), source.slot(chain, lo + shift)
+                dst[..., at:at + hi - lo] = src[..., origin:origin + hi - lo]
 
-    `steps` holds, in scan layout (see :func:`_scan_layout`), the new cell
-    deviations N = M - I of the level's bottom `steps.shape[-1]` blocks and
-    is overwritten; every block above them must be the kept scan's.  Inside
-    a block the suffix products are formed in place
-    (:func:`_block_products`) and kept.  The states at the block tops are
-    the node states of the level above, whose blocks that hold a new block
-    product this function scans again; once the level has at most
-    _LEAF_CELLS blocks they come instead from a scalar loop down all its
-    block products, kept and new, from (y0, y1).  The new blocks' node
-    states are written over the kept ones.
+
+def _level_steps(tops: np.ndarray, level: ChainLayout,
+                 up: ChainLayout) -> np.ndarray:
+    """The cells of the level above, in scan layout (see :func:`_cell_steps`).
+
+    `tops` holds the whole-block deviations of a level, laid out as `level`:
+    each chain's own blocks, then the shared ones.  The level above has the
+    same chains, laid out as `up`; its padding cells get the identity step
+    N = 0.
+    """
+    blocks = -(-up.size // SCAN_WIDTH)
+    cells = np.zeros((2, 2, blocks * SCAN_WIDTH))
+    _copy_entries(cells, up, tops, level, up.cells)
+    return np.ascontiguousarray(
+        cells.reshape(2, 2, blocks, SCAN_WIDTH).transpose(3, 0, 1, 2))
+
+
+def _scan(layout: ChainLayout, steps: np.ndarray, y0: complex, y1: complex,
+          states: np.ndarray | None = None) -> np.ndarray:
+    """Node states of every chain of one level of the scan.
+
+    Each chain of the level has `layout.cells` cells: cell i carries the
+    state at node i + 1 to node i, and (y0, y1) is the state at every
+    chain's top node.  Level 0 is the chains of grid cells; each level above
+    holds, per chain, the whole-block products of the level below.  `steps`
+    holds the cell deviations N = M - I of the level in scan layout, each
+    chain's own cells and then the shared ones (see :class:`ChainLayout`),
+    and is overwritten.
+
+    Inside a block the suffix products are formed in place
+    (:func:`_block_products`), all chains' blocks at once.  The states at
+    the block tops are the node states of the level above, scanned by this
+    function; once a chain has at most _LEAF_CELLS blocks they come instead
+    from a scalar loop (:func:`_leaf_states`).  Returns psi and psi' over
+    the node slots of `layout` as the rows of `states`, a
+    :meth:`ChainLayout.node_buffer` (a new one when None); the slots past
+    each chain's top node are padding.
 
     Blocks are aligned from node 0 and padded with identity steps at the
     top, so every block product and block-top state is formed from the
-    cells at or above its own block alone: the kept ones are bit for bit
-    those a scan of the whole chain would form.
+    cells at or above its own block alone, in the same operations as a scan
+    of one chain: the node states of every chain are bit for bit those of a
+    scan of that chain alone.
     """
-    fresh = steps.shape[-1]
     _block_products(steps)
-    if depth == len(levels):
-        nodes = fresh * SCAN_WIDTH + 1
-        levels.append((np.empty((2, 2, fresh)), np.empty(nodes, dtype=complex),
-                       np.empty(nodes, dtype=complex)))
-    tops, psi, dpsi = levels[depth]
-    tops[..., :fresh] = steps[0]
-    blocks = tops.shape[-1]
+    tops = steps[0]
+    blocks = -(-layout.cells // SCAN_WIDTH)  # per chain
 
-    # state at the top node of every new block, z[j] at node (j + 1)*SCAN_WIDTH
+    # state at the top node of every block, z[j] at block j's top node
     if blocks <= _LEAF_CELLS:
-        z0, z1 = _leaf_states(tops, y0, y1)
-        z0, z1 = np.array(z0[:fresh]), np.array(z1[:fresh])
+        z0, z1 = _leaf_states(tops, layout.chains, layout.own // SCAN_WIDTH,
+                              y0, y1)
     else:
-        stop = min(-(-fresh // SCAN_WIDTH) * SCAN_WIDTH, blocks)
-        _scan(levels, depth + 1, _scan_layout(tops[..., :stop]), y0, y1, blocks)
-        _, above, dabove = levels[depth + 1]
-        z0, z1 = above[1:fresh + 1], dabove[1:fresh + 1]
+        level = ChainLayout(layout.chains, layout.own // SCAN_WIDTH, blocks)
+        up = ChainLayout.above(layout.chains, blocks, level.own)
+        above = _scan(up, _level_steps(tops, level, up), y0, y1)
+        # block j's top is node j + 1 of its chain at the level above
+        z = np.zeros((2, tops.shape[-1]), dtype=complex)
+        _copy_entries(z, level, above, up, blocks, shift=1)
+        z0, z1 = z
 
-    _node_states(steps, z0, z1, psi, dpsi)
-    psi[cells], dpsi[cells] = y0, y1
+    if states is None:
+        states = layout.node_buffer()
+    _node_states(steps, z0, z1, *states)
+    for chain in range(layout.chains):
+        top = layout.slot(chain, layout.cells)
+        states[0, top], states[1, top] = y0, y1
+    return states
+
+
+def _solve(k: float, grid: Grid, layout: ChainLayout, lower: np.ndarray,
+           mid: np.ndarray, upper: np.ndarray,
+           states: np.ndarray | None = None) -> np.ndarray:
+    """The RK4 waves of the chains of `layout`, uncertified: psi and psi'
+    over its node slots, as the rows of `states` (see :func:`_scan`).
+
+    `lower`, `mid` and `upper` hold the samples of every cell slot; they
+    may be views of `states` (:meth:`ChainLayout.sample_views`).  The one
+    scan that every solve goes through.
+    """
+    y0, y1 = _top_state(k, grid.x_max)
+    steps = _cell_steps(k, grid.step, lower, mid, upper)
+    # every sample is read: from here on `states` may be written
+    if layout.own > layout.cells:
+        # every chain ends in a block of its own, padded with identity steps
+        blocks = layout.own // SCAN_WIDTH
+        steps[layout.cells % SCAN_WIDTH:, :, :, blocks - 1::blocks] = 0.0
+    return _scan(layout, steps, y0, y1, states)
 
 
 def _top_state(k: float, x_max: float) -> tuple[complex, complex]:
@@ -306,8 +429,8 @@ def integrate_wave_inward(k: float, grid: Grid,
     x_max.  Each step is built from the closed form of its deviation
     N = M - I (the RK4 stages, `tests/_oracles.py::rk4_wave_loop`, applied to
     the unit states), written straight into the layout of a recursive suffix
-    scan over blocks of SCAN_WIDTH cells (see :func:`_scan`), here a first
-    scan.  Uncertified: :class:`SharedTopScan` certifies the same scan.
+    scan over blocks of SCAN_WIDTH cells (see :func:`_scan`), here of one
+    chain.  Uncertified: :func:`solve_chains` certifies the same scan.
 
     Returns the (psi, psi') node arrays; psi[-1] is exactly exp(-i k x_max).
 
@@ -318,11 +441,8 @@ def integrate_wave_inward(k: float, grid: Grid,
         finite.
     """
     cells = grid.n_points - 1
-    levels = []
-    _scan(levels, 0, _cell_steps(k, grid.step, samples.lower, samples.mid,
-                                 samples.upper, cells),
-          *_top_state(k, grid.x_max), cells)
-    _, psi, dpsi = levels[0]
+    psi, dpsi = _solve(k, grid, ChainLayout(1, 0, cells), samples.lower,
+                       samples.mid, samples.upper)
     return psi[:cells + 1], dpsi[:cells + 1]
 
 
@@ -343,29 +463,87 @@ def _require_positive_k(k: float) -> None:
         raise NonpositiveK(f"k must be positive, got {k}")
 
 
-class SharedTopScan:
-    """Certified RK4 waves of potentials that agree on every cell above the
-    first `fresh_cells`.
+@dataclass(frozen=True)
+class SolvedChains:
+    """Certified RK4 waves of the chains of `layout`, from :func:`solve_chains`.
 
-    The constructor solves the first potential, given by its cell samples,
-    in full (:func:`integrate_wave_inward`'s scan) and keeps every level of
-    its scan.  :meth:`rescan` solves another one from the samples of its
-    first :attr:`fresh_cells` cells only: `fresh_cells` rounded up to whole
-    blocks.  Only the blocks of each level that hold one of those cells are
-    scanned again (:func:`_scan`); every other block product and block-top
-    state is formed from the cells at or above its own block alone, so the
-    kept ones are bit for bit those a full scan would form.  With
-    `fresh_cells` 0 it is the plain certified solve of one potential.
+    `psi` and `dpsi` hold the node states in the layout's node slots, and
+    ``residuals[chain]`` is each chain's certified Wronskian residual.
+    """
 
-    :attr:`psi` and :attr:`dpsi` are the node arrays of the wave last
-    solved, :attr:`residual` its Wronskian residual; the arrays are views
-    that the next :meth:`rescan` overwrites.
+    layout: ChainLayout
+    psi: np.ndarray
+    dpsi: np.ndarray
+    residuals: tuple
 
-    The certificate is one pass over every node of the wave last solved:
-    the residual must be at most ``tol_wronskian * k``, and psi must be
-    nonzero at every node.  A NaN in psi or psi' makes the residual NaN,
-    which fails the bound, so the node test reads a psi without NaN, for
-    which psi != 0 is |psi| > 0.
+    def wave(self, chain: int) -> tuple[np.ndarray, np.ndarray]:
+        """The (psi, psi') node arrays of chain `chain`, node 0 first."""
+        parts = [s for s in self.layout.nodes(chain) if s.stop > s.start]
+        if len(parts) == 1:
+            return self.psi[parts[0]], self.dpsi[parts[0]]
+        return tuple(np.concatenate([a[s] for s in parts])
+                     for a in (self.psi, self.dpsi))
+
+    def at_zero(self, chain: int) -> complex:
+        """psi of chain `chain` at x = 0."""
+        return complex(self.psi[self.layout.slot(chain, 0)])
+
+
+def _certify(k: float, tol: float, layout: ChainLayout, psi: np.ndarray,
+             dpsi: np.ndarray) -> tuple:
+    """Each chain's Wronskian residual, certified chain by chain in order.
+
+    A chain's residual is the larger of those of its own nodes and of the
+    shared ones, each taken once by :func:`wronskian_residual`, so it is
+    the residual over every node of its wave.  It must be at most
+    ``tol * k``, and psi must be nonzero at every node of the wave.  A NaN
+    in psi or psi' makes the residual NaN, which fails the bound, so the
+    node test reads a psi without NaN, for which psi != 0 is |psi| > 0.
+    The first chain that fails raises.
+    """
+    bound = tol * k
+
+    def parts(nodes: slice) -> list:
+        # [(residual, no node)] of the node slots `nodes`, if there are any
+        if nodes.stop == nodes.start:
+            return []
+        return [(wronskian_residual(k, psi[nodes], dpsi[nodes]),
+                 bool(np.all(psi[nodes])))]
+
+    residuals = []
+    # an overflowed wave gives a NaN residual, which fails the certificate
+    with np.errstate(over="ignore", invalid="ignore"):
+        shared = parts(layout.nodes(0)[1])
+        for chain in range(layout.chains):
+            checks = parts(layout.nodes(chain)[0]) + shared
+            # the larger residual, or NaN if either is
+            residual = float(np.maximum.reduce([r for r, _ in checks]))
+            if not residual <= bound:
+                raise WronskianViolation(
+                    f"residual {residual:.3e} is not within {tol:.1e} * k = "
+                    f"{bound:.3e}; refine the grid or check the potential"
+                )
+            if not all(nodeless for _, nodeless in checks):
+                raise WronskianViolation("wave has a node; solution untrustworthy")
+            residuals.append(residual)
+    return tuple(residuals)
+
+
+def solve_chains(k: float, grid: Grid, layout: ChainLayout, lower: np.ndarray,
+                 mid: np.ndarray, upper: np.ndarray, tol_wronskian: float,
+                 states: np.ndarray | None = None) -> SolvedChains:
+    """Certified RK4 waves of potentials that agree on every cell from
+    `layout.own` up, in one scan.
+
+    `lower`, `mid` and `upper` hold the samples of every cell slot of
+    `layout`: each potential's own cells, then the shared ones once.  The
+    node states are written to `states` when given, a
+    :meth:`ChainLayout.node_buffer` that the samples may be views of.
+    Every block of every level of the scan goes through the same operations
+    as in a solve of one potential alone, so each wave is bit for bit that
+    of :func:`integrate_wave_inward` on its potential, and each is
+    certified on its own (:func:`_certify`).  One chain with `own` 0 is the
+    plain certified solve of one potential.
 
     Raises
     ------
@@ -374,48 +552,15 @@ class SharedTopScan:
     NonFiniteResult
         If k x_max is beyond the double range.
     WronskianViolation
-        If the residual is non-finite or over the bound, or psi has a node;
-        from the constructor and :meth:`rescan`.
+        If a residual is non-finite or over the bound, or a wave has a node:
+        that of the first such chain.
     """
-
-    def __init__(self, k: float, grid: Grid, lower: np.ndarray, mid: np.ndarray,
-                 upper: np.ndarray, fresh_cells: int, tol_wronskian: float) -> None:
-        _require_positive_k(k)
-        self._k, self._step, self._tol = k, grid.step, tol_wronskian
-        self._top = _top_state(k, grid.x_max)
-        self._cells = cells = grid.n_points - 1
-        self.fresh_cells = min(-(-fresh_cells // SCAN_WIDTH) * SCAN_WIDTH, cells)
-        self._levels = []
-        # an overflowed wave gives a NaN residual, which fails the certificate
-        with np.errstate(over="ignore", invalid="ignore"):
-            _scan(self._levels, 0, _cell_steps(k, self._step, lower, mid, upper, cells),
-                  *self._top, cells)
-        _, psi, dpsi = self._levels[0]
-        self.psi, self.dpsi = psi[:cells + 1], dpsi[:cells + 1]
-        self._certify()
-
-    def rescan(self, lower: np.ndarray, mid: np.ndarray, upper: np.ndarray) -> None:
-        """Solve and certify the potential whose first `fresh_cells` cells
-        have these samples."""
-        if self.fresh_cells:
-            with np.errstate(over="ignore", invalid="ignore"):
-                steps = _cell_steps(self._k, self._step, lower, mid, upper,
-                                    self.fresh_cells)
-                _scan(self._levels, 0, steps, *self._top, self._cells)
-            self._certify()
-
-    def _certify(self) -> None:
-        with np.errstate(over="ignore", invalid="ignore"):
-            residual = wronskian_residual(self._k, self.psi, self.dpsi)
-        bound = self._tol * self._k
-        if not residual <= bound:
-            raise WronskianViolation(
-                f"residual {residual:.3e} is not within {self._tol:.1e} * k = "
-                f"{bound:.3e}; refine the grid or check the potential"
-            )
-        if not np.all(self.psi):
-            raise WronskianViolation("wave has a node; solution untrustworthy")
-        self.residual = residual
+    _require_positive_k(k)
+    # an overflowed wave gives a NaN residual, which fails the certificate
+    with np.errstate(over="ignore", invalid="ignore"):
+        psi, dpsi = _solve(k, grid, layout, lower, mid, upper, states)
+    return SolvedChains(layout, psi, dpsi,
+                        _certify(k, tol_wronskian, layout, psi, dpsi))
 
 
 def _reference_wave(k: float, grid: Grid, psi: np.ndarray, dpsi: np.ndarray,
@@ -460,8 +605,9 @@ def solve_reference(V: PotentialSpec, k: float, grid: Grid,
         If the integration cannot be certified at the requested tolerance.
     """
     v = sample_potential(V, grid)
-    wave = SharedTopScan(k, grid, v.lower, v.mid, v.upper, 0, tol_wronskian)
-    return _reference_wave(k, grid, wave.psi, wave.dpsi, wave.residual)
+    solved = solve_chains(k, grid, ChainLayout(1, 0, grid.n_points - 1),
+                          v.lower, v.mid, v.upper, tol_wronskian)
+    return _reference_wave(k, grid, *solved.wave(0), solved.residuals[0])
 
 
 def analytic_free_reference(k: float, grid: Grid) -> ReferenceWave:

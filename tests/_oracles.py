@@ -267,9 +267,9 @@ def full_solves(V, U, couplings, k, grid):
     """[(psi(0), principal phase, Wronskian residual)] of V + c U for each
     coupling c, each from a solve of its own over the whole grid.
 
-    Each solve is :func:`integrate_wave_inward`, the first-scan branch of
-    the same recursive scan the oracle's sweep resumes, so this checks the
-    resumption and the certificate's split, not the propagator
+    Each solve is :func:`integrate_wave_inward`, the one-chain case of the
+    same recursive scan that solves the oracle's sweep, so this checks the
+    shared blocks and the certificate's split, not the propagator
     (:func:`rk4_wave_loop` checks that)."""
     v, u = sample_potential(V, grid), sample_potential(U, grid)
     results = []

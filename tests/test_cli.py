@@ -234,6 +234,16 @@ def test_invalid_configs_are_rejected():
         print(f"rejected: {label}")
 
 
+def test_converge_ladder_ending_in_zero_exits_2(tmp_path, capsys):
+    path = tmp_path / "zero_ladder.json"
+    path.write_text(json.dumps({
+        "command": "converge", "k": 1.0, "lambda": [0.2, 0.1, 0.0],
+        "max_order": 1, "grid": {"x_max": 2.0, "n_points": 101},
+        "U": {"kind": "piecewise_constant", "segments": [[0.0, 1.0, 1.0]]}}))
+    assert main(["converge", "--config", str(path)]) == 2
+    assert "positive" in capsys.readouterr().err
+
+
 def test_command_mismatch_rejected():
     doc = load_config("sweep.json")
     with pytest.raises(ConfigInvalid):

@@ -19,7 +19,8 @@ from phaseshift import (
     solve_reference,
     sweep_exact,
 )
-from phaseshift.oracle import ORACLE_REFINEMENT
+from phaseshift import oracle
+from phaseshift.oracle import ORACLE_REFINEMENT, halving_ladder
 from phaseshift.potential import combine_samples, sample_potential
 from phaseshift.refwave import integrate_wave_inward
 
@@ -226,15 +227,124 @@ def test_certificate_over_shared_nodes_fails_at_the_first_coupling():
 
 
 def test_non_finite_coupling_fails_like_a_full_solve():
-    # 0 * inf is NaN on every cell, also where U is zero
+    # 0 * inf is NaN on every cell, also where U is zero, so a non-finite
+    # coupling cannot take the wave above U's support from a finite one;
+    # with U zero everywhere, every cell is above that support
+    grid = Grid(2.0, 401)
+    for U in (PotentialSpec.piecewise_constant([(0.0, 0.5, 1.0)]), ZERO):
+        for coupling in (math.inf, math.nan):
+            with pytest.raises(WronskianViolation) as single:
+                solve_exact(ZERO, U, coupling, 1.0, grid)
+            with pytest.raises(WronskianViolation) as swept:
+                sweep_exact(ZERO, U, (0.1, coupling), 1.0, grid)
+            assert str(swept.value) == str(single.value)
+
+
+def test_the_first_failing_coupling_raises_its_own_error():
+    # the second coupling goes over the bound and the third to NaN: the
+    # sweep raises the second's error, word for word a single solve's
     grid = Grid(2.0, 401)
     U = PotentialSpec.piecewise_constant([(0.0, 0.5, 1.0)])
-    for coupling in (math.inf, math.nan):
-        with pytest.raises(WronskianViolation) as single:
-            solve_exact(ZERO, U, coupling, 1.0, grid)
-        with pytest.raises(WronskianViolation) as swept:
-            sweep_exact(ZERO, U, (0.1, coupling), 1.0, grid)
-        assert str(swept.value) == str(single.value)
+    with pytest.raises(WronskianViolation) as over:
+        solve_exact(ZERO, U, 100.0, 1.0, grid)
+    with pytest.raises(WronskianViolation) as overflow:
+        solve_exact(ZERO, U, 1e6, 1.0, grid)
+    assert not str(over.value).startswith("residual nan")
+    assert str(overflow.value).startswith("residual nan")
+    assert solve_exact(ZERO, U, 0.1, 1.0, grid).wronskian_residual <= 1e-8
+    with pytest.raises(WronskianViolation) as swept:
+        sweep_exact(ZERO, U, (0.1, 100.0, 1e6), 1.0, grid)
+    assert str(swept.value) == str(over.value)
+
+
+def test_a_non_finite_first_coupling_fails_alone():
+    # only the first coupling fails: the sweep raises its error, word for
+    # word a single solve's, with U zero everywhere too
+    grid = Grid(2.0, 401)
+    for U in (PotentialSpec.piecewise_constant([(0.0, 0.5, 1.0)]), ZERO):
+        sweep_exact(ZERO, U, (0.1, 0.05), 1.0, grid)
+        for coupling in (math.inf, -math.inf, math.nan):
+            with pytest.raises(WronskianViolation) as single:
+                solve_exact(ZERO, U, coupling, 1.0, grid)
+            with pytest.raises(WronskianViolation) as swept:
+                sweep_exact(ZERO, U, (coupling, 0.1, 0.05), 1.0, grid)
+            assert str(swept.value) == str(single.value)
+
+
+def test_a_sweep_split_over_several_scans_is_still_full_solves(monkeypatch):
+    # a scan's buffers grow with its couplings, so a large sweep is solved
+    # a few couplings at a time: with no room to spare, two per scan, one
+    # full chain and a second coupling's own cells.  The second scan holds
+    # the coupling over the bound and the one that goes to NaN after it
+    grid = Grid(2.0, 401)
+    U = PotentialSpec.piecewise_constant([(0.0, 0.5, 1.0)])
+    couplings = (0.4, -0.3, 0.2, 0.1, 0.05)
+    whole = sweep_exact(ZERO, U, couplings, 1.0, grid, seed_delta=0.2)
+    monkeypatch.setattr(oracle, "_SCAN_SLOTS", 1)
+    assert [len(g) for g in oracle._scan_groups(list(couplings), 400, 100)] == [2, 2, 1]
+    split = sweep_exact(ZERO, U, couplings, 1.0, grid, seed_delta=0.2)
+    assert split == whole
+    reference = full_solves(ZERO, U, couplings, 1.0, grid)
+    assert [r.psi_at_zero for r in split] == [psi0 for psi0, _, _ in reference]
+    with pytest.raises(WronskianViolation) as over:
+        solve_exact(ZERO, U, 100.0, 1.0, grid)
+    with pytest.raises(WronskianViolation) as swept:
+        sweep_exact(ZERO, U, (0.1, 0.05, 100.0, 1e6, 0.2), 1.0, grid)
+    assert str(swept.value) == str(over.value)
+
+
+def test_scan_groups_share_the_top_on_any_grid():
+    # past _SCAN_SLOTS cells a scan still holds one full chain and a second
+    # coupling's own cells; a non-finite coupling is solved alone, and U
+    # zero everywhere shares every cell
+    couplings = [0.4, 0.2, 0.1, 0.05, 0.025]
+    groups = oracle._scan_groups
+    assert groups(couplings, 4000, 1008) == [couplings]
+    assert groups(couplings, 1_000_000, 100) == [[0.4, 0.2], [0.1, 0.05], [0.025]]
+    assert groups(couplings, 1_000_000, 0) == [couplings]
+    assert groups([0.4, math.inf, 0.2, 0.1], 400, 100) == [[0.4], [math.inf], [0.2, 0.1]]
+    # U up to the top cell shares nothing: two full chains a scan, each
+    # padded up to a whole block or not
+    for cells in (1_000_000, 1_000_002):
+        assert [len(g) for g in groups(couplings, cells, cells)] == [2, 2, 1]
+
+
+def test_a_sweep_over_two_to_the_17_cells_shares_the_top(monkeypatch):
+    cells = (1 << 17) + 2
+    grid = Grid(2.0, cells + 1)
+    U = PotentialSpec.piecewise_constant([(0.0, 0.01, 1.0)])
+    couplings = (0.4, 0.2, 0.1)
+    layouts = []
+    solve = oracle.solve_chains
+
+    def recorded(k, grid, layout, *rest):
+        layouts.append(layout)
+        return solve(k, grid, layout, *rest)
+
+    monkeypatch.setattr(oracle, "solve_chains", recorded)
+    swept = sweep_exact(ZERO, U, couplings, 1.0, grid, seed_delta=0.0)
+    assert [(lay.chains, lay.own) for lay in layouts] == [(3, 656)]
+    assert layouts[0].size == 3 * 656 + cells - 656
+    reference = full_solves(ZERO, U, couplings, 1.0, grid)
+    assert [r.psi_at_zero for r in swept] == [psi0 for psi0, _, _ in reference]
+
+
+def test_a_ladder_ending_in_zero_is_degenerate():
+    with pytest.raises(DegenerateSweep, match="positive"):
+        halving_ladder((0.2, 0.1, 0.0))
+    assert halving_ladder((0.2, 0.1, 0.05)) == (0.2, 0.1, 0.05)
+
+
+def test_a_first_order_series_outside_the_window_is_degenerate(barrier):
+    # delta_1 = -0.545 for the unit barrier at k = 1: the window ends at a
+    # largest coupling of 0.18
+    series = assemble_series(analytic_free_reference(1.0, Grid(2.0, 401)),
+                             barrier, 1)
+    assert series.max_order == 1
+    with pytest.raises(DegenerateSweep, match="window"):
+        convergence_order_check(series, ZERO, barrier, (0.4, 0.2))
+    report = convergence_order_check(series, ZERO, barrier, (0.1, 0.05))
+    assert len(report.checks) == 2
 
 
 def test_zero_perturbation_sweep_repeats_one_result(barrier03):

@@ -1,18 +1,19 @@
 """Property tests of the oracle's coupling sweep (hypothesis).
 
-A sweep integrates the wave above U's support once and scans only the blocks
-below it again for each later coupling.  Every result must still be, bit for
+A sweep solves every coupling in one scan, which takes the cells above U's
+support once and each coupling's cells below it apart.  Every result must still be, bit for
 bit, that of a solve of each coupling over the whole grid
 (`tests/_oracles.py::full_solves`): psi(0), the unwrapped phase and the
 Wronskian residual.  Examples are drawn from a fixed seed (``derandomize``),
 so every run checks the same inputs; the module is skipped where hypothesis
-is not installed.  A sibling test drives the scan directly and compares the
-whole wave, node by node, after every rescan.
+is not installed.  A sibling test takes the waves of the sweep's one scan
+and compares every node of every coupling with a full solve's.
 
 The grids run from one cell to 64000 cells: a scan of one level, of two and
 of three above the scalar leaf, most with a partial last block.
 """
 
+import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
@@ -20,13 +21,9 @@ pytest.importorskip("hypothesis")
 from hypothesis import Phase, example, given, settings, strategies as st  # noqa: E402
 
 from phaseshift import Grid, PotentialSpec, solve_exact, sweep_exact  # noqa: E402
-from phaseshift.oracle import _support_cells  # noqa: E402
-from phaseshift.potential import (  # noqa: E402
-    combine_cells,
-    combine_samples,
-    sample_potential,
-)
-from phaseshift.refwave import SharedTopScan, integrate_wave_inward  # noqa: E402
+from phaseshift.oracle import _support_cells, _sweep_waves  # noqa: E402
+from phaseshift.potential import combine_samples, sample_potential  # noqa: E402
+from phaseshift.refwave import integrate_wave_inward  # noqa: E402
 
 from _oracles import full_solves, unwrap  # noqa: E402
 
@@ -121,18 +118,35 @@ def test_sweep_is_bit_identical_to_full_solves(V, U, couplings, k, n_points):
     _assert_sweep_is_full_solves(V, U, couplings, k, n_points)
 
 
+def _assert_every_node_is_that_of_a_full_solve(v, u, couplings, k, grid):
+    solved = _sweep_waves(v, u, _support_cells(u), couplings, k, grid, LOOSE_TOL)
+    for chain, c in enumerate(couplings):
+        psi, dpsi = integrate_wave_inward(k, grid, combine_samples(v, u, c))
+        swept_psi, swept_dpsi = solved.wave(chain)
+        assert swept_psi.tobytes() == psi.tobytes()
+        assert swept_dpsi.tobytes() == dpsi.tobytes()
+
+
 @pytest.mark.parametrize("n_points", (33, 1027, 4003, 16003, 64001))
 def test_every_rescanned_node_is_that_of_a_full_solve(n_points):
-    # psi(0) and the residual do not see a stale node above x = 0: a wave
-    # left over from an earlier coupling still keeps the Wronskian there
+    # psi(0) and the residual do not see a wrong node above x = 0: a wave
+    # that took another coupling's bottom blocks still keeps the Wronskian
     grid, k = Grid(X_MAX, n_points), 1.3
     v = sample_potential(PotentialSpec.gaussian_sum([(1.2, 0.4, 0.3)]), grid)
     u = sample_potential(PotentialSpec.piecewise_constant([(0.3, 1.1, 1.0)]), grid)
-    first, *later = (0.4, -0.3, 0.7)
-    scan = SharedTopScan(k, grid, *combine_cells(v, u, first), _support_cells(u),
-                         LOOSE_TOL)
-    for c in later:
-        scan.rescan(*combine_cells(v, u, c, scan.fresh_cells))
-        psi, dpsi = integrate_wave_inward(k, grid, combine_samples(v, u, c))
-        assert scan.psi.tobytes() == psi.tobytes()
-        assert scan.dpsi.tobytes() == dpsi.tobytes()
+    _assert_every_node_is_that_of_a_full_solve(v, u, np.array([0.4, -0.3, 0.7]),
+                                               k, grid)
+
+
+@pytest.mark.parametrize("n_points", (4001, 16001))
+def test_own_blocks_that_end_on_an_upper_block_keep_every_node(n_points):
+    # U's support rounds up to 512 cells, 32 blocks: each coupling's own
+    # blocks then fill whole blocks of the level above, and the top node of
+    # its last one is a shared node there, not the next coupling's node 0
+    grid, k = Grid(X_MAX, n_points), 1.3
+    v = sample_potential(PotentialSpec.gaussian_sum([(1.2, 0.4, 0.3)]), grid)
+    u = sample_potential(
+        PotentialSpec.piecewise_constant([(0.0, 500.5 * grid.step, 1.0)]), grid)
+    assert _support_cells(u) == 501
+    _assert_every_node_is_that_of_a_full_solve(v, u, np.array([0.4, -0.3, 0.7]),
+                                               k, grid)

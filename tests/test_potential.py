@@ -167,6 +167,18 @@ def test_tabulated_requires_declared_grid():
             PotentialSpec.tabulated(wrong, g)
 
 
+def test_a_tabulated_sample_of_exactly_eps_tail_counts_toward_support():
+    g = Grid(2.0, 5)
+    eps = 1e-12
+    at = PotentialSpec.tabulated([0.0, 1.0, 0.0, eps, 0.0], g, eps_tail=eps)
+    assert at.support_hi == 2.0
+    below = PotentialSpec.tabulated([0.0, 1.0, 0.0, np.nextafter(eps, 0.0), 0.0],
+                                    g, eps_tail=eps)
+    assert below.support_hi == 1.0
+    assert PotentialSpec.tabulated([0.0, 1.0, 0.0, -eps, 0.0], g,
+                                   eps_tail=eps).support_hi == 2.0
+
+
 def test_tabulated_support_ends_where_the_interpolant_does():
     g = Grid(2.0, 5)
     for samples, support in (([0.5, 0.0, 0.0, 0.0, 0.0], 0.5),  # node 0 only

@@ -82,3 +82,32 @@ def test_every_function_the_benchmark_traces_resolves():
         missing += [f"{module}.{function}({name})" for name in sorted(read)
                     if name not in parameters]
     assert missing == []
+
+
+def test_the_certificate_trace_point_sees_every_coupling(monkeypatch):
+    # bench/spans.py times the certificate (refwave.certify_ms) and reads
+    # its margin (refwave.cert_margin_max) by rebinding
+    # refwave.wronskian_residual at module level.  A sweep must call it on
+    # every coupling's own nodes, and its largest result is the largest
+    # certified residual, or those metrics silently read 0 or wrong.
+    from phaseshift import Grid, PotentialSpec, refwave, sweep_exact
+
+    seen = []
+    original = refwave.wronskian_residual
+
+    def traced(k, psi, dpsi):
+        result = original(k, psi, dpsi)
+        seen.append((len(psi), result))
+        return result
+
+    monkeypatch.setattr(refwave, "wronskian_residual", traced)
+    grid = Grid(2.0, 401)
+    couplings = (0.4, 0.2, 0.1, 0.05)
+    results = sweep_exact(PotentialSpec.zero(),
+                          PotentialSpec.piecewise_constant([(0.0, 0.5, 1.0)]),
+                          couplings, 1.0, grid)
+    # U covers the bottom 100 cells: 7 blocks of 16 of each coupling's own
+    # nodes, and the 289 nodes above them once
+    assert [n for n, _ in seen].count(112) == len(couplings)
+    assert sum(n for n, _ in seen) == len(couplings) * 112 + 289
+    assert max(r for _, r in seen) == max(r.wronskian_residual for r in results)

@@ -13,12 +13,13 @@ from phaseshift import (
     compute_hierarchy,
     solve_reference,
 )
-from phaseshift.potential import combine_samples, sample_potential
+from phaseshift.potential import PotentialSamples, combine_samples, sample_potential
 from phaseshift.refwave import (
-    SharedTopScan,
+    ChainLayout,
     integrate_wave_inward,
     phase_from_wave,
     reduce_phase,
+    solve_chains,
     wronskian_residual,
 )
 
@@ -113,25 +114,37 @@ def test_wronskian_violation_on_coarse_strong_potential():
 
 
 def test_a_wave_with_a_node_is_refused():
-    # k = 1 on two cells of width 0.5.  The upper cell's samples make its
-    # RK4 step N01 = 0 and N00 = -1 exactly, so psi at node 1 is exactly 0,
-    # while the residual there (2k) passes a bound of 10 k: only the node
-    # test refuses this wave.
-    grid, k = Grid(1.0, 3), 1.0
+    # k = 1 on cells of width 0.5.  These samples of a cell make its RK4 step
+    # N01 = 0 and N00 = -1 exactly, so psi at the cell's lower node is
+    # exactly 0, while the residual there (2k) passes a bound of 10 k: only
+    # the node test refuses this wave.
+    k, node = 1.0, "wave has a node; solution untrustworthy"
+    mid, upper = -11.500000000000002, -23.5
+    # a single solve: the upper of two cells
+    grid = Grid(1.0, 3)
     lower = np.zeros(2)
-    mid = np.array([0.0, -11.500000000000002])
-    upper = np.array([0.0, -23.5])
-    node = "wave has a node; solution untrustworthy"
     for tol in (10.0, math.inf):
         with pytest.raises(WronskianViolation, match=node):
-            SharedTopScan(k, grid, lower, mid, upper, 0, tol)
-    # the same wave reached by a rescan of a certified free wave
-    scan = SharedTopScan(k, grid, lower, np.zeros(2), lower, 2, 10.0)
-    assert scan.fresh_cells == 2
+            solve_chains(k, grid, ChainLayout(1, 0, 2), lower,
+                         np.array([0.0, mid]), np.array([0.0, upper]), tol)
+    # a sweep whose second coupling has the node in its own bottom block,
+    # below 18 shared cells of free wave, while the first is free throughout
+    grid = Grid(17.0, 35)
+    layout = ChainLayout.above(2, 34, 2)
+    assert (layout.own, layout.cells - layout.own) == (16, 18)
+    states = layout.node_buffer()
+    samples, own, shared = layout.sample_views(states)
+    own[...], shared[...] = 0.0, 0.0
+    own[1:, 1, 1] = mid, upper
     with pytest.raises(WronskianViolation, match=node):
-        scan.rescan(lower, mid, upper)
-    assert scan.psi[1] == 0.0
-    assert wronskian_residual(k, scan.psi, scan.dpsi) <= 10.0 * k
+        solve_chains(k, grid, layout, *samples, 10.0, states)
+    second = np.zeros((3, 34))
+    second[1:, 1] = mid, upper
+    psi, dpsi = integrate_wave_inward(k, grid, PotentialSamples(grid, *second))
+    assert psi[1] == 0.0
+    assert wronskian_residual(k, psi, dpsi) <= 10.0 * k
+    free = solve_chains(k, grid, ChainLayout(1, 0, 34), *np.zeros((3, 34)), 10.0)
+    assert free.residuals[0] <= 10.0 * k
 
 
 def test_reduce_phase_branch_convention():
