@@ -548,7 +548,9 @@ def main(argv=None) -> int:
         with open(args.config) as fh:
             doc = json.load(fh, parse_constant=_finite_float,
                             parse_float=_finite_float)
-    except (OSError, ValueError) as exc:  # JSONDecodeError is a ValueError
+    # JSONDecodeError is a ValueError; nesting deeper than the interpreter's
+    # recursion limit is a RecursionError
+    except (OSError, ValueError, RecursionError) as exc:
         print(f"ConfigInvalid: cannot read config: {exc}", file=sys.stderr)
         return 2
     try:

@@ -24,28 +24,12 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DegenerateSweep
-from .potential import (
-    Grid,
-    PotentialSamples,
-    PotentialSpec,
-    combine_cells,
-    sample_potential,
-)
-from .refwave import (
-    DEFAULT_WRONSKIAN_TOL,
-    ChainLayout,
-    SolvedChains,
-    phase_from_wave,
-    solve_chains,
-)
+from .potential import Grid, PotentialSpec, sample_potential
+from .refwave import DEFAULT_WRONSKIAN_TOL, phase_from_wave, solve_sweep
 from .series import PhaseSeries, evaluate_truncated
 
 #: oracle grids refine the series grid by this factor
 ORACLE_REFINEMENT = 4
-#: a scan of a sweep's couplings holds about this many cell slots at most,
-#: or two couplings on a larger grid, since its buffers grow with the
-#: number of its couplings (:func:`_scan_groups`)
-_SCAN_SLOTS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -63,91 +47,17 @@ class OracleResult:
     wronskian_residual: float
 
 
-def _support_cells(u: PotentialSamples) -> int:
-    """Cells from x = 0 up to the last one where any sample of `u` is
-    nonzero; 0 for a `u` that is zero everywhere.
-
-    RK4 reads a cell's ``mid`` as well as its ends, so a cell whose only
-    nonzero sample is its centre counts.
-    """
-    nonzero = np.flatnonzero((u.lower != 0.0) | (u.mid != 0.0) | (u.upper != 0.0))
-    return int(nonzero[-1]) + 1 if nonzero.size else 0
-
-
-def _scan_groups(couplings: list, cells: int, support: int) -> list:
-    """The couplings of a sweep, in order, split into the groups that
-    :func:`_sweep_waves` solves in one scan each.
-
-    A non-finite coupling is a group of its own, since 0 * inf puts NaN on
-    the cells where U is zero as well, so its wave shares no cell.  Finite
-    ones share every cell above U's support and fill a scan up to
-    _SCAN_SLOTS cell slots, and at least two share each scan: one full
-    chain and a second coupling's own cells.
-    """
-    own = ChainLayout.above(2, cells, support).own
-    shared = max(cells - own, 0)
-    per_scan = max(_SCAN_SLOTS - shared, 2 * own) // own if own else len(couplings)
-    groups, group = [], []
-    for c in couplings:
-        if not math.isfinite(c):
-            groups += [group, [c]]
-            group = []
-            continue
-        group.append(c)
-        if len(group) == per_scan:
-            groups.append(group)
-            group = []
-    groups.append(group)
-    return [g for g in groups if g]
-
-
-def _sweep_waves(v: PotentialSamples, u: PotentialSamples, support: int,
-                 weights: np.ndarray, k: float, grid: Grid,
-                 tol_wronskian: float) -> SolvedChains:
-    """The certified waves of v + c u for each coupling c in `weights`, as
-    the chains of one :func:`refwave.solve_chains` scan; U is zero on every
-    cell from `support` up.
-
-    Above U's support every potential of the sweep is V, so each coupling's
-    own cells run up to U's support, rounded up to whole blocks, and the
-    cells above it are taken once, from the first coupling; every coupling
-    of more than one must be finite.  Each wave is bit for bit that of a
-    full solve, and the first coupling that fails its certificate raises.
-    """
-    cells = grid.n_points - 1
-    layout = ChainLayout.above(len(weights), cells, support)
-    # the samples are views of the node-state buffer, which the solve
-    # writes only once it has read them all
-    states = layout.node_buffer()
-    samples, own, shared = layout.sample_views(states)
-    # a coupling times U beyond the double range is inf or NaN, which fails
-    # the certificate: no warning
-    with np.errstate(over="ignore", invalid="ignore"):
-        combine_cells(v, u, weights, slice(0, layout.own), out=own)
-        combine_cells(v, u, weights[:1], slice(layout.own, None),
-                      out=shared[:, None])
-    return solve_chains(k, grid, layout, *samples, tol_wronskian, states)
-
-
 def _solve_couplings(V: PotentialSpec, U: PotentialSpec, couplings, k: float,
                      grid: Grid, tol_wronskian: float) -> list:
     """The certified :class:`OracleResult` of V + c U for each coupling c,
-    on the principal branch.
-
-    V and U are sampled once, and the couplings are solved in order, a
-    group of them per scan (:func:`_sweep_waves`, :func:`_scan_groups`):
-    every finite one in one scan unless the grid is large.
+    on the principal branch: V and U are sampled once, and every coupling
+    is solved by :func:`refwave.solve_sweep`.
     """
+    couplings = list(couplings)
     v, u = sample_potential(V, grid), sample_potential(U, grid)
-    support = _support_cells(u)
-    results = []
-    for group in _scan_groups(list(couplings), grid.n_points - 1, support):
-        solved = _sweep_waves(v, u, support, np.array(group, dtype=float), k,
-                              grid, tol_wronskian)
-        for chain, (c, residual) in enumerate(zip(group, solved.residuals)):
-            psi0 = solved.at_zero(chain)
-            results.append(OracleResult(c, phase_from_wave(psi0), psi0, residual))
-    return results
+    return [OracleResult(c, phase_from_wave(psi0), psi0, residual)
+            for c, (psi0, residual) in zip(
+                couplings, solve_sweep(k, grid, v, u, couplings, tol_wronskian))]
 
 
 def solve_exact(V: PotentialSpec, U: PotentialSpec, coupling: float, k: float,
@@ -175,8 +85,8 @@ def sweep_exact(V: PotentialSpec, U: PotentialSpec, couplings, k: float,
     """Solve a list of couplings and unwrap phases to a continuous branch.
 
     V and U are sampled once for the whole sweep.  The wave above U's
-    support is the same at every coupling, so every coupling is solved in
-    one scan that takes it once (:func:`refwave.solve_chains`).  Every
+    support is the same at every coupling, so the couplings are solved
+    together and that wave is taken once (:func:`refwave.solve_sweep`).  Every
     result is bit for bit that of :func:`solve_exact` at its coupling,
     before unwrapping; each coupling is certified over every node of its
     wave, and the first that fails raises.

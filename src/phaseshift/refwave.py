@@ -21,15 +21,17 @@ together.  Blocks are aligned from x = 0, so each block product and
 block-top state depends only on the cells at or above its block, and every
 chain's wave is bit for bit that of a scan of its potential alone.  One
 chain is the plain solve of one potential: :func:`integrate_wave_inward`
-uncertified, and :func:`solve_chains`, the certified solve of a family,
-for :func:`solve_reference`.
+uncertified, and :func:`solve_reference` certified.  :func:`solve_sweep`
+solves the couplings of a sweep, and this module alone decides how their
+chains are laid out: the oracle asks it for each coupling's psi(0) and
+residual.
 
 The Wronskian  psi * conj(psi)' - conj(psi) * psi' = 2ik  is an exact
 invariant of the continuum equation; its maximum grid residual is the
 certificate that the integration can be trusted, and it also guarantees the
-wave has no nodes (so dividing by psi is safe).  :func:`solve_chains`
-checks that certificate for each chain (:func:`_certify`), the one place
-it is checked.
+wave has no nodes (so dividing by psi is safe).  Both certified solves
+check it for each chain with :func:`_certify`, the one place it is
+checked.
 """
 
 from __future__ import annotations
@@ -46,6 +48,7 @@ from .potential import (
     Grid,
     PotentialSamples,
     PotentialSpec,
+    combine_cells,
     sample_potential,
 )
 
@@ -157,20 +160,6 @@ class ChainLayout:
         slot of the scan, padding included."""
         return np.empty((2, -(-self.size // SCAN_WIDTH) * SCAN_WIDTH + 1),
                         dtype=complex)
-
-    def sample_views(self, states: np.ndarray) -> tuple:
-        """Views of a :meth:`node_buffer` as the (lower, mid, upper) samples
-        of every cell slot, shape (3, size), and of the parts to fill: the
-        chains' own cells, (3, chains, min(own, cells)), and the shared
-        ones, (3, cells - own).  Padding cells are set to zero.
-
-        :func:`solve_chains` reads the samples before it writes the node
-        states over them, so one buffer serves both.
-        """
-        samples = states.reshape(-1).view(float)[:3 * self.size].reshape(3, self.size)
-        own = samples[:, :self.chains * self.own].reshape(3, self.chains, self.own)
-        own[:, :, self.cells:] = 0.0
-        return samples, own[:, :, :self.cells], samples[:, self.chains * self.own:]
 
 
 def _cell_steps(k: float, h: float, lower: np.ndarray, mid: np.ndarray,
@@ -389,8 +378,8 @@ def _solve(k: float, grid: Grid, layout: ChainLayout, lower: np.ndarray,
     over its node slots, as the rows of `states` (see :func:`_scan`).
 
     `lower`, `mid` and `upper` hold the samples of every cell slot; they
-    may be views of `states` (:meth:`ChainLayout.sample_views`).  The one
-    scan that every solve goes through.
+    may be views of `states` (see :func:`_sweep_scans`).  The one scan
+    that every solve goes through.
     """
     y0, y1 = _top_state(k, grid.x_max)
     steps = _cell_steps(k, grid.step, lower, mid, upper)
@@ -430,7 +419,7 @@ def integrate_wave_inward(k: float, grid: Grid,
     N = M - I (the RK4 stages, `tests/_oracles.py::rk4_wave_loop`, applied to
     the unit states), written straight into the layout of a recursive suffix
     scan over blocks of SCAN_WIDTH cells (see :func:`_scan`), here of one
-    chain.  Uncertified: :func:`solve_chains` certifies the same scan.
+    chain.  Uncertified: :func:`solve_reference` certifies the same scan.
 
     Returns the (psi, psi') node arrays; psi[-1] is exactly exp(-i k x_max).
 
@@ -461,32 +450,6 @@ def wronskian_residual(k: float, psi: np.ndarray, dpsi: np.ndarray) -> float:
 def _require_positive_k(k: float) -> None:
     if k <= 0.0:
         raise NonpositiveK(f"k must be positive, got {k}")
-
-
-@dataclass(frozen=True)
-class SolvedChains:
-    """Certified RK4 waves of the chains of `layout`, from :func:`solve_chains`.
-
-    `psi` and `dpsi` hold the node states in the layout's node slots, and
-    ``residuals[chain]`` is each chain's certified Wronskian residual.
-    """
-
-    layout: ChainLayout
-    psi: np.ndarray
-    dpsi: np.ndarray
-    residuals: tuple
-
-    def wave(self, chain: int) -> tuple[np.ndarray, np.ndarray]:
-        """The (psi, psi') node arrays of chain `chain`, node 0 first."""
-        parts = [s for s in self.layout.nodes(chain) if s.stop > s.start]
-        if len(parts) == 1:
-            return self.psi[parts[0]], self.dpsi[parts[0]]
-        return tuple(np.concatenate([a[s] for s in parts])
-                     for a in (self.psi, self.dpsi))
-
-    def at_zero(self, chain: int) -> complex:
-        """psi of chain `chain` at x = 0."""
-        return complex(self.psi[self.layout.slot(chain, 0)])
 
 
 def _certify(k: float, tol: float, layout: ChainLayout, psi: np.ndarray,
@@ -529,21 +492,91 @@ def _certify(k: float, tol: float, layout: ChainLayout, psi: np.ndarray,
     return tuple(residuals)
 
 
-def solve_chains(k: float, grid: Grid, layout: ChainLayout, lower: np.ndarray,
-                 mid: np.ndarray, upper: np.ndarray, tol_wronskian: float,
-                 states: np.ndarray | None = None) -> SolvedChains:
-    """Certified RK4 waves of potentials that agree on every cell from
-    `layout.own` up, in one scan.
+#: a scan of a sweep's couplings holds about this many cell slots at most,
+#: or two couplings on a larger grid, since its buffers grow with the
+#: number of its couplings (:func:`_scan_groups`)
+_SCAN_SLOTS = 1 << 18
 
-    `lower`, `mid` and `upper` hold the samples of every cell slot of
-    `layout`: each potential's own cells, then the shared ones once.  The
-    node states are written to `states` when given, a
-    :meth:`ChainLayout.node_buffer` that the samples may be views of.
-    Every block of every level of the scan goes through the same operations
-    as in a solve of one potential alone, so each wave is bit for bit that
-    of :func:`integrate_wave_inward` on its potential, and each is
-    certified on its own (:func:`_certify`).  One chain with `own` 0 is the
-    plain certified solve of one potential.
+
+def _support_cells(u: PotentialSamples) -> int:
+    """Cells from x = 0 up to the last one where any sample of `u` is
+    nonzero; 0 for a `u` that is zero everywhere.
+
+    RK4 reads a cell's ``mid`` as well as its ends, so a cell whose only
+    nonzero sample is its centre counts.
+    """
+    nonzero = np.flatnonzero((u.lower != 0.0) | (u.mid != 0.0) | (u.upper != 0.0))
+    return int(nonzero[-1]) + 1 if nonzero.size else 0
+
+
+def _scan_groups(couplings: list, cells: int, support: int) -> list:
+    """The couplings of a sweep, in order, split into the groups that
+    :func:`_sweep_scans` solves in one scan each.
+
+    A non-finite coupling is a group of its own, since 0 * inf puts NaN on
+    the cells where U is zero as well, so its wave shares no cell.  Finite
+    ones share every cell above U's support and fill a scan up to
+    _SCAN_SLOTS cell slots, and at least two share each scan: one full
+    chain and a second coupling's own cells.
+    """
+    own = ChainLayout.above(2, cells, support).own
+    shared = max(cells - own, 0)
+    per_scan = max(_SCAN_SLOTS - shared, 2 * own) // own if own else len(couplings)
+    groups, group = [], []
+    for c in couplings:
+        if not math.isfinite(c):
+            groups += [group, [c]]
+            group = []
+            continue
+        group.append(c)
+        if len(group) == per_scan:
+            groups.append(group)
+            group = []
+    groups.append(group)
+    return [g for g in groups if g]
+
+
+def _sweep_scans(k: float, grid: Grid, v: PotentialSamples, u: PotentialSamples,
+                 couplings, tol_wronskian: float):
+    """Yield (layout, psi, dpsi, residuals) for each scan of a sweep of the
+    potentials v + c u, one scan per group of :func:`_scan_groups`.
+
+    Above U's support every potential of the sweep is V, so each coupling's
+    own cells run up to U's support, rounded up to whole blocks, and the
+    cells above it are taken once, from the first coupling of the scan.
+    Every block of every level goes through the same operations as in a
+    solve of one potential alone, so each wave is bit for bit that of
+    :func:`integrate_wave_inward` on its potential.
+    """
+    cells = grid.n_points - 1
+    support = _support_cells(u)
+    for group in _scan_groups(list(couplings), cells, support):
+        _require_positive_k(k)
+        weights = np.array(group, dtype=float)
+        layout = ChainLayout.above(len(weights), cells, support)
+        # the samples are views of the node-state buffer, which the solve
+        # writes only once it has read them all; padding cells are zero
+        states = layout.node_buffer()
+        samples = states.reshape(-1).view(float)[:3 * layout.size].reshape(3, -1)
+        own_slots = layout.chains * layout.own
+        own = samples[:, :own_slots].reshape(3, layout.chains, layout.own)
+        own[:, :, cells:] = 0.0
+        # a coupling times U beyond the double range is inf or NaN, and an
+        # overflowed wave gives a NaN residual: both fail the certificate
+        with np.errstate(over="ignore", invalid="ignore"):
+            combine_cells(v, u, weights, slice(0, layout.own), out=own[:, :, :cells])
+            combine_cells(v, u, weights[:1], slice(layout.own, None),
+                          out=samples[:, None, own_slots:])
+            psi, dpsi = _solve(k, grid, layout, *samples, states)
+        yield layout, psi, dpsi, _certify(k, tol_wronskian, layout, psi, dpsi)
+
+
+def solve_sweep(k: float, grid: Grid, v: PotentialSamples, u: PotentialSamples,
+                couplings, tol_wronskian: float) -> list:
+    """(psi(0), certified Wronskian residual) of the RK4 wave of v + c u for
+    each coupling c, in order, with the bits of a full solve at each
+    (:func:`_sweep_scans`).  Each wave is certified on its own, over every
+    node (:func:`_certify`).
 
     Raises
     ------
@@ -553,14 +586,12 @@ def solve_chains(k: float, grid: Grid, layout: ChainLayout, lower: np.ndarray,
         If k x_max is beyond the double range.
     WronskianViolation
         If a residual is non-finite or over the bound, or a wave has a node:
-        that of the first such chain.
+        that of the first such coupling.
     """
-    _require_positive_k(k)
-    # an overflowed wave gives a NaN residual, which fails the certificate
-    with np.errstate(over="ignore", invalid="ignore"):
-        psi, dpsi = _solve(k, grid, layout, lower, mid, upper, states)
-    return SolvedChains(layout, psi, dpsi,
-                        _certify(k, tol_wronskian, layout, psi, dpsi))
+    return [(complex(psi[layout.slot(chain, 0)]), residual)
+            for layout, psi, _, residuals in _sweep_scans(
+                k, grid, v, u, couplings, tol_wronskian)
+            for chain, residual in enumerate(residuals)]
 
 
 def _reference_wave(k: float, grid: Grid, psi: np.ndarray, dpsi: np.ndarray,
@@ -605,9 +636,14 @@ def solve_reference(V: PotentialSpec, k: float, grid: Grid,
         If the integration cannot be certified at the requested tolerance.
     """
     v = sample_potential(V, grid)
-    solved = solve_chains(k, grid, ChainLayout(1, 0, grid.n_points - 1),
-                          v.lower, v.mid, v.upper, tol_wronskian)
-    return _reference_wave(k, grid, *solved.wave(0), solved.residuals[0])
+    _require_positive_k(k)
+    layout = ChainLayout(1, 0, grid.n_points - 1)
+    # an overflowed wave gives a NaN residual, which fails the certificate
+    with np.errstate(over="ignore", invalid="ignore"):
+        psi, dpsi = _solve(k, grid, layout, v.lower, v.mid, v.upper)
+    (residual,) = _certify(k, tol_wronskian, layout, psi, dpsi)
+    return _reference_wave(k, grid, psi[:grid.n_points], dpsi[:grid.n_points],
+                           residual)
 
 
 def analytic_free_reference(k: float, grid: Grid) -> ReferenceWave:

@@ -3,12 +3,13 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 import phaseshift
-from phaseshift import ConfigInvalid
+from phaseshift import ConfigInvalid, cli
 from phaseshift.cli import (MAX_POINTS, main, parse_config, render_csv, run,
                             serialize_config)
 
@@ -385,6 +386,17 @@ def test_non_finite_json_numbers_are_config_errors(tmp_path, capsys):
                     ("NaN", "Infinity", "-Infinity", "1e999", "-1e999"))
 
 
+def test_deeply_nested_config_is_a_config_error(tmp_path, capsys):
+    # json.load recurses once per nesting level: past the interpreter's
+    # recursion limit it raised RecursionError, a traceback with exit code 1
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200000 + "]" * 200000)
+    assert main(["selftest", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("ConfigInvalid: cannot read config: ")
+    assert "Traceback" not in err
+
+
 def test_parse_config_refuses_non_finite_numbers():
     # a document built in Python skips the JSON hooks in main, so
     # parse_config itself refuses NaN and the infinities
@@ -600,3 +612,23 @@ def test_cli_module_refuses_to_run_as_script(tmp_path):
     assert proc.returncode == 2
     assert "run `python -m phaseshift`" in proc.stderr
     assert not out.exists()
+
+
+def test_a_wrong_partition_coefficient_fails_selftest(tmp_path, monkeypatch):
+    # the check must fail when any one coefficient is off: perturb that of
+    # (3, 0, 0), which every other partition check ignores
+    original = cli.enumerate_partitions
+
+    def perturbed(n):
+        return tuple(replace(t, coefficient=t.coefficient + 1e-3)
+                     if t.multiplicities == (3, 0, 0) else t
+                     for t in original(n))
+
+    monkeypatch.setattr(cli, "enumerate_partitions", perturbed)
+    assert cli._check_partition_coefficients() is False
+    out = tmp_path / "selftest.csv"
+    assert main(["selftest", "--config", str(CONFIG_DIR / "selftest.json"),
+                 "--out", str(out)]) == 1
+    _, rows = parse_csv(out.read_text())
+    assert [name for name, status in rows if status == "FAIL"] == [
+        "partition_coefficients"]

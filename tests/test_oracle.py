@@ -1,5 +1,6 @@
 import cmath
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from phaseshift import (
     solve_reference,
     sweep_exact,
 )
-from phaseshift import oracle
+from phaseshift import oracle, refwave
 from phaseshift.oracle import ORACLE_REFINEMENT, halving_ladder
 from phaseshift.potential import combine_samples, sample_potential
 from phaseshift.refwave import integrate_wave_inward
@@ -167,6 +168,25 @@ def test_zero_perturbation_check_is_vacuous():
     assert all(c.status == "INCONCLUSIVE" for c in report.checks)
 
 
+def test_one_zero_remainder_is_inconclusive(barrier_series, barrier, monkeypatch):
+    # an exact phase at the small coupling equal to delta0 leaves truncation
+    # 0 a remainder of exactly zero there, and a nonzero one at the large
+    # coupling: no ratio to take, so INCONCLUSIVE with a NaN p_hat, not a
+    # ZeroDivisionError or a log of zero
+    sweep = oracle.sweep_exact
+
+    def pinned(*args, **kwargs):
+        *rest, small = sweep(*args, **kwargs)
+        return rest + [replace(small, delta_exact=barrier_series.delta0)]
+
+    monkeypatch.setattr(oracle, "sweep_exact", pinned)
+    report = convergence_order_check(barrier_series, ZERO, barrier, (0.1, 0.05))
+    zeroth = report.checks[0]
+    assert zeroth.remainders[1] == 0.0 and zeroth.remainders[0] != 0.0
+    assert zeroth.status == "INCONCLUSIVE"
+    assert math.isnan(zeroth.p_hat)
+
+
 def test_oracle_rejects_nonpositive_k(barrier):
     with pytest.raises(NonpositiveK):
         solve_exact(ZERO, barrier, 0.1, 0.0, Grid(2.0, 101))
@@ -280,8 +300,8 @@ def test_a_sweep_split_over_several_scans_is_still_full_solves(monkeypatch):
     U = PotentialSpec.piecewise_constant([(0.0, 0.5, 1.0)])
     couplings = (0.4, -0.3, 0.2, 0.1, 0.05)
     whole = sweep_exact(ZERO, U, couplings, 1.0, grid, seed_delta=0.2)
-    monkeypatch.setattr(oracle, "_SCAN_SLOTS", 1)
-    assert [len(g) for g in oracle._scan_groups(list(couplings), 400, 100)] == [2, 2, 1]
+    monkeypatch.setattr(refwave, "_SCAN_SLOTS", 1)
+    assert [len(g) for g in refwave._scan_groups(list(couplings), 400, 100)] == [2, 2, 1]
     split = sweep_exact(ZERO, U, couplings, 1.0, grid, seed_delta=0.2)
     assert split == whole
     reference = full_solves(ZERO, U, couplings, 1.0, grid)
@@ -298,7 +318,7 @@ def test_scan_groups_share_the_top_on_any_grid():
     # coupling's own cells; a non-finite coupling is solved alone, and U
     # zero everywhere shares every cell
     couplings = [0.4, 0.2, 0.1, 0.05, 0.025]
-    groups = oracle._scan_groups
+    groups = refwave._scan_groups
     assert groups(couplings, 4000, 1008) == [couplings]
     assert groups(couplings, 1_000_000, 100) == [[0.4, 0.2], [0.1, 0.05], [0.025]]
     assert groups(couplings, 1_000_000, 0) == [couplings]
@@ -315,13 +335,13 @@ def test_a_sweep_over_two_to_the_17_cells_shares_the_top(monkeypatch):
     U = PotentialSpec.piecewise_constant([(0.0, 0.01, 1.0)])
     couplings = (0.4, 0.2, 0.1)
     layouts = []
-    solve = oracle.solve_chains
+    solve = refwave._solve
 
     def recorded(k, grid, layout, *rest):
         layouts.append(layout)
         return solve(k, grid, layout, *rest)
 
-    monkeypatch.setattr(oracle, "solve_chains", recorded)
+    monkeypatch.setattr(refwave, "_solve", recorded)
     swept = sweep_exact(ZERO, U, couplings, 1.0, grid, seed_delta=0.0)
     assert [(lay.chains, lay.own) for lay in layouts] == [(3, 656)]
     assert layouts[0].size == 3 * 656 + cells - 656

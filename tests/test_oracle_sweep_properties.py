@@ -6,7 +6,7 @@ bit, that of a solve of each coupling over the whole grid
 (`tests/_oracles.py::full_solves`): psi(0), the unwrapped phase and the
 Wronskian residual.  Examples are drawn from a fixed seed (``derandomize``),
 so every run checks the same inputs; the module is skipped where hypothesis
-is not installed.  A sibling test takes the waves of the sweep's one scan
+is not installed.  A sibling test takes the waves of the sweep's scans
 and compares every node of every coupling with a full solve's.
 
 The grids run from one cell to 64000 cells: a scan of one level, of two and
@@ -21,9 +21,12 @@ pytest.importorskip("hypothesis")
 from hypothesis import Phase, example, given, settings, strategies as st  # noqa: E402
 
 from phaseshift import Grid, PotentialSpec, solve_exact, sweep_exact  # noqa: E402
-from phaseshift.oracle import _support_cells, _sweep_waves  # noqa: E402
 from phaseshift.potential import combine_samples, sample_potential  # noqa: E402
-from phaseshift.refwave import integrate_wave_inward  # noqa: E402
+from phaseshift.refwave import (  # noqa: E402
+    _support_cells,
+    _sweep_scans,
+    integrate_wave_inward,
+)
 
 from _oracles import full_solves, unwrap  # noqa: E402
 
@@ -119,10 +122,14 @@ def test_sweep_is_bit_identical_to_full_solves(V, U, couplings, k, n_points):
 
 
 def _assert_every_node_is_that_of_a_full_solve(v, u, couplings, k, grid):
-    solved = _sweep_waves(v, u, _support_cells(u), couplings, k, grid, LOOSE_TOL)
-    for chain, c in enumerate(couplings):
+    # each coupling's wave is its own node slots, then the shared ones
+    scans = _sweep_scans(k, grid, v, u, couplings, LOOSE_TOL)
+    waves = [[np.concatenate([a[s] for s in layout.nodes(chain)])
+              for a in (psi, dpsi)]
+             for layout, psi, dpsi, _ in scans for chain in range(layout.chains)]
+    assert len(waves) == len(couplings)
+    for (swept_psi, swept_dpsi), c in zip(waves, couplings):
         psi, dpsi = integrate_wave_inward(k, grid, combine_samples(v, u, c))
-        swept_psi, swept_dpsi = solved.wave(chain)
         assert swept_psi.tobytes() == psi.tobytes()
         assert swept_dpsi.tobytes() == dpsi.tobytes()
 

@@ -111,3 +111,30 @@ def test_the_certificate_trace_point_sees_every_coupling(monkeypatch):
     assert [n for n, _ in seen].count(112) == len(couplings)
     assert sum(n for n, _ in seen) == len(couplings) * 112 + 289
     assert max(r for _, r in seen) == max(r.wronskian_residual for r in results)
+
+
+# Only refwave decides how the chains of a scan are laid out: every other
+# module asks it for waves and never names the layout, its node buffer or
+# the uncertified scan.
+LAYOUT_NAMES = {"ChainLayout", "node_buffer", "_solve"}
+
+
+def _names(path):
+    """Every identifier `path` names: variables, attributes, imports and
+    definitions."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        for field in ("id", "attr", "name"):
+            value = getattr(node, field, None)
+            if isinstance(value, str):
+                names.add(value.split(".")[-1])
+    return names
+
+
+def test_only_refwave_names_the_chain_layout():
+    package = Path(phaseshift.__file__).resolve().parent
+    assert LAYOUT_NAMES <= _names(package / "refwave.py")
+    leaks = [f"{path.name}: {name}" for path in sorted(package.glob("*.py"))
+             if path.name != "refwave.py"
+             for name in sorted(_names(path) & LAYOUT_NAMES)]
+    assert leaks == []

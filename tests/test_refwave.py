@@ -19,7 +19,7 @@ from phaseshift.refwave import (
     integrate_wave_inward,
     phase_from_wave,
     reduce_phase,
-    solve_chains,
+    solve_sweep,
     wronskian_residual,
 )
 
@@ -120,31 +120,32 @@ def test_a_wave_with_a_node_is_refused():
     # the node test refuses this wave.
     k, node = 1.0, "wave has a node; solution untrustworthy"
     mid, upper = -11.500000000000002, -23.5
-    # a single solve: the upper of two cells
+    # a single solve of these samples (v + 0 u with u zero): the upper of
+    # two cells
     grid = Grid(1.0, 3)
     lower = np.zeros(2)
+    zero = PotentialSamples(grid, lower, lower, lower)
     for tol in (10.0, math.inf):
         with pytest.raises(WronskianViolation, match=node):
-            solve_chains(k, grid, ChainLayout(1, 0, 2), lower,
-                         np.array([0.0, mid]), np.array([0.0, upper]), tol)
+            solve_sweep(k, grid, PotentialSamples(grid, lower, np.array([0.0, mid]),
+                                                  np.array([0.0, upper])),
+                        zero, [0.0], tol)
     # a sweep whose second coupling has the node in its own bottom block,
-    # below 18 shared cells of free wave, while the first is free throughout
+    # below 18 shared cells of free wave, while the first is free throughout:
+    # v is free and u the node's samples, at couplings 0 and 1
     grid = Grid(17.0, 35)
     layout = ChainLayout.above(2, 34, 2)
     assert (layout.own, layout.cells - layout.own) == (16, 18)
-    states = layout.node_buffer()
-    samples, own, shared = layout.sample_views(states)
-    own[...], shared[...] = 0.0, 0.0
-    own[1:, 1, 1] = mid, upper
-    with pytest.raises(WronskianViolation, match=node):
-        solve_chains(k, grid, layout, *samples, 10.0, states)
     second = np.zeros((3, 34))
     second[1:, 1] = mid, upper
+    free = PotentialSamples(grid, *np.zeros((3, 34)))
+    with pytest.raises(WronskianViolation, match=node):
+        solve_sweep(k, grid, free, PotentialSamples(grid, *second), [0.0, 1.0], 10.0)
     psi, dpsi = integrate_wave_inward(k, grid, PotentialSamples(grid, *second))
     assert psi[1] == 0.0
     assert wronskian_residual(k, psi, dpsi) <= 10.0 * k
-    free = solve_chains(k, grid, ChainLayout(1, 0, 34), *np.zeros((3, 34)), 10.0)
-    assert free.residuals[0] <= 10.0 * k
+    [(_, residual)] = solve_sweep(k, grid, free, free, [0.0], 10.0)
+    assert residual <= 10.0 * k
 
 
 def test_reduce_phase_branch_convention():
