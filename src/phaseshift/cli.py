@@ -33,8 +33,8 @@ from .refwave import (
     analytic_free_reference,
     solve_reference,
 )
-from .oracle import (ORACLE_REFINEMENT, convergence_order_check,
-                     halving_ladder, solve_exact, sweep_exact)
+from .oracle import (convergence_order_check, halving_ladder, solve_exact,
+                     sweep_series)
 from .series import (assemble_corrections, assemble_series, divergence_flag,
                      evaluate_truncated, log_expansion_reference)
 
@@ -42,8 +42,8 @@ COMMANDS = ("phases", "sweep", "converge", "selftest")
 
 RADIANS_PER_DEGREE = math.pi / 180.0
 
-#: largest grid a config may ask for; the oracle integrates on a grid
-#: ORACLE_REFINEMENT times finer
+#: largest grid a config may ask for; the oracle integrates on a finer one
+#: (:func:`oracle.sweep_series`)
 MAX_POINTS = 1_000_001
 
 
@@ -276,11 +276,13 @@ def serialize_config(config: JobConfig) -> dict:
 # command implementations
 
 
-def _reference(config: JobConfig, k: float):
+def _series(config: JobConfig, k: float):
     # an identically-zero background has an exact reference wave; use it
     if config.V.support_hi == 0.0:
-        return analytic_free_reference(k, config.grid)
-    return solve_reference(config.V, k, config.grid, config.tol_wronskian)
+        ref = analytic_free_reference(k, config.grid)
+    else:
+        ref = solve_reference(config.V, k, config.grid, config.tol_wronskian)
+    return assemble_series(ref, config.U, config.max_order)
 
 
 def _rows_phases(config: JobConfig):
@@ -289,20 +291,16 @@ def _rows_phases(config: JobConfig):
               + ["divergence_flag"])
     rows = []
     for k in config.k_values:
-        series = assemble_series(_reference(config, k), config.U,
-                                 config.max_order)
+        series = _series(config, k)
         rows.append([k, series.delta0, *series.corrections,
                      int(divergence_flag(series, config.couplings[0]))])
     return header, rows
 
 
 def _rows_sweep(config: JobConfig):
-    k = config.k_values[0]
-    series = assemble_series(_reference(config, k), config.U, config.max_order)
-    fine = config.grid.refined(ORACLE_REFINEMENT)
-    exact = sweep_exact(config.V, config.U, config.couplings, k, fine,
-                        seed_delta=series.delta0,
-                        tol_wronskian=config.tol_wronskian)
+    series = _series(config, config.k_values[0])
+    exact = sweep_series(series, config.V, config.U, config.couplings,
+                         config.tol_wronskian)
     orders = range(config.max_order + 1)
     header = (["lambda"]
               + [f"delta_trunc_{n}" for n in orders]
@@ -317,8 +315,7 @@ def _rows_sweep(config: JobConfig):
 
 
 def _rows_converge(config: JobConfig):
-    k = config.k_values[0]
-    series = assemble_series(_reference(config, k), config.U, config.max_order)
+    series = _series(config, config.k_values[0])
     report = convergence_order_check(series, config.V, config.U,
                                      config.couplings,
                                      tol_wronskian=config.tol_wronskian)

@@ -13,13 +13,14 @@ empirical order
 measured on a halving pair of couplings is the convergence certificate.
 
 Comparisons attribute all discrepancy to the series pipeline by running the
-oracle on a 4x finer grid, so its own error is subdominant.
+oracle on a 4x finer grid (:func:`sweep_series`), so its own error is
+subdominant.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,36 +48,15 @@ class OracleResult:
     wronskian_residual: float
 
 
-def _solve_couplings(V: PotentialSpec, U: PotentialSpec, couplings, k: float,
-                     grid: Grid, tol_wronskian: float) -> list:
-    """The certified :class:`OracleResult` of V + c U for each coupling c,
-    on the principal branch: V and U are sampled once, and every coupling
-    is solved by :func:`refwave.solve_sweep`.
-    """
-    couplings = list(couplings)
-    v, u = sample_potential(V, grid), sample_potential(U, grid)
-    return [OracleResult(c, phase_from_wave(psi0), psi0, residual)
-            for c, (psi0, residual) in zip(
-                couplings, solve_sweep(k, grid, v, u, couplings, tol_wronskian))]
-
-
 def solve_exact(V: PotentialSpec, U: PotentialSpec, coupling: float, k: float,
                 grid: Grid,
                 tol_wronskian: float = DEFAULT_WRONSKIAN_TOL) -> OracleResult:
     """Integrate the fully perturbed problem at one coupling: a sweep of one
-    coupling, left on the principal branch.
-
-    Raises
-    ------
-    NonpositiveK
-        If k <= 0.
-    NonFiniteResult
-        If k x_max is beyond the double range.
-    WronskianViolation
-        If the integration cannot be certified (same certificate as the
-        reference wave, which the perturbed wave also obeys).
+    coupling, unwrapped from 0, which leaves it on the principal branch.
+    Raises as :func:`sweep_exact` does.
     """
-    return _solve_couplings(V, U, (coupling,), k, grid, tol_wronskian)[0]
+    return sweep_exact(V, U, (coupling,), k, grid,
+                       tol_wronskian=tol_wronskian)[0]
 
 
 def sweep_exact(V: PotentialSpec, U: PotentialSpec, couplings, k: float,
@@ -87,22 +67,44 @@ def sweep_exact(V: PotentialSpec, U: PotentialSpec, couplings, k: float,
     V and U are sampled once for the whole sweep.  The wave above U's
     support is the same at every coupling, so the couplings are solved
     together and that wave is taken once (:func:`refwave.solve_sweep`).  Every
-    result is bit for bit that of :func:`solve_exact` at its coupling,
-    before unwrapping; each coupling is certified over every node of its
-    wave, and the first that fails raises.
+    wave is bit for bit that of a solve of its coupling alone; each coupling
+    is certified over every node of its wave, and the first that fails
+    raises.
 
     The phase is only defined mod pi; each sweep point picks the
     representative closest to the previous one, starting from `seed_delta`
     (normally the background phase, the exact coupling -> 0 limit).
+
+    Raises
+    ------
+    NonpositiveK, NonFiniteResult
+        If k <= 0, or k x_max is beyond the double range; also for no
+        couplings.
+    WronskianViolation
+        If the integration cannot be certified (same certificate as the
+        reference wave, which the perturbed wave also obeys).
     """
+    couplings = list(couplings)
+    v, u = sample_potential(V, grid), sample_potential(U, grid)
     results = []
     previous = seed_delta
-    for raw in _solve_couplings(V, U, couplings, k, grid, tol_wronskian):
-        shifted = raw.delta_exact + math.pi * round(
-            (previous - raw.delta_exact) / math.pi)
-        results.append(replace(raw, delta_exact=shifted))
-        previous = shifted
+    for c, (psi0, residual) in zip(
+            couplings, solve_sweep(k, grid, v, u, couplings, tol_wronskian)):
+        raw = phase_from_wave(psi0)
+        previous = raw + math.pi * round((previous - raw) / math.pi)
+        results.append(OracleResult(c, previous, psi0, residual))
     return results
+
+
+def sweep_series(series: PhaseSeries, V: PotentialSpec, U: PotentialSpec,
+                 couplings,
+                 tol_wronskian: float = DEFAULT_WRONSKIAN_TOL) -> list:
+    """:func:`sweep_exact` on the series' grid refined ORACLE_REFINEMENT
+    times, from its background phase: the one place that picks the grid
+    and the seed of the exact phases a series is checked against."""
+    return sweep_exact(V, U, couplings, series.k,
+                       series.grid.refined(ORACLE_REFINEMENT),
+                       seed_delta=series.delta0, tol_wronskian=tol_wronskian)
 
 
 @dataclass(frozen=True)
@@ -191,9 +193,7 @@ def convergence_order_check(series: PhaseSeries, V: PotentialSpec,
             "largest coupling is outside the perturbative window"
         )
 
-    fine = series.grid.refined(ORACLE_REFINEMENT)
-    exact = sweep_exact(V, U, couplings, series.k, fine,
-                        seed_delta=series.delta0, tol_wronskian=tol_wronskian)
+    exact = sweep_series(series, V, U, couplings, tol_wronskian)
 
     idx_small, idx_big = len(couplings) - 1, len(couplings) - 2
     step = series.grid.step

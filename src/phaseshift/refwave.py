@@ -20,11 +20,12 @@ blocks above them, taken once, go through every level of the scan
 together.  Blocks are aligned from x = 0, so each block product and
 block-top state depends only on the cells at or above its block, and every
 chain's wave is bit for bit that of a scan of its potential alone.  One
-chain is the plain solve of one potential: :func:`integrate_wave_inward`
-uncertified, and :func:`solve_reference` certified.  :func:`solve_sweep`
-solves the couplings of a sweep, and this module alone decides how their
-chains are laid out: the oracle asks it for each coupling's psi(0) and
-residual.
+chain is the plain solve of one potential, :func:`integrate_wave_inward`,
+which :func:`solve_reference` certifies.  :func:`solve_sweep` solves the
+couplings of a sweep, and this module alone decides how their chains are
+laid out: the oracle asks it for each coupling's psi(0) and residual.
+k is checked in one place, :func:`_top_state`, which every entry reaches
+before any work.
 
 The Wronskian  psi * conj(psi)' - conj(psi) * psi' = 2ik  is an exact
 invariant of the continuum equation; its maximum grid residual is the
@@ -379,7 +380,7 @@ def _solve(k: float, grid: Grid, layout: ChainLayout, lower: np.ndarray,
 
     `lower`, `mid` and `upper` hold the samples of every cell slot; they
     may be views of `states` (see :func:`_sweep_scans`).  The one scan
-    that every solve goes through.
+    that every solve goes through; it starts from :func:`_top_state`.
     """
     y0, y1 = _top_state(k, grid.x_max)
     steps = _cell_steps(k, grid.step, lower, mid, upper)
@@ -394,8 +395,12 @@ def _solve(k: float, grid: Grid, layout: ChainLayout, lower: np.ndarray,
 def _top_state(k: float, x_max: float) -> tuple[complex, complex]:
     """(psi, psi') at x_max: the free outgoing wave exp(-i k x).
 
-    Raises :class:`NonFiniteResult` when k x_max leaves the double range.
+    The one check of k, which every entry reaches before any work: raises
+    :class:`NonpositiveK` when k <= 0, and :class:`NonFiniteResult` when
+    k x_max leaves the double range, as it does for a NaN k.
     """
+    if k <= 0.0:
+        raise NonpositiveK(f"k must be positive, got {k}")
     if not math.isfinite(k * x_max):
         raise NonFiniteResult(
             f"k * x_max = {k!r} * {x_max!r} is beyond the double range")
@@ -419,12 +424,14 @@ def integrate_wave_inward(k: float, grid: Grid,
     N = M - I (the RK4 stages, `tests/_oracles.py::rk4_wave_loop`, applied to
     the unit states), written straight into the layout of a recursive suffix
     scan over blocks of SCAN_WIDTH cells (see :func:`_scan`), here of one
-    chain.  Uncertified: :func:`solve_reference` certifies the same scan.
+    chain.  Uncertified: :func:`solve_reference` certifies its result.
 
     Returns the (psi, psi') node arrays; psi[-1] is exactly exp(-i k x_max).
 
     Raises
     ------
+    NonpositiveK
+        If k <= 0.
     NonFiniteResult
         If k x_max is beyond the double range, so the state at x_max is not
         finite.
@@ -445,11 +452,6 @@ def wronskian_residual(k: float, psi: np.ndarray, dpsi: np.ndarray) -> float:
     w -= psi.real * dpsi.imag
     w -= k
     return 2.0 * float(np.max(np.abs(w, out=w)))
-
-
-def _require_positive_k(k: float) -> None:
-    if k <= 0.0:
-        raise NonpositiveK(f"k must be positive, got {k}")
 
 
 def _certify(k: float, tol: float, layout: ChainLayout, psi: np.ndarray,
@@ -548,10 +550,10 @@ def _sweep_scans(k: float, grid: Grid, v: PotentialSamples, u: PotentialSamples,
     solve of one potential alone, so each wave is bit for bit that of
     :func:`integrate_wave_inward` on its potential.
     """
+    _top_state(k, grid.x_max)  # checks k, also for no couplings
     cells = grid.n_points - 1
     support = _support_cells(u)
     for group in _scan_groups(list(couplings), cells, support):
-        _require_positive_k(k)
         weights = np.array(group, dtype=float)
         layout = ChainLayout.above(len(weights), cells, support)
         # the samples are views of the node-state buffer, which the solve
@@ -632,18 +634,18 @@ def solve_reference(V: PotentialSpec, k: float, grid: Grid,
     ------
     NonpositiveK
         If k <= 0.
+    NonFiniteResult
+        If k x_max is beyond the double range.
     WronskianViolation
         If the integration cannot be certified at the requested tolerance.
     """
     v = sample_potential(V, grid)
-    _require_positive_k(k)
-    layout = ChainLayout(1, 0, grid.n_points - 1)
     # an overflowed wave gives a NaN residual, which fails the certificate
     with np.errstate(over="ignore", invalid="ignore"):
-        psi, dpsi = _solve(k, grid, layout, v.lower, v.mid, v.upper)
-    (residual,) = _certify(k, tol_wronskian, layout, psi, dpsi)
-    return _reference_wave(k, grid, psi[:grid.n_points], dpsi[:grid.n_points],
-                           residual)
+        psi, dpsi = integrate_wave_inward(k, grid, v)
+    (residual,) = _certify(k, tol_wronskian, ChainLayout(1, 0, grid.n_points - 1),
+                           psi, dpsi)
+    return _reference_wave(k, grid, psi, dpsi, residual)
 
 
 def analytic_free_reference(k: float, grid: Grid) -> ReferenceWave:
@@ -651,10 +653,10 @@ def analytic_free_reference(k: float, grid: Grid) -> ReferenceWave:
 
     psi and psi' = -ik psi carry no integrator error; the auxiliaries come
     from psi as in :func:`solve_reference`, exp(-2ikx) and exp(2ikx) - 1 up
-    to rounding.
+    to rounding.  Raises as :func:`_top_state` does for a bad k.
     """
-    _require_positive_k(k)
-    # k x beyond the double range gives a NaN wave: NonFiniteResult, no warning
+    _top_state(k, grid.x_max)
+    # near the top of the double range the residual can overflow, silently
     with np.errstate(over="ignore", invalid="ignore"):
         psi = np.exp(-1j * k * grid.nodes)
         dpsi = -1j * k * psi

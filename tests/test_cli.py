@@ -12,6 +12,7 @@ import phaseshift
 from phaseshift import ConfigInvalid, cli
 from phaseshift.cli import (MAX_POINTS, main, parse_config, render_csv, run,
                             serialize_config)
+from phaseshift.series import assemble_corrections
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -386,6 +387,18 @@ def test_non_finite_json_numbers_are_config_errors(tmp_path, capsys):
                     ("NaN", "Infinity", "-Infinity", "1e999", "-1e999"))
 
 
+def test_non_numbers_and_nonpositive_extents_are_config_errors(tmp_path, capsys):
+    # x_max and the tolerances must be positive numbers, and 'tolerances'
+    # an object
+    _assert_refused(tmp_path, capsys,
+                    {"x_max": ("grid", "x_max"),
+                     "tol_wronskian": ("tolerances", "tol_wronskian"),
+                     "eps_tail": ("tolerances", "eps_tail")},
+                    ('"2.0"', "null", "0", "-1.5"))
+    _assert_refused(tmp_path, capsys, {"tolerances": ("tolerances",)},
+                    ("[]", '"tight"', "1e-8"))
+
+
 def test_deeply_nested_config_is_a_config_error(tmp_path, capsys):
     # json.load recurses once per nesting level: past the interpreter's
     # recursion limit it raised RecursionError, a traceback with exit code 1
@@ -632,3 +645,32 @@ def test_a_wrong_partition_coefficient_fails_selftest(tmp_path, monkeypatch):
     _, rows = parse_csv(out.read_text())
     assert [name for name, status in rows if status == "FAIL"] == [
         "partition_coefficients"]
+
+
+def _selftest_failures(tmp_path):
+    # run the selftest config: it must exit 1; the checks that read FAIL
+    out = tmp_path / "selftest.csv"
+    assert main(["selftest", "--config", str(CONFIG_DIR / "selftest.json"),
+                 "--out", str(out)]) == 1
+    _, rows = parse_csv(out.read_text())
+    return [name for name, status in rows if status == "FAIL"]
+
+
+def test_a_selftest_check_that_raises_reads_fail(tmp_path, monkeypatch):
+    def crashing(*args):
+        raise ZeroDivisionError("division by zero")
+
+    monkeypatch.setattr(cli, "log_expansion_reference", crashing)
+    assert _selftest_failures(tmp_path) == ["partition_vs_log_recurrence"]
+
+
+def test_a_partition_sum_off_the_log_recurrence_fails_selftest(tmp_path,
+                                                               monkeypatch):
+    # one correction of the all-orders partition sum is off by 1e-9
+    def perturbed(f, n):
+        return [d + (1e-9 if order == 5 else 0.0)
+                for order, d in enumerate(assemble_corrections(f, n), start=1)]
+
+    monkeypatch.setattr(cli, "assemble_corrections", perturbed)
+    assert cli._check_partition_vs_recurrence() is False
+    assert _selftest_failures(tmp_path) == ["partition_vs_log_recurrence"]

@@ -15,7 +15,7 @@ from phaseshift import (
     sample_potential,
     simpson_weights,
 )
-from phaseshift.potential import require_same_grid
+from phaseshift.potential import PotentialSamples, require_same_grid
 
 
 def test_grid_nodes_are_multiples_of_step():
@@ -304,6 +304,16 @@ def test_require_same_grid_raises_on_mismatch():
     assert require_same_grid(f, f) == f.grid
     with pytest.raises(GridMismatch):
         require_same_grid(f, g)
+
+
+def test_samples_of_the_wrong_length_are_refused():
+    g = Grid(2.0, 5)
+    right, wrong = np.zeros(4), np.zeros(5)
+    for channels in ((wrong, right, right), (right, wrong, right),
+                     (right, right, wrong)):
+        with pytest.raises(GridMismatch):
+            PotentialSamples(g, *channels)
+    assert PotentialSamples(g, right, right, right).mid.shape == (4,)
 
 
 def test_grid_function_rejects_bad_values():

@@ -138,3 +138,30 @@ def test_only_refwave_names_the_chain_layout():
              if path.name != "refwave.py"
              for name in sorted(_names(path) & LAYOUT_NAMES)]
     assert leaks == []
+
+
+# One owner for each decision on the way into an exact solve: only oracle
+# picks the oracle's grid (oracle.sweep_series), and only refwave._top_state
+# checks k.
+def _raisers(path, error):
+    """Names of the functions of `path` whose body raises `error`."""
+    found = []
+    for function in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for node in ast.walk(function):
+                exc = getattr(node, "exc", None)
+                if isinstance(node, ast.Raise) and isinstance(exc, ast.Call):
+                    exc = exc.func
+                if isinstance(exc, ast.Name) and exc.id == error:
+                    found.append(f"{path.stem}.{function.name}")
+    return found
+
+
+def test_one_owner_of_the_oracle_grid_and_of_the_k_check():
+    package = Path(phaseshift.__file__).resolve().parent
+    modules = sorted(package.glob("*.py"))
+    assert "ORACLE_REFINEMENT" in _names(package / "oracle.py")
+    assert [path.name for path in modules if path.name != "oracle.py"
+            and "ORACLE_REFINEMENT" in _names(path)] == []
+    assert [name for path in modules
+            for name in _raisers(path, "NonpositiveK")] == ["refwave._top_state"]

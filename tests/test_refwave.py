@@ -6,12 +6,15 @@ import pytest
 
 from phaseshift import (
     Grid,
+    NonFiniteResult,
     NonpositiveK,
     PotentialSpec,
     WronskianViolation,
     analytic_free_reference,
     compute_hierarchy,
+    solve_exact,
     solve_reference,
+    sweep_exact,
 )
 from phaseshift.potential import PotentialSamples, combine_samples, sample_potential
 from phaseshift.refwave import (
@@ -98,6 +101,38 @@ def test_nonpositive_k_rejected():
         solve_reference(PotentialSpec.zero(), 0.0, g)
     with pytest.raises(NonpositiveK):
         analytic_free_reference(-1.0, g)
+
+
+_BARRIER = PotentialSpec.piecewise_constant([(0.0, 1.0, 1.0)])
+_ZERO = PotentialSpec.zero()
+_GRID = Grid(2.0, 11)
+_SAMPLES = sample_potential(_BARRIER, _GRID)
+
+# every way into an exact solve, as a function of k
+_K_ENTRIES = {
+    "integrate_wave_inward": lambda k: integrate_wave_inward(k, _GRID, _SAMPLES),
+    "solve_reference": lambda k: solve_reference(_BARRIER, k, _GRID),
+    "analytic_free_reference": lambda k: analytic_free_reference(k, _GRID),
+    "solve_exact": lambda k: solve_exact(_ZERO, _BARRIER, 0.1, k, _GRID),
+    "sweep_exact_empty": lambda k: sweep_exact(_ZERO, _BARRIER, [], k, _GRID),
+    "sweep_exact_two": lambda k: sweep_exact(_ZERO, _BARRIER, [0.1, 0.05], k,
+                                             _GRID),
+    "solve_sweep": lambda k: solve_sweep(k, _GRID, _SAMPLES, _SAMPLES, [0.1],
+                                         1e-8),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_K_ENTRIES))
+@pytest.mark.parametrize("k, error", [
+    (0.0, NonpositiveK), (-1.0, NonpositiveK),
+    (math.nan, NonFiniteResult), (1e308, NonFiniteResult),  # k x_max = 2e308
+])
+def test_every_entry_checks_k(entry, k, error):
+    # refwave._top_state is the one check of k, and every entry reaches it
+    # before any work: a sweep of no couplings too
+    with pytest.raises(error) as raised:
+        _K_ENTRIES[entry](k)
+    assert type(raised.value) is error
 
 
 def test_wronskian_violation_on_coarse_strong_potential():
