@@ -35,12 +35,8 @@ from .potential import (
     simpson_weights,
 )
 from .refwave import ReferenceWave, analytic_free_reference, solve_reference
-from .hierarchy import (
-    HierarchyResult,
-    apply_recursion_step,
-    compute_hierarchy,
-    step_by_double_integral,
-)
+from .hierarchy import (HierarchyResult, compute_hierarchy,
+                        step_by_double_integral)
 from .partitions import (
     MAX_ORDER,
     PartitionTuple,
@@ -102,7 +98,6 @@ __all__ = [
     "TruncationTooHigh",
     "WronskianViolation",
     "analytic_free_reference",
-    "apply_recursion_step",
     "assemble_delta_n",
     "assemble_series",
     "combine_samples",

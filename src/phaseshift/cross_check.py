@@ -62,14 +62,19 @@ def nested_integral(factors: NestedIntegrandSet) -> complex:
 
     Innermost accumulation first: G_m(x) = integral_x^xmax F_m, then each
     outer level integrates F_j * G_{j+1}; the returned value is G_1(0).
+    Raises NonFiniteResult when it overflows.
     """
     step = factors.grid.step
     acc = None
-    for lower, upper in reversed(factors.factors):
-        if acc is not None:
-            lower = lower * acc[:-1]
-            upper = upper * acc[1:]
-        acc = cumulative_from_right(lower, upper, step)
+    # an overflow is reported as NonFiniteResult, not as a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lower, upper in reversed(factors.factors):
+            if acc is not None:
+                lower = lower * acc[:-1]
+                upper = upper * acc[1:]
+            acc = cumulative_from_right(lower, upper, step)
+    if not np.isfinite(acc[0]):
+        raise NonFiniteResult("nested integral overflows")
     return complex(acc[0])
 
 
@@ -80,9 +85,12 @@ def integrand_factors(ref: ReferenceWave, u, powers) -> NestedIntegrandSet:
     base = ref.density.values
     r = ref.ratio_shift.values
     factors = []
-    for p in powers:
-        core = base * r ** p if p else base
-        factors.append((samples.lower * core[:-1], samples.upper * core[1:]))
+    # an overflowing factor is refused by NestedIntegrandSet, not warned of
+    with np.errstate(over="ignore", invalid="ignore"):
+        for p in powers:
+            core = base * r ** p if p else base
+            factors.append((samples.lower * core[:-1],
+                            samples.upper * core[1:]))
     return NestedIntegrandSet(grid, tuple(factors))
 
 

@@ -22,23 +22,25 @@ from the first to the last one whose ``lower`` or ``upper`` sample of U is
 nonzero.  Above the window every correction is exactly zero; below it, W
 and P no longer change, so the correction is W - r(x) P with the two
 integrals over the whole window, and at x = 0, where r is exactly 0, it is
-W.  Only g changes from one order to the next, so the weights are folded
-once per series, over the window only: the trapezoid half-step, 1/(ik), and
-U and d at the lower and the upper end of each cell.  Both integrals are
-cumulative sums from the window's top down, through reversed views, whose
-entry at the top stays 0.  One order is then four products, two sums, the
-two cumulative sums and g = W - r P on the window; the two complex
-cumulative sums are most of its cost.  They add the same terms in the same
-order as over the whole grid, so every nonzero value is the same to the
-bit; an exact zero can carry the other sign, since the whole grid also adds
-the signed zeros of the cells the window skips.
+W.  The series reads only f_n(0), so :func:`compute_hierarchy`, the one
+runner of the operator, keeps g on the window and builds the correction
+below it only to check it for an overflow.  Only g changes from one order
+to the next, so it folds the weights once per series, over the window only:
+the trapezoid half-step, 1/(ik), and U and d at the lower and the upper end
+of each cell.  Both integrals are cumulative sums from the window's top
+down, through reversed views, whose entry at the top stays 0.  One order is
+then four products, two sums, the two cumulative sums and g = W - r P on
+the window; the two complex cumulative sums are most of its cost.  They add
+the same terms in the same order as over the whole grid, so every nonzero
+value is the same to the bit; an exact zero can carry the other sign, since
+the whole grid also adds the signed zeros of the cells the window skips.
 
 The mathematically equivalent double-integral form (inner integral of
-2 U d g, outer integral against 1/d) is kept as an independent,
-differently-discretized path for cross-validation; there the factor 2 is
-genuine, because collapsing the double integral to the single-integral form
-absorbs it into the identity
-integral_x^z dy / d(y) = (r(z) - r(x)) / (2ik).
+2 U d g, outer integral against 1/d) is kept as
+:func:`step_by_double_integral`, an independent, differently-discretized
+path for cross-validation; there the factor 2 is genuine, because
+collapsing the double integral to the single-integral form absorbs it into
+the identity integral_x^z dy / d(y) = (r(z) - r(x)) / (2ik).
 """
 
 from __future__ import annotations
@@ -64,107 +66,21 @@ class HierarchyResult:
     values_at_zero: tuple
 
 
-def _recursion(ref: ReferenceWave, u):
-    """The hierarchy operator for `ref` and `u`, built once over U's cells.
-
-    Cell c spans nodes c and c + 1.  The window is the run of cells from
-    the first to the last one with a nonzero weight, that is with U's
-    ``lower`` or ``upper`` sample nonzero.  Returns None when no cell has
-    one, and otherwise ``(nodes, step, ends)``:
-
-    * ``nodes`` -- the slice of nodes the window spans;
-    * ``step`` -- maps the values of g on those nodes to those of the next
-      correction in a new array;
-    * ``ends`` -- a view of the last step's totals (W, P) over the window,
-      so the next correction at a node below it is W - r P.
-    """
-    grid = ref.grid
-    samples = sample_potential(u, grid)
+def _window(samples) -> slice | None:
+    """The cells from the first to the last one with U's ``lower`` or
+    ``upper`` sample nonzero (cell c spans nodes c and c + 1), or None."""
     cells = np.flatnonzero((samples.lower != 0.0) | (samples.upper != 0.0))
     if not cells.size:
         return None
-    window = slice(int(cells[0]), int(cells[-1]) + 1)
-    nodes = slice(window.start, window.stop + 1)
-    scale = 0.5 * grid.step / (1j * ref.k)
-    d = ref.density.values[nodes]
-    # an overflowing weight ends in the callers' NonFiniteResult, not a warning
-    with np.errstate(over="ignore", invalid="ignore"):
-        lower = samples.lower[window] * d[:-1] * scale
-        upper = samples.upper[window] * d[1:] * scale
-    r = ref.ratio_shift.values[nodes]
-    r_lo, r_hi = r[:-1], r[1:]
-    m = len(r)
-    lo, hi, lo_r, hi_r = (np.empty(m - 1, dtype=complex) for _ in range(4))
-    # one row each for the integrals W (of the weights times r g) and P;
-    # the first column holds their totals over the window
-    sums = np.zeros((2, m), dtype=complex)
-    weighted, plain = sums
-
-    def step(g: np.ndarray) -> np.ndarray:
-        np.multiply(lower, g[:-1], out=lo)
-        np.multiply(upper, g[1:], out=hi)
-        np.multiply(lo, r_lo, out=lo_r)
-        np.multiply(hi, r_hi, out=hi_r)
-        np.add(lo_r, hi_r, out=lo_r)
-        np.add(lo, hi, out=lo)
-        np.cumsum(lo_r[::-1], out=weighted[-2::-1])
-        np.cumsum(lo[::-1], out=plain[-2::-1])
-        out = r * plain
-        np.subtract(weighted, out, out=out)
-        return out
-
-    return nodes, step, sums[:, 0]
-
-
-def apply_recursion_step(ref: ReferenceWave, u,
-                         g: ComplexGridFunction) -> ComplexGridFunction:
-    """One application of the hierarchy operator to grid function `g`.
-
-    Folds the weights (U, d, the half-step and 1/(ik) at both nodes of each
-    cell) over the window of cells where U is nonzero, applies the step
-    there, and extends the result to the whole grid: exact zeros above the
-    window, and W - r(x) P below it, with W and P the two integrals over
-    the window.  The step is the one :func:`compute_hierarchy` applies at
-    every order after folding the weights once.
-
-    Parameters
-    ----------
-    ref : ReferenceWave
-        Reference wave bundle; supplies k, density and ratio_shift.
-    u : PotentialSpec
-        Perturbing potential.  Its samples carry one-sided limits, so jump
-        discontinuities at grid nodes cost no accuracy.
-    g : ComplexGridFunction
-        Function to advance one order.
-
-    Returns
-    -------
-    ComplexGridFunction
-        The next correction; identically zero beyond the support of `u`.
-
-    Raises
-    ------
-    NonFiniteResult
-        If the next correction overflows to inf or NaN.
-    """
-    grid = require_same_grid(ref.psi, g)
-    out = np.zeros(grid.n_points, dtype=complex)
-    window = _recursion(ref, u)
-    if window is not None:
-        nodes, step, ends = window
-        r_below = ref.ratio_shift.values[:nodes.start]
-        # an overflow is reported as NonFiniteResult, not as a warning
-        with np.errstate(over="ignore", invalid="ignore"):
-            out[nodes] = step(g.values[nodes])
-            out[:nodes.start] = ends[0] - r_below * ends[1]
-    return ComplexGridFunction(grid, out)
+    return slice(int(cells[0]), int(cells[-1]) + 1)
 
 
 def compute_hierarchy(ref: ReferenceWave, u, order: int) -> HierarchyResult:
     """Iterate the recursion operator from the constant function 1.
 
-    Each order runs on the window of cells where U is nonzero only; f_n(0)
-    is W - r(0) P from that order's two window integrals.
+    Folds the weights once over the window of cells where U is nonzero,
+    then runs every order there; f_n(0) is W - r(0) P from that order's
+    two window integrals.
 
     Raises
     ------
@@ -175,18 +91,41 @@ def compute_hierarchy(ref: ReferenceWave, u, order: int) -> HierarchyResult:
     """
     if order < 1:
         raise OrderOutOfRange(f"order must be >= 1, got {order}")
-    window = _recursion(ref, u)
+    grid = ref.grid
+    samples = sample_potential(u, grid)
+    window = _window(samples)
     if window is None:
         return HierarchyResult(values_at_zero=(0j,) * order)
-    nodes, step, ends = window
+    nodes = slice(window.start, window.stop + 1)
+    scale = 0.5 * grid.step / (1j * ref.k)
+    d = ref.density.values[nodes]
+    r = ref.ratio_shift.values[nodes]
+    r_lo, r_hi = r[:-1], r[1:]
     r_below = ref.ratio_shift.values[:nodes.start]
-    g = np.ones(nodes.stop - nodes.start, dtype=complex)
+    m = len(r)
+    lo, hi, lo_r, hi_r = (np.empty(m - 1, dtype=complex) for _ in range(4))
+    # one row each for the integrals W (of the weights times r g) and P;
+    # the first column holds their totals over the window
+    sums = np.zeros((2, m), dtype=complex)
+    weighted, plain = sums
     totals = np.empty((2, order), dtype=complex)
+    g = np.ones(m, dtype=complex)
     # an overflow is reported once, as NonFiniteResult, not as a warning
     with np.errstate(over="ignore", invalid="ignore"):
+        lower = samples.lower[window] * d[:-1] * scale
+        upper = samples.upper[window] * d[1:] * scale
         for n in range(order):
-            g = step(g)
-            totals[:, n] = ends
+            np.multiply(lower, g[:-1], out=lo)
+            np.multiply(upper, g[1:], out=hi)
+            np.multiply(lo, r_lo, out=lo_r)
+            np.multiply(hi, r_hi, out=hi_r)
+            np.add(lo_r, hi_r, out=lo_r)
+            np.add(lo, hi, out=lo)
+            np.cumsum(lo_r[::-1], out=weighted[-2::-1])
+            np.cumsum(lo[::-1], out=plain[-2::-1])
+            np.multiply(r, plain, out=g)
+            np.subtract(weighted, g, out=g)
+            totals[:, n] = sums[:, 0]
         values = totals[0] - ref.ratio_shift.values[0] * totals[1]
         if r_below.size:
             # Below the window f_n = W_n - r P_n, which no later order reads:
@@ -213,16 +152,17 @@ def step_by_double_integral(ref: ReferenceWave, u,
 
     inner(y) = integral_y^xmax 2 U d f_prev dz, then the result is
     integral_x^xmax inner(y) / d(y) dy.  Numerically independent of
-    :func:`apply_recursion_step` (different discretization of a different
+    :func:`compute_hierarchy` (different discretization of a different
     formula), which is exactly what makes the agreement of the two a
-    meaningful check.
+    meaningful check.  Raises NonFiniteResult if the result overflows.
     """
     grid = require_same_grid(ref.psi, f_prev)
     samples = sample_potential(u, grid)
-
-    base = 2.0 * ref.density.values * f_prev.values
-    inner = cumulative_from_right(samples.lower * base[:-1],
-                                  samples.upper * base[1:], grid.step)
-    outer = inner / ref.density.values
-    outer = cumulative_from_right(outer[:-1], outer[1:], grid.step)
+    # an overflow is reported as NonFiniteResult, not as a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        base = 2.0 * ref.density.values * f_prev.values
+        inner = cumulative_from_right(samples.lower * base[:-1],
+                                      samples.upper * base[1:], grid.step)
+        outer = inner / ref.density.values
+        outer = cumulative_from_right(outer[:-1], outer[1:], grid.step)
     return ComplexGridFunction(grid, outer)

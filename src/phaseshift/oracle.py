@@ -133,9 +133,14 @@ def _noise_floor(step: float, x_max: float, coupling: float, truncation: int,
     series coefficient (summed with their coupling powers), O(step^4) wave
     integration on both grids, and floating-point noise on the comparison.
     Constants are order-one by calibration; the model only needs to be
-    right to a factor of a few, since it gates a 10x margin.
+    right to a factor of a few, since it gates a 10x margin.  A power of a
+    coupling (they are positive) that overflows makes the floor inf.
     """
-    quad = step * step * sum(coupling ** n for n in range(1, truncation + 1))
+    try:
+        quad = step * step * sum(coupling ** n
+                                 for n in range(1, truncation + 1))
+    except OverflowError:
+        quad = math.inf
     rk4 = 2.0 * step ** 4 * x_max
     rounding = 50.0 * np.finfo(float).eps * max(1.0, abs(delta_exact))
     return quad + rk4 + rounding

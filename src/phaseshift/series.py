@@ -16,6 +16,7 @@ machine precision on random inputs is one of the package's core checks.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -177,6 +178,9 @@ def evaluate_truncated(series: PhaseSeries, coupling: float,
         If `truncation` exceeds the assembled order.
     OrderOutOfRange
         If `truncation` is negative.
+    NonFiniteResult
+        If the sum overflows.  A delta_n of exactly 0.0 adds nothing, also
+        where coupling^n overflows.
     """
     if truncation < 0:
         raise OrderOutOfRange(f"truncation must be >= 0, got {truncation}")
@@ -188,7 +192,11 @@ def evaluate_truncated(series: PhaseSeries, coupling: float,
     power = 1.0
     for n in range(1, truncation + 1):
         power *= coupling
-        total += power * series.corrections[n - 1]
+        correction = series.corrections[n - 1]
+        if correction != 0.0 or math.isfinite(power):
+            total += power * correction
+    if not math.isfinite(total):
+        raise NonFiniteResult(f"truncation {truncation} overflows")
     return total
 
 

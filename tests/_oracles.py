@@ -9,8 +9,8 @@ exceptions are :func:`partition_sum_loop`, which walks the package's own
 partition enumeration (pinned by brute force in ``test_partitions``) because
 it is a reference for the arithmetic of the sum, not for the partitions, and
 :func:`full_grid_recursion`, which samples U through the package and takes
-its reference wave because it is a reference for the windowed hierarchy
-step, not for the sampling or the wave, and :func:`full_solves`, which
+its reference wave because it is a reference for the windowed hierarchy,
+not for the sampling or the wave, and :func:`full_solves`, which
 combines, integrates and certifies through the package one coupling at a
 time because it is a reference for the oracle's shared sweep, not for the
 propagator.
@@ -236,14 +236,6 @@ def full_grid_recursion(ref, u):
         return out
 
     return step
-
-
-def full_grid_step(ref, u, g):
-    """Node values (x = 0 first) of the next correction after the node
-    values `g`, as the former ``apply_recursion_step`` computed them."""
-    step = full_grid_recursion(ref, u)
-    with np.errstate(over="ignore", invalid="ignore"):
-        return step(np.ascontiguousarray(g[::-1]))[::-1]
 
 
 def full_grid_hierarchy(ref, u, order):

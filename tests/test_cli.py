@@ -472,6 +472,37 @@ def test_huge_couplings_flag_divergence_without_a_traceback(tmp_path, capsys):
             assert rows[0][-1] == flag, coupling
 
 
+# coupling ** n overflows to inf where a correction has underflowed to 0.0:
+# the sweep printed nan cells (inf times 0.0), and converge ended in an
+# OverflowError from the noise floor's coupling ** n, with U or without it
+TINY_BARRIER = {"kind": "piecewise_constant", "segments": [[0.0, 1.0, 1e-300]]}
+OVERFLOWING_TRUNCATIONS = {
+    "sweep": ("sweep", [1e155, 1e100], 4, TINY_BARRIER),
+    "converge": ("converge", [1e200, 5e199], 3, TINY_BARRIER),
+    "converge without U": ("converge", [1e200, 5e199], 3, None),
+}
+
+
+@pytest.mark.parametrize("case", OVERFLOWING_TRUNCATIONS)
+def test_overflowing_truncations_give_finite_cells_without_a_traceback(
+        case, tmp_path, capsys):
+    command, couplings, max_order, u = OVERFLOWING_TRUNCATIONS[case]
+    doc = {"command": command, "k": 1.0, "lambda": couplings,
+           "max_order": max_order, "grid": {"x_max": 2.0, "n_points": 101}}
+    if u is not None:
+        doc["U"] = u
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(doc))
+    assert main([command, "--config", str(path)]) == 0
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    header, rows = parse_csv(captured.out)
+    if command == "converge":
+        # the floor saturates to inf, so no remainder is measurable
+        assert [row.pop(2) for row in rows] == ["INCONCLUSIVE"] * 4
+    assert all(math.isfinite(float(cell)) for row in rows for cell in row)
+
+
 def test_converge_without_perturbation_is_inconclusive(tmp_path, capsys):
     # U omitted: every remainder sits below the noise floor, so the check is
     # vacuous, not an error

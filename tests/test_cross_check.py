@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -128,3 +130,24 @@ def test_factor_set_validation():
     # the factors are copies that cannot be written
     factors = NestedIntegrandSet(grid, ((lower, upper),))
     assert not factors.factors[0][0].flags.writeable
+
+
+def test_overflowing_closed_forms_raise_without_warnings():
+    # Unit barrier on [0, 1], free wave at k = 1.  At 1e308 every factor is
+    # finite but the sum overflows, at 1e200 the product of two levels
+    # does, and at 1.7e308 a factor U d r itself does.  These returned NaN
+    # after RuntimeWarnings.
+    ref = analytic_free_reference(1.0, Grid(2.0, 201))
+    for direct, height in ((delta1_direct, 1e308), (delta2_direct, 1e200),
+                           (delta3_direct, 1e150), (delta1_direct, 1.7e308)):
+        u = PotentialSpec.piecewise_constant([(0.0, 1.0, height)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteResult):
+                direct(ref, u)
+    # a single finite factor whose integral overflows
+    big = np.full(ref.grid.n_points - 1, 1e308, dtype=complex)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteResult):
+            nested_integral(NestedIntegrandSet(ref.grid, ((big, big),)))

@@ -14,16 +14,16 @@ from phaseshift import (
     OrderOutOfRange,
     PotentialSpec,
     analytic_free_reference,
-    apply_recursion_step,
     compute_hierarchy,
     sample_potential,
     solve_reference,
     step_by_double_integral,
 )
 
-from phaseshift.hierarchy import _recursion
+from phaseshift.hierarchy import _window
 
-from _oracles import full_grid_hierarchy, full_grid_step, recursion_step_loop
+from _oracles import (full_grid_hierarchy, full_grid_recursion,
+                      recursion_step_loop)
 from conftest import same_bits
 
 EPS = sys.float_info.epsilon
@@ -33,30 +33,16 @@ def unit_function(grid):
     return ComplexGridFunction(grid, np.ones(grid.n_points, dtype=complex))
 
 
-def correction_functions(ref, u, order):
-    """f_1 ... f_order by iterating the recursion step from the constant 1."""
-    g = unit_function(ref.grid)
-    functions = []
-    for _ in range(order):
-        g = apply_recursion_step(ref, u, g)
-        functions.append(g)
-    return functions
-
-
 def test_zero_perturbation_gives_identically_zero_functions():
     ref = analytic_free_reference(1.0, Grid(2.0, 201))
     res = compute_hierarchy(ref, PotentialSpec.zero(), 3)
     assert len(res.values_at_zero) == 3
-    for f in correction_functions(ref, PotentialSpec.zero(), 3):
-        assert np.all(f.values == 0.0)
     assert res.values_at_zero == (0.0, 0.0, 0.0)
     # no cell carries a weight, so a k for which step / k overflows gives
     # exact zeros too
     tiny_k = analytic_free_reference(5e-324, Grid(2.0, 201))
     zeros = compute_hierarchy(tiny_k, PotentialSpec.zero(), 3).values_at_zero
     assert zeros == (0.0, 0.0, 0.0)
-    for f in correction_functions(tiny_k, PotentialSpec.zero(), 3):
-        assert np.all(f.values == 0.0)
 
 
 def test_first_order_barrier_anchor(fine_free_ref, barrier):
@@ -67,31 +53,29 @@ def test_first_order_barrier_anchor(fine_free_ref, barrier):
     assert abs(res.values_at_zero[0].imag - anchor) < 1e-8
 
 
-def test_functions_vanish_exactly_beyond_support(fine_free_ref, barrier):
-    beyond = fine_free_ref.grid.nodes >= barrier.support_hi
-    for f in correction_functions(fine_free_ref, barrier, 3):
-        assert np.all(f.values[beyond] == 0.0)
-        assert f.values[-1] == 0.0
-
-
 def test_hierarchy_equals_manual_composition(barrier):
+    # two applications of the full-grid operator by hand; its layout runs
+    # from x_max down, so x = 0 is the last node
     ref = analytic_free_reference(1.0, Grid(2.0, 1001))
     res = compute_hierarchy(ref, barrier, 2)
-    f1 = apply_recursion_step(ref, barrier, unit_function(ref.grid))
-    f2 = apply_recursion_step(ref, barrier, f1)
-    assert res.values_at_zero[0] == f1.at_zero
-    assert res.values_at_zero[1] == f2.at_zero
+    step = full_grid_recursion(ref, barrier)
+    f1 = step(np.ones(ref.grid.n_points, dtype=complex))
+    f2 = step(f1)
+    assert res.values_at_zero[0] == f1[-1]
+    assert res.values_at_zero[1] == f2[-1]
 
 
 def test_first_order_is_linear_in_the_potential():
-    # scaling by 2 is exact in floating point, so f1 doubles bitwise
+    # scaling by 2 is exact in floating point, so f1(0) doubles bitwise
     ref = analytic_free_reference(1.0, Grid(2.0, 2001))
-    one = unit_function(ref.grid)
-    f1 = apply_recursion_step(
-        ref, PotentialSpec.piecewise_constant([(0.0, 1.0, 1.0)]), one)
-    f1_doubled = apply_recursion_step(
-        ref, PotentialSpec.piecewise_constant([(0.0, 1.0, 2.0)]), one)
-    assert np.array_equal(f1_doubled.values, 2.0 * f1.values)
+    (f1,) = compute_hierarchy(
+        ref, PotentialSpec.piecewise_constant([(0.0, 1.0, 1.0)]),
+        1).values_at_zero
+    (f1_doubled,) = compute_hierarchy(
+        ref, PotentialSpec.piecewise_constant([(0.0, 1.0, 2.0)]),
+        1).values_at_zero
+    assert f1 != 0.0
+    assert same_bits((f1_doubled,), (2.0 * f1,))
 
 
 def test_path_equivalence_random_smooth_potentials():
@@ -130,6 +114,17 @@ def test_double_integral_path_trivial_cases(barrier):
     assert out.values[-1] == 0.0
 
 
+def test_double_integral_overflow_raises_without_warnings():
+    # the second step overflows at this height; it warned before raising
+    ref = analytic_free_reference(1.0, Grid(2.0, 201))
+    u = PotentialSpec.piecewise_constant([(0.0, 1.0, 1e200)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        f1 = step_by_double_integral(ref, u, unit_function(ref.grid))
+        with pytest.raises(NonFiniteResult):
+            step_by_double_integral(ref, u, f1)
+
+
 def test_grid_convergence_is_quadratic_or_better(barrier):
     smooth = PotentialSpec.gaussian_sum([(1.0, 0.25, 0.8)])
     for u in (barrier, smooth):
@@ -148,15 +143,12 @@ def test_order_and_grid_validation(barrier):
     ref = analytic_free_reference(1.0, Grid(2.0, 101))
     with pytest.raises(OrderOutOfRange):
         compute_hierarchy(ref, barrier, 0)
-    wrong_grid = unit_function(Grid(2.0, 201))
     with pytest.raises(GridMismatch):
-        apply_recursion_step(ref, barrier, wrong_grid)
-    with pytest.raises(GridMismatch):
-        step_by_double_integral(ref, barrier, wrong_grid)
+        step_by_double_integral(ref, barrier, unit_function(Grid(2.0, 201)))
 
 
-# Inputs the former step is checked on: a jump on a node, smooth bumps, and
-# a jump between nodes on a background solved by RK4.
+# Inputs the hierarchy is checked against the former step on: a jump on a
+# node, smooth bumps, and a jump between nodes on a background solved by RK4.
 FORMER_STEP_CASES = {
     "node-aligned barrier": lambda: (
         analytic_free_reference(1.0, Grid(2.0, 2001)),
@@ -182,19 +174,6 @@ def former_step_inputs(ref, u, extended=False):
         arrays = tuple(a.astype(np.clongdouble if np.iscomplexobj(a)
                                 else np.longdouble) for a in arrays)
     return (ref.k, ref.grid.step, *arrays)
-
-
-@pytest.mark.parametrize("case", FORMER_STEP_CASES)
-def test_low_orders_match_the_former_step_at_every_node(case):
-    ref, u = FORMER_STEP_CASES[case]()
-    args = former_step_inputs(ref, u)
-    g = unit_function(ref.grid)
-    former = g.values
-    for _ in range(3):
-        g = apply_recursion_step(ref, u, g)
-        former = recursion_step_loop(*args, former)
-        scale = np.max(np.abs(former))
-        assert np.max(np.abs(g.values - former)) <= 1e-12 * scale
 
 
 @pytest.mark.skipif(np.finfo(np.longdouble).eps >= EPS,
@@ -232,11 +211,6 @@ def test_overflow_raises_non_finite_result_without_warnings(height, max_order):
     u = PotentialSpec.piecewise_constant([(3.1, 3.18, height)])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        g = unit_function(ref.grid)
-        for _ in range(6):
-            g = apply_recursion_step(ref, u, g)
-        with pytest.raises(NonFiniteResult):
-            apply_recursion_step(ref, u, g)
         values = compute_hierarchy(ref, u, 6).values_at_zero
         assert all(map(cmath.isfinite, values))
         with pytest.raises(NonFiniteResult):
@@ -290,11 +264,6 @@ def test_window_matches_the_full_grid_operator(shape, background):
         want, finite = full_grid_hierarchy(ref, u, 20)
         assert finite
         assert same_bits(compute_hierarchy(ref, u, 20).values_at_zero, want)
-        g = unit_function(grid)
-        for _ in range(3):
-            want = full_grid_step(ref, u, g.values)
-            g = apply_recursion_step(ref, u, g)
-            assert same_bits(g.values, want), n
 
 
 def test_window_spans_exactly_the_cells_with_a_nonzero_weight():
@@ -303,18 +272,16 @@ def test_window_spans_exactly_the_cells_with_a_nonzero_weight():
     # runs from the first to the last cell with either nonzero.
     for n in WINDOW_GRIDS:
         grid = Grid(4.0, n)
-        ref = analytic_free_reference(1.3, grid)
         for shape in WINDOW_SHAPES:
-            u = window_shape(shape, grid)
-            s = sample_potential(u, grid)
-            cells = np.flatnonzero((s.lower != 0.0) | (s.upper != 0.0))
-            window = _recursion(ref, u)
-            if not cells.size:
+            s = sample_potential(window_shape(shape, grid), grid)
+            cells = [c for c in range(n - 1)
+                     if s.lower[c] != 0.0 or s.upper[c] != 0.0]
+            window = _window(s)
+            if not cells:
                 assert window is None, shape
                 continue
-            nodes = window[0]
-            assert (nodes.start, nodes.stop - 1) == \
-                (cells[0], cells[-1] + 1), (shape, n)
+            assert (window.start, window.stop - 1) == \
+                (cells[0], cells[-1]), (shape, n)
 
 
 def test_overflow_below_the_window_at_an_earlier_order_raises():
@@ -333,3 +300,19 @@ def test_overflow_below_the_window_at_an_earlier_order_raises():
             assert not full_grid_hierarchy(ref, u, order)[1]
             with pytest.raises(NonFiniteResult):
                 compute_hierarchy(ref, u, order)
+
+
+def test_a_large_finite_correction_below_the_window_is_no_overflow():
+    # Free wave at k = 0.01 and U on the one cell at x = pi / (2k), where
+    # r = exp(2ikx) - 1 is -2, so W is close to -2 P.  Below the cell
+    # f_1 = W - r P stays within 2 |P| (1.2e308 at x = 0) and is finite;
+    # W + r P would reach 4 |P| next to the cell and overflow.
+    ref = analytic_free_reference(0.01, Grid(200.0, 2001))
+    x = ref.grid.nodes
+    u = PotentialSpec.piecewise_constant([(float(x[1571]), float(x[1572]),
+                                           6e306)])
+    want, finite = full_grid_hierarchy(ref, u, 1)
+    assert finite
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert same_bits(compute_hierarchy(ref, u, 1).values_at_zero, want)

@@ -15,7 +15,6 @@ where hypothesis is not installed.
 import math
 import warnings
 
-import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
@@ -23,17 +22,15 @@ pytest.importorskip("hypothesis")
 from hypothesis import Phase, given, settings, strategies as st  # noqa: E402
 
 from phaseshift import (  # noqa: E402
-    ComplexGridFunction,
     Grid,
     NonFiniteResult,
     PotentialSpec,
     analytic_free_reference,
-    apply_recursion_step,
     compute_hierarchy,
     solve_reference,
 )
 
-from _oracles import full_grid_hierarchy, full_grid_step  # noqa: E402
+from _oracles import full_grid_hierarchy  # noqa: E402
 from conftest import same_bits  # noqa: E402
 
 PROPERTY_SETTINGS = settings(max_examples=200, derandomize=True,
@@ -87,7 +84,6 @@ def _inputs(draw):
 @given(_inputs())
 def test_window_gives_the_full_grid_bits_and_outcome(inputs):
     ref, u, order = inputs
-    grid = ref.grid
     want, finite = full_grid_hierarchy(ref, u, order)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -97,12 +93,3 @@ def test_window_gives_the_full_grid_bits_and_outcome(inputs):
         else:
             with pytest.raises(NonFiniteResult):
                 compute_hierarchy(ref, u, order)
-        g = ComplexGridFunction(grid, np.ones(grid.n_points))
-        for _ in range(order):
-            want = full_grid_step(ref, u, g.values)
-            if not np.all(np.isfinite(want)):
-                with pytest.raises(NonFiniteResult):
-                    apply_recursion_step(ref, u, g)
-                break
-            g = apply_recursion_step(ref, u, g)
-            assert same_bits(g.values, want)

@@ -10,6 +10,7 @@ from phaseshift import (
     Grid,
     NonFiniteResult,
     NonpositiveK,
+    PhaseSeries,
     PotentialSpec,
     WronskianViolation,
     analytic_free_reference,
@@ -158,6 +159,51 @@ def test_sweep_structure_validation(barrier_series, barrier):
     # largest coupling outside the perturbative window
     with pytest.raises(DegenerateSweep):
         convergence_order_check(barrier_series, ZERO, barrier, (1.0, 0.5))
+
+
+def test_noise_floor_model():
+    # h^2 (c + c^2) + 2 h^4 x_max + 50 eps max(1, |delta|), every term exact
+    # in binary; a power of the coupling beyond the double range makes it inf
+    eps = np.finfo(float).eps
+    floor = oracle._noise_floor(0.5, 2.0, 0.25, 2, -3.0)
+    assert floor == 0.25 * (0.25 + 0.0625) + 2.0 * 0.0625 * 2.0 + 150.0 * eps
+    assert oracle._noise_floor(0.5, 2.0, 1e200, 2, 0.0) == math.inf
+    assert oracle._noise_floor(0.5, 2.0, 1e200, 0, 0.0) < 1.0
+
+
+def pinned_remainders(monkeypatch, remainders):
+    """A first-order series with delta0 = delta_1 = 0 on Grid(2.0, 401),
+    and exact phases that make {coupling: remainder} its remainders."""
+    series = PhaseSeries(k=1.0, grid=Grid(2.0, 401), delta0=0.0,
+                         corrections=(0.0,), max_order=1)
+    monkeypatch.setattr(oracle, "sweep_series", lambda *args: [
+        oracle.OracleResult(c, remainders[c], 1 + 0j, 0.0)
+        for c in args[3]])
+    return series
+
+
+@pytest.mark.parametrize("p_hat, ratio", [(1.5, 2.8284271247461903),
+                                          (2.5, 5.656854249492381)])
+def test_p_hat_on_an_edge_of_the_band_passes(p_hat, ratio, monkeypatch):
+    # log2 of these ratios is exactly 1.5 and 2.5: the band of truncation 1
+    # is the closed [1.5, 2.5]
+    small = 2.0 ** -10
+    series = pinned_remainders(monkeypatch, {0.1: ratio * small, 0.05: small})
+    check = convergence_order_check(series, ZERO, ZERO, (0.1, 0.05)).checks[1]
+    assert (check.p_hat, check.status) == (p_hat, "PASS")
+
+
+def test_a_remainder_of_ten_noise_floors_is_measurable(monkeypatch):
+    # "below 10x the floor" is INCONCLUSIVE; exactly 10x is measured
+    step = Grid(2.0, 401).step
+    small = 10.0 * oracle._noise_floor(step, 2.0, 0.05, 1, 0.0)
+    series = pinned_remainders(monkeypatch, {0.1: 4.0 * small, 0.05: small})
+    check = convergence_order_check(series, ZERO, ZERO, (0.1, 0.05)).checks[1]
+    assert (check.p_hat, check.status) == (2.0, "PASS")
+    series = pinned_remainders(monkeypatch, {0.1: 4.0 * small,
+                                             0.05: small * (1 - 2 ** -52)})
+    check = convergence_order_check(series, ZERO, ZERO, (0.1, 0.05)).checks[1]
+    assert check.status == "INCONCLUSIVE"
 
 
 def test_zero_perturbation_check_is_vacuous():
@@ -352,6 +398,8 @@ def test_a_sweep_over_two_to_the_17_cells_shares_the_top(monkeypatch):
 def test_a_ladder_ending_in_zero_is_degenerate():
     with pytest.raises(DegenerateSweep, match="positive"):
         halving_ladder((0.2, 0.1, 0.0))
+    with pytest.raises(DegenerateSweep, match="decreasing"):
+        halving_ladder((0.1, 0.1))
     assert halving_ladder((0.2, 0.1, 0.05)) == (0.2, 0.1, 0.05)
 
 
@@ -365,6 +413,11 @@ def test_a_first_order_series_outside_the_window_is_degenerate(barrier):
         convergence_order_check(series, ZERO, barrier, (0.4, 0.2))
     report = convergence_order_check(series, ZERO, barrier, (0.1, 0.05))
     assert len(report.checks) == 2
+    # the window is open: 0.5 * 0.2 is exactly the double 0.1
+    edge = PhaseSeries(k=1.0, grid=Grid(2.0, 401), delta0=0.0,
+                       corrections=(0.2,), max_order=1)
+    with pytest.raises(DegenerateSweep, match="window"):
+        convergence_order_check(edge, ZERO, ZERO, (0.5, 0.25))
 
 
 def test_zero_perturbation_sweep_repeats_one_result(barrier03):

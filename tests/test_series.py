@@ -110,6 +110,11 @@ def test_order_validation():
         assemble_delta_n(f, 0)
     with pytest.raises(OrderOutOfRange):
         assemble_delta_n([1j] * 25, 21)
+    # the recurrence alone would return 0.0 at order 0 and a value at 21
+    with pytest.raises(OrderOutOfRange):
+        log_expansion_reference(f, 0)
+    with pytest.raises(OrderOutOfRange):
+        log_expansion_reference([1j] * 25, 21)
     with pytest.raises(InsufficientFValues):
         assemble_delta_n(f, 2)
     with pytest.raises(InsufficientFValues):
@@ -158,10 +163,24 @@ def test_evaluate_truncated_partial_sums(barrier_series):
         evaluate_truncated(d, 0.3, -1)
 
 
+def test_overflowing_powers_of_the_coupling():
+    # coupling ** 2 overflows to inf: times a correction of exactly 0.0 it
+    # added a NaN, times a nonzero one an inf
+    zero_tail = synthetic_series([0.5, 0.0, -0.0])
+    for coupling in (1e200, -1e200):
+        assert evaluate_truncated(zero_tail, coupling, 3) == 0.1 + coupling * 0.5
+    with pytest.raises(NonFiniteResult):
+        evaluate_truncated(synthetic_series([0.5, 1e-300]), 1e200, 2)
+    # a finite power whose term overflows
+    with pytest.raises(NonFiniteResult):
+        evaluate_truncated(synthetic_series([1e300]), 1e10, 1)
+
+
 def test_assemble_series_order_validation(fine_free_ref, barrier):
-    with pytest.raises(OrderOutOfRange):
+    # refused before the hierarchy runs, whose own check names "order"
+    with pytest.raises(OrderOutOfRange, match="max_order"):
         assemble_series(fine_free_ref, barrier, 0)
-    with pytest.raises(OrderOutOfRange):
+    with pytest.raises(OrderOutOfRange, match="max_order"):
         assemble_series(fine_free_ref, barrier, 21)
 
 
@@ -183,6 +202,10 @@ def test_divergence_flag_heuristic():
     # fewer than three orders: no evidence, never flags
     short = synthetic_series([2.0, 3.0])
     assert divergence_flag(short, 1.0) is False
+
+    # equal nonzero terms are non-decreasing
+    level = synthetic_series([0.5, 0.5, 0.5])
+    assert divergence_flag(level, 1.0) is True
 
     # flat zeros do not flag (the "non-decreasing" tail is all zero)
     flat = synthetic_series([0.0, 0.0, 0.0])
