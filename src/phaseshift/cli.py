@@ -25,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .cross_check import NestedIntegrandSet, delta2_direct, nested_integral
 from .errors import ConfigInvalid, DegenerateSweep, PhaseshiftError
 from .partitions import MAX_ORDER, enumerate_partitions
 from .potential import DEFAULT_TAIL_EPS, Grid, PotentialSpec
@@ -75,12 +76,12 @@ def _as_float(value, key) -> float:
     return number
 
 
-def _require_number(doc, key, positive=True):
+def _require_number(doc, key):
     value = doc.get(key)
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigInvalid(f"'{key}' must be a number")
     number = _as_float(value, key)
-    if positive and not number > 0:
+    if not number > 0:
         raise ConfigInvalid(f"'{key}' must be positive")
     return number
 
@@ -375,11 +376,8 @@ def _check_partition_order4() -> bool:
 
 
 def _check_partition_coefficients() -> bool:
-    coeff = {t.multiplicities: t.coefficient for t in enumerate_partitions(3)}
-    coeff.update({t.multiplicities: t.coefficient
-                  for t in enumerate_partitions(2)})
-    coeff.update({t.multiplicities: t.coefficient
-                  for t in enumerate_partitions(1)})
+    coeff = {t.multiplicities: t.coefficient
+             for n in (1, 2, 3) for t in enumerate_partitions(n)}
     return (coeff[(1,)] == 1.0 and coeff[(0, 1)] == 1.0
             and coeff[(2, 0)] == -0.5 and coeff[(0, 0, 1)] == 1.0
             and coeff[(1, 1, 0)] == -1.0
@@ -401,19 +399,17 @@ _BARRIER = PotentialSpec.piecewise_constant([(0.0, 1.0, 1.0)])
 FIRST_ORDER_BARRIER = -(1.0 - math.sin(2.0) / 2.0)
 
 
-def _barrier_series(max_order: int = 2):
-    ref = analytic_free_reference(1.0, Grid(2.0, 16001))
-    return assemble_series(ref, _BARRIER, max_order)
+def _barrier_reference():
+    return analytic_free_reference(1.0, Grid(2.0, 16001))
 
 
 def _check_first_order_anchor() -> bool:
-    series = _barrier_series(1)
+    series = assemble_series(_barrier_reference(), _BARRIER, 1)
     return abs(series.corrections[0] - FIRST_ORDER_BARRIER) < 1e-8
 
 
 def _check_second_order_cross_path() -> bool:
-    from .cross_check import delta2_direct
-    ref = analytic_free_reference(1.0, Grid(2.0, 16001))
+    ref = _barrier_reference()
     series = assemble_series(ref, _BARRIER, 2)
     return abs(series.corrections[1] - delta2_direct(ref, _BARRIER)) < 1e-8
 
@@ -425,7 +421,6 @@ def _check_zero_perturbation() -> bool:
 
 
 def _check_simplex_identity() -> bool:
-    from .cross_check import NestedIntegrandSet, nested_integral
     grid = Grid(2.0, 101)
     one = np.ones(grid.n_points - 1)
     value = nested_integral(NestedIntegrandSet(grid, ((one, one),) * 2))

@@ -24,8 +24,9 @@ chain is the plain solve of one potential, :func:`integrate_wave_inward`,
 which :func:`solve_reference` certifies.  :func:`solve_sweep` solves the
 couplings of a sweep, and this module alone decides how their chains are
 laid out: the oracle asks it for each coupling's psi(0) and residual.
-k is checked in one place, :func:`_top_state`, which every entry reaches
-before any work.
+Every entry checks k once, before any work, in :func:`_top_state`, and a
+certified one runs each scan, its certificate and the wave built from it
+in one ``np.errstate``, so overflow ends in a typed error, not a warning.
 
 The Wronskian  psi * conj(psi)' - conj(psi) * psi' = 2ik  is an exact
 invariant of the continuum equation; its maximum grid residual is the
@@ -372,30 +373,29 @@ def _scan(layout: ChainLayout, steps: np.ndarray, y0: complex, y1: complex,
     return states
 
 
-def _solve(k: float, grid: Grid, layout: ChainLayout, lower: np.ndarray,
-           mid: np.ndarray, upper: np.ndarray,
-           states: np.ndarray | None = None) -> np.ndarray:
+def _solve(k: float, h: float, top: tuple[complex, complex],
+           layout: ChainLayout, lower: np.ndarray, mid: np.ndarray,
+           upper: np.ndarray, states: np.ndarray | None = None) -> np.ndarray:
     """The RK4 waves of the chains of `layout`, uncertified: psi and psi'
     over its node slots, as the rows of `states` (see :func:`_scan`).
 
-    `lower`, `mid` and `upper` hold the samples of every cell slot; they
-    may be views of `states` (see :func:`_sweep_scans`).  The one scan
-    that every solve goes through; it starts from :func:`_top_state`.
+    `top` is the state at x_max, from the caller's :func:`_top_state`, and
+    `lower`, `mid` and `upper` the samples of every cell slot, which may be
+    views of `states` (see :func:`_sweep_scans`); `h` is the grid step.
     """
-    y0, y1 = _top_state(k, grid.x_max)
-    steps = _cell_steps(k, grid.step, lower, mid, upper)
+    steps = _cell_steps(k, h, lower, mid, upper)
     # every sample is read: from here on `states` may be written
     if layout.own > layout.cells:
         # every chain ends in a block of its own, padded with identity steps
         blocks = layout.own // SCAN_WIDTH
         steps[layout.cells % SCAN_WIDTH:, :, :, blocks - 1::blocks] = 0.0
-    return _scan(layout, steps, y0, y1, states)
+    return _scan(layout, steps, *top, states)
 
 
 def _top_state(k: float, x_max: float) -> tuple[complex, complex]:
     """(psi, psi') at x_max: the free outgoing wave exp(-i k x).
 
-    The one check of k, which every entry reaches before any work: raises
+    The one check of k, made once by every entry before any work: raises
     :class:`NonpositiveK` when k <= 0, and :class:`NonFiniteResult` when
     k x_max leaves the double range, as it does for a NaN k.
     """
@@ -437,8 +437,9 @@ def integrate_wave_inward(k: float, grid: Grid,
         finite.
     """
     cells = grid.n_points - 1
-    psi, dpsi = _solve(k, grid, ChainLayout(1, 0, cells), samples.lower,
-                       samples.mid, samples.upper)
+    psi, dpsi = _solve(k, grid.step, _top_state(k, grid.x_max),
+                       ChainLayout(1, 0, cells), samples.lower, samples.mid,
+                       samples.upper)
     return psi[:cells + 1], dpsi[:cells + 1]
 
 
@@ -476,21 +477,19 @@ def _certify(k: float, tol: float, layout: ChainLayout, psi: np.ndarray,
                  bool(np.all(psi[nodes])))]
 
     residuals = []
-    # an overflowed wave gives a NaN residual, which fails the certificate
-    with np.errstate(over="ignore", invalid="ignore"):
-        shared = parts(layout.nodes(0)[1])
-        for chain in range(layout.chains):
-            checks = parts(layout.nodes(chain)[0]) + shared
-            # the larger residual, or NaN if either is
-            residual = float(np.maximum.reduce([r for r, _ in checks]))
-            if not residual <= bound:
-                raise WronskianViolation(
-                    f"residual {residual:.3e} is not within {tol:.1e} * k = "
-                    f"{bound:.3e}; refine the grid or check the potential"
-                )
-            if not all(nodeless for _, nodeless in checks):
-                raise WronskianViolation("wave has a node; solution untrustworthy")
-            residuals.append(residual)
+    shared = parts(layout.nodes(0)[1])
+    for chain in range(layout.chains):
+        checks = parts(layout.nodes(chain)[0]) + shared
+        # the larger residual, or NaN if either is
+        residual = float(np.maximum.reduce([r for r, _ in checks]))
+        if not residual <= bound:
+            raise WronskianViolation(
+                f"residual {residual:.3e} is not within {tol:.1e} * k = "
+                f"{bound:.3e}; refine the grid or check the potential"
+            )
+        if not all(nodeless for _, nodeless in checks):
+            raise WronskianViolation("wave has a node; solution untrustworthy")
+        residuals.append(residual)
     return tuple(residuals)
 
 
@@ -550,7 +549,7 @@ def _sweep_scans(k: float, grid: Grid, v: PotentialSamples, u: PotentialSamples,
     solve of one potential alone, so each wave is bit for bit that of
     :func:`integrate_wave_inward` on its potential.
     """
-    _top_state(k, grid.x_max)  # checks k, also for no couplings
+    top = _top_state(k, grid.x_max)  # checks k, also for no couplings
     cells = grid.n_points - 1
     support = _support_cells(u)
     for group in _scan_groups(list(couplings), cells, support):
@@ -569,8 +568,9 @@ def _sweep_scans(k: float, grid: Grid, v: PotentialSamples, u: PotentialSamples,
             combine_cells(v, u, weights, slice(0, layout.own), out=own[:, :, :cells])
             combine_cells(v, u, weights[:1], slice(layout.own, None),
                           out=samples[:, None, own_slots:])
-            psi, dpsi = _solve(k, grid, layout, *samples, states)
-        yield layout, psi, dpsi, _certify(k, tol_wronskian, layout, psi, dpsi)
+            psi, dpsi = _solve(k, grid.step, top, layout, *samples, states)
+            residuals = _certify(k, tol_wronskian, layout, psi, dpsi)
+        yield layout, psi, dpsi, residuals
 
 
 def solve_sweep(k: float, grid: Grid, v: PotentialSamples, u: PotentialSamples,
@@ -640,12 +640,12 @@ def solve_reference(V: PotentialSpec, k: float, grid: Grid,
         If the integration cannot be certified at the requested tolerance.
     """
     v = sample_potential(V, grid)
-    # an overflowed wave gives a NaN residual, which fails the certificate
+    # overflow fails the certificate, or the density's finiteness check
     with np.errstate(over="ignore", invalid="ignore"):
         psi, dpsi = integrate_wave_inward(k, grid, v)
-    (residual,) = _certify(k, tol_wronskian, ChainLayout(1, 0, grid.n_points - 1),
-                           psi, dpsi)
-    return _reference_wave(k, grid, psi, dpsi, residual)
+        (residual,) = _certify(k, tol_wronskian, ChainLayout(1, 0, len(psi) - 1),
+                               psi, dpsi)
+        return _reference_wave(k, grid, psi, dpsi, residual)
 
 
 def analytic_free_reference(k: float, grid: Grid) -> ReferenceWave:

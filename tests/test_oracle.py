@@ -383,9 +383,9 @@ def test_a_sweep_over_two_to_the_17_cells_shares_the_top(monkeypatch):
     layouts = []
     solve = refwave._solve
 
-    def recorded(k, grid, layout, *rest):
+    def recorded(k, h, top, layout, *rest):
         layouts.append(layout)
-        return solve(k, grid, layout, *rest)
+        return solve(k, h, top, layout, *rest)
 
     monkeypatch.setattr(refwave, "_solve", recorded)
     swept = sweep_exact(ZERO, U, couplings, 1.0, grid, seed_delta=0.0)

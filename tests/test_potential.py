@@ -126,6 +126,8 @@ def test_spec_constructors_validate():
         PotentialSpec.piecewise_constant([(-0.5, 1.0, 1.0)])
     with pytest.raises(ValueError):
         PotentialSpec.piecewise_constant([(1.0, 0.5, 1.0)])
+    with pytest.raises(ValueError, match="bad segment bounds"):
+        PotentialSpec.piecewise_constant([(0.5, 0.5, 1.0)])  # zero width
     with pytest.raises(ValueError):
         PotentialSpec.piecewise_constant([(0.0, 1.0, 1.0), (0.5, 2.0, 2.0)])
     with pytest.raises(ValueError):
@@ -177,6 +179,25 @@ def test_a_tabulated_sample_of_exactly_eps_tail_counts_toward_support():
     assert below.support_hi == 1.0
     assert PotentialSpec.tabulated([0.0, 1.0, 0.0, -eps, 0.0], g,
                                    eps_tail=eps).support_hi == 2.0
+
+
+def test_gaussian_bumps_at_exactly_eps_tail():
+    eps = 1e-12
+    # a bump of height exactly eps_tail is all tail: it has no support
+    edge = PotentialSpec.gaussian_sum([(0.5, 0.1, eps)], eps_tail=eps)
+    assert edge.support_hi == 0.0
+    assert np.all(edge.values_at(np.array([0.25, 0.5, 0.75])) == 0.0)
+    # while a summed value of exactly eps_tail inside the support is kept:
+    # the second bump adds exp(-5000) = 0 at x = 0
+    spec = PotentialSpec.gaussian_sum([(0.0, 0.1, eps), (1.0, 0.01, 1.0)],
+                                      eps_tail=eps)
+    assert spec.support_hi > 1.0
+    assert spec.values_at(np.array([0.0]))[0] == eps
+
+
+def test_an_unknown_kind_cannot_be_evaluated():
+    with pytest.raises(ValueError, match="unknown potential kind 'bogus'"):
+        PotentialSpec(kind="bogus").values_at(np.zeros(3))
 
 
 def test_tabulated_support_ends_where_the_interpolant_does():

@@ -1,5 +1,6 @@
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from phaseshift import (
     solve_reference,
     sweep_exact,
 )
+from phaseshift import refwave
 from phaseshift.potential import PotentialSamples, combine_samples, sample_potential
 from phaseshift.refwave import (
     ChainLayout,
@@ -133,6 +135,61 @@ def test_every_entry_checks_k(entry, k, error):
     with pytest.raises(error) as raised:
         _K_ENTRIES[entry](k)
     assert type(raised.value) is error
+
+
+def test_each_entry_checks_k_once_whatever_its_scan_groups(monkeypatch):
+    # the entry's one _top_state hands its state to every scan group
+    grid = Grid(2.0, 401)
+    samples = sample_potential(_BARRIER, grid)
+    couplings = [0.1, 0.05, 0.025, -0.05, 0.2]
+    whole = solve_sweep(1.0, grid, samples, samples, couplings, 1e-8)
+    checks, scans = [], []
+    top_state, solve = refwave._top_state, refwave._solve
+
+    def counted(*args):
+        checks.append(args)
+        return top_state(*args)
+
+    def scanned(*args):
+        scans.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(refwave, "_top_state", counted)
+    monkeypatch.setattr(refwave, "_solve", scanned)
+    monkeypatch.setattr(refwave, "_SCAN_SLOTS", 1)  # two couplings a scan
+    # each entry, and the (chains, own cells) of each scan it runs: U's
+    # support is 200 cells, 208 in whole blocks, and a lone coupling is
+    # laid out as itself
+    sweep = [(2, 208), (2, 208), (1, 0)]
+    entries = {
+        "solve_sweep": (lambda: solve_sweep(1.0, grid, samples, samples,
+                                            couplings, 1e-8), sweep),
+        "sweep_exact": (lambda: sweep_exact(_ZERO, _BARRIER, couplings, 1.0,
+                                            grid), sweep),
+        "solve_reference": (lambda: solve_reference(_BARRIER, 1.0, grid),
+                            [(1, 0)]),
+        "integrate_wave_inward": (lambda: integrate_wave_inward(1.0, grid,
+                                                                samples), [(1, 0)]),
+    }
+    for name, (entry, layouts) in entries.items():
+        checks.clear()
+        scans.clear()
+        result = entry()
+        assert len(checks) == 1, name
+        assert [(args[3].chains, args[3].own) for args in scans] == layouts, name
+        if name == "solve_sweep":
+            # more scans, the same bits
+            assert result == whole
+
+
+def test_an_overflowing_density_raises_without_a_warning():
+    # psi reaches about 2e292: finite, so an infinite tolerance certifies
+    # it, but psi^2 overflows
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteResult, match="non-finite"):
+            solve_reference(PotentialSpec.gaussian_sum([(0.8, 0.3, 0.4)]), 1e5,
+                            Grid(2.0, 21), tol_wronskian=math.inf)
 
 
 def test_wronskian_violation_on_coarse_strong_potential():

@@ -14,8 +14,9 @@ It draws a seeded sample of those sites and, one mutant at a time, writes
 the mutated module into a temporary copy of the repository and runs the
 tier-1 tests there with a timeout.  The working tree is never written.  A
 mutant is killed when its set of failing tests differs from that of the
-unmutated copy (so a test that already fails needs no deselection), or when
-the run times out; otherwise it survives.  Each operator is rewritten in the
+unmutated copy (so a test that already fails needs no deselection), when
+the run times out, or when pytest writes no report because the tests cannot
+even be collected; otherwise it survives.  Each operator is rewritten in the
 source text itself, so comments, layout and line numbers stay as they are.
 
 Usage, from anywhere:
@@ -26,7 +27,8 @@ Usage, from anywhere:
 Prints one line per mutant, with the tests whose outcome it changed, and
 the score.  A mutant's run stops at its first failure beyond the unmutated
 run's count, since its set already differs then.  Exit code 0 unless the
-unmutated copy's test run itself times out.
+unmutated copy's test run itself times out; if it writes no report, the
+probe stops with :class:`NoReport`.
 """
 
 from __future__ import annotations
@@ -171,9 +173,19 @@ def mutated(data: bytes, site: Site) -> bytes:
     return data
 
 
+class NoReport(RuntimeError):
+    """pytest ended without writing its report, as it does when the tests
+    cannot even be collected; `code` is its exit code."""
+
+    def __init__(self, code: int):
+        super().__init__(f"pytest wrote no report (exit {code})")
+        self.code = code
+
+
 def failing_tests(copy: Path, timeout: float, maxfail: int = 0) -> set | None:
     """Ids of the tests that fail or error in `copy`, the run stopping after
-    `maxfail` of them (0: never); None on a timeout."""
+    `maxfail` of them (0: never); None on a timeout.  Raises
+    :class:`NoReport` when pytest writes no report."""
     report = copy / ".mutate-report.xml"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (str(copy / "src"), os.environ.get("PYTHONPATH")) if p),
@@ -192,13 +204,29 @@ def failing_tests(copy: Path, timeout: float, maxfail: int = 0) -> set | None:
             os.killpg(proc.pid, signal.SIGKILL)
             proc.wait()
     if not report.exists():
-        raise RuntimeError(f"pytest wrote no report (exit {proc.returncode})")
+        raise NoReport(proc.returncode)
     failed = set()
     for case in ET.parse(report).iter("testcase"):
         if case.find("failure") is not None or case.find("error") is not None:
             failed.add(f"{case.get('classname')}::{case.get('name')}")
     report.unlink()
     return failed
+
+
+def mutant_verdict(copy: Path, timeout: float, baseline: set) -> str:
+    """How the tier-1 run of the mutant in `copy` compares with the
+    unmutated run's failing tests `baseline`."""
+    try:
+        # one failure more than the unmutated run already differs
+        failed = failing_tests(copy, timeout, len(baseline) + 1)
+    except NoReport as error:
+        # the tests could not start, e.g. conftest could not import the package
+        return f"killed (no report, exit {error.code})"
+    if failed is None:
+        return "killed (timeout)"
+    if failed != baseline:
+        return "killed (" + ", ".join(sorted(failed ^ baseline)) + ")"
+    return "SURVIVED"
 
 
 def module_path(name: str) -> Path:
@@ -246,16 +274,9 @@ def main(argv=None) -> int:
         for site in chosen:
             target.write_bytes(mutated(original, site))
             try:
-                # one failure more than the unmutated run already differs
-                failed = failing_tests(copy, args.timeout, len(baseline) + 1)
+                verdict = mutant_verdict(copy, args.timeout, baseline)
             finally:
                 target.write_bytes(original)
-            if failed is None:
-                verdict = "killed (timeout)"
-            elif failed != baseline:
-                verdict = "killed (" + ", ".join(sorted(failed ^ baseline)) + ")"
-            else:
-                verdict = "SURVIVED"
             killed += verdict != "SURVIVED"
             print(f"  {rel}:{site.label()}: {verdict}", flush=True)
     print(f"{rel}: {killed} of {len(chosen)} mutants killed")
