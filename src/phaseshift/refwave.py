@@ -27,6 +27,11 @@ laid out: the oracle asks it for each coupling's psi(0) and residual.
 Every entry checks k once, before any work, in :func:`_top_state`, and a
 certified one runs each scan, its certificate and the wave built from it
 in one ``np.errstate``, so overflow ends in a typed error, not a warning.
+The arrays of a scan (its samples, the steps and node states of every
+level, the kernels' temporaries) are kept per thread from one solve to the
+next, and only for scans of at most _SCAN_SLOTS cell slots, so the memory
+a thread keeps is bounded (:func:`_workspace`); the entries return arrays
+their caller owns, or values.
 
 The Wronskian  psi * conj(psi)' - conj(psi) * psi' = 2ik  is an exact
 invariant of the continuum equation; its maximum grid residual is the
@@ -40,6 +45,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -157,16 +163,65 @@ class ChainLayout:
         return (slice(chain * self.own, chain * self.own + own),
                 slice(start, start + self.cells + 1 - own))
 
-    def node_buffer(self) -> np.ndarray:
-        """An empty (2, slots) complex buffer for psi and psi' at every node
-        slot of the scan, padding included."""
-        return np.empty((2, -(-self.size // SCAN_WIDTH) * SCAN_WIDTH + 1),
-                        dtype=complex)
+
+#: a scan of a sweep's couplings holds about this many cell slots at most,
+#: or two couplings on a larger grid, since its arrays grow with the number
+#: of its couplings (:func:`_scan_groups`); a thread keeps the arrays of a
+#: scan this large at most (:func:`_workspace`)
+_SCAN_SLOTS = 1 << 18
+
+
+class _Workspace:
+    """The arrays of a scan, each asked for by a key and a shape.
+
+    The array is the leading part of the buffer kept under its key, and
+    holds whatever its last use left there.  A scan asks for each key once
+    at each of its levels (the level is part of the key), or for a key whose
+    earlier array it has finished with, so no two live arrays share memory.
+    A buffer too small for what is asked grows by the factor `room` beyond
+    it, so that the later scans it was sized for fit (:func:`_workspace`).
+    """
+
+    def __init__(self) -> None:
+        self._buffers: dict = {}
+        self.room = 1.0
+
+    def take(self, key, shape: tuple, dtype=float) -> np.ndarray:
+        count = math.prod(shape)
+        buffer = self._buffers.get(key)
+        if buffer is None or buffer.size < count:
+            buffer = np.empty(max(count, int(count * self.room)), dtype)
+            self._buffers[key] = buffer
+        return buffer[:count].reshape(shape)
+
+
+_kept = threading.local()
+
+
+def _workspace(layout: ChainLayout) -> _Workspace:
+    """The workspace of a scan of `layout`.
+
+    That is the calling thread's kept one, which then holds its arrays for
+    the next scan.  A buffer it grows is sized for the widest scan of the
+    same chains, the one that shares no cell, capped at _SCAN_SLOTS cell
+    slots: the couplings of later sweeps on the grid then fit whatever U's
+    support.  A scan over more than _SCAN_SLOTS slots gets a new workspace
+    instead, freed with the scan, so a thread keeps a bounded amount of
+    memory.
+    """
+    if layout.size > _SCAN_SLOTS:
+        return _Workspace()
+    if not hasattr(_kept, "workspace"):
+        _kept.workspace = _Workspace()
+    widest = ChainLayout.above(layout.chains, layout.cells, layout.cells)
+    _kept.workspace.room = min(widest.size, _SCAN_SLOTS) / layout.size
+    return _kept.workspace
 
 
 def _cell_steps(k: float, h: float, lower: np.ndarray, mid: np.ndarray,
-                upper: np.ndarray) -> np.ndarray:
-    """Deviation N = M - I of the RK4 step of each cell, in scan layout.
+                upper: np.ndarray, work: _Workspace) -> np.ndarray:
+    """Deviation N = M - I of the RK4 step of each cell, in scan layout, in
+    the level-0 steps of `work`.
 
     With s = -h (stepping toward smaller x), q = s^2 and hi, mid, lo the
     coefficient c = 2 V - k^2 from the cell's ``upper``, ``mid`` and
@@ -187,7 +242,7 @@ def _cell_steps(k: float, h: float, lower: np.ndarray, mid: np.ndarray,
     # and N11 first hold hi, mid and lo.  Padding cells of a partial last
     # block start at zero, so every entry stays finite, and end as the
     # identity step N = 0
-    steps = np.empty((SCAN_WIDTH, 2, 2, blocks))
+    steps = work.take(("steps", 0), (SCAN_WIDTH, 2, 2, blocks))
     steps[rest:, :, :, full:] = 0.0
     n00, n01, n10, n11 = steps[:, 0, 0], steps[:, 0, 1], steps[:, 1, 0], steps[:, 1, 1]
     for slot, values in ((n00, upper), (n01, mid), (n11, lower)):
@@ -199,10 +254,10 @@ def _cell_steps(k: float, h: float, lower: np.ndarray, mid: np.ndarray,
     hi, mid, lo = n00, n01, n11
 
     # N00 = hi (q/6 + (q^2/24) mid) + (q/3) mid, N11 likewise with lo,
-    # N10 = (hi + lo)(s/6 + (s q/12) mid) + (2 s/3) mid, N01 = (s q/6) mid + s;
-    # `factor` is the one array allocated besides `steps`
+    # N10 = (hi + lo)(s/6 + (s q/12) mid) + (2 s/3) mid, N01 = (s q/6) mid + s
     np.add(hi, lo, out=n10)
-    factor = np.multiply(mid, q * q / 24.0)
+    factor = np.multiply(mid, q * q / 24.0,
+                         out=work.take("factor", (SCAN_WIDTH, blocks)))
     factor += q / 6.0
     hi *= factor
     lo *= factor
@@ -220,18 +275,21 @@ def _cell_steps(k: float, h: float, lower: np.ndarray, mid: np.ndarray,
     return steps
 
 
-def _block_products(steps: np.ndarray) -> None:
+def _block_products(steps: np.ndarray, work: _Workspace) -> None:
     """Turn the cell deviations of every block into its suffix products.
 
     In place, as deviations Q_t = N_t + Q_(t+1) + N_t Q_(t+1), so no stored
     entry is 1 + O(h^2) and the small part keeps its relative precision.
     steps[t, :, :, j] ends as block j's product from its cell t to its top,
-    so steps[0] holds the whole-block products.
+    so steps[0] holds the whole-block products.  The two halves of
+    N_t Q_(t+1) are formed in two arrays of `work`.
     """
+    prod, part = work.take("products", (2,) + steps.shape[1:])
     for t in range(SCAN_WIDTH - 2, -1, -1):
         n, suffix = steps[t], steps[t + 1]
-        prod = n[:, 0, None] * suffix[None, 0]
-        prod += n[:, 1, None] * suffix[None, 1]
+        np.multiply(n[:, 0, None], suffix[None, 0], out=prod)
+        np.multiply(n[:, 1, None], suffix[None, 1], out=part)
+        prod += part
         n += suffix
         n += prod
 
@@ -260,27 +318,34 @@ def _leaf_states(tops: np.ndarray, chains: int, own: int, a0: complex,
     below = down(chains * own, count, a0, a1)
     for chain in range(chains):
         down(chain * own, (chain + 1) * own, *below)
-    return np.array(z0), np.array(z1)
+    return np.array([z0, z1])
 
 
-def _node_states(steps: np.ndarray, z0: np.ndarray, z1: np.ndarray,
-                 psi: np.ndarray, dpsi: np.ndarray) -> None:
-    """Write every node of the blocks of `steps` from the state (z0, z1) at
-    the top of its block; [t, j] is node j*SCAN_WIDTH + t.
+def _node_states(steps: np.ndarray, z: np.ndarray, states: np.ndarray,
+                 work: _Workspace) -> None:
+    """Write psi and psi' (the rows of `states`) at every node of the blocks
+    of `steps` from the state z[:, j] at the top of block j; [t, j] is node
+    j*SCAN_WIDTH + t.
 
-    psi is scratch while dpsi is formed, then the spent dpsi rows of `steps`
-    (a contiguous (W, 2*blocks) real slab) while psi is.
+    Node row r is (N_r0 z_0 + N_r1 z_1) + z_r.  N is real, so the real and
+    the imaginary part of each node are formed apart, in that order, on
+    contiguous real rows of `work`, and each is written into `states` once:
+    no real step entry is cast to complex.
     """
     blocks = steps.shape[-1]
     nodes = blocks * SCAN_WIDTH
-    p = psi[:nodes].reshape(blocks, SCAN_WIDTH).T
-    d = dpsi[:nodes].reshape(blocks, SCAN_WIDTH).T
-    scratch = steps[:, 1].reshape(SCAN_WIDTH, 2 * blocks).view(complex)
-    for out, part, row, z in ((d, p, 1, z1), (p, scratch, 0, z0)):
-        np.multiply(steps[:, row, 1], z1, out=part)
-        np.multiply(steps[:, row, 0], z0, out=out)
-        out += part
-        out += z
+    # tops[part, r, j]: the real (part 0) or imaginary part of z[r, j]
+    tops = work.take("tops", (2, 2, blocks))
+    np.copyto(tops, z.view(float).reshape(2, blocks, 2).transpose(2, 0, 1))
+    total, part = work.take("rows", (2, SCAN_WIDTH, blocks))
+    for row in (0, 1):
+        node = states[row, :nodes].reshape(blocks, SCAN_WIDTH).T
+        for out, (z0, z1) in zip((node.real, node.imag), tops):
+            np.multiply(steps[:, row, 0], z0, out=total)
+            np.multiply(steps[:, row, 1], z1, out=part)
+            total += part
+            total += (z0, z1)[row]
+            out[...] = total
 
 
 def _copy_entries(dst: np.ndarray, into: ChainLayout, src: np.ndarray,
@@ -304,9 +369,10 @@ def _copy_entries(dst: np.ndarray, into: ChainLayout, src: np.ndarray,
                 dst[..., at:at + hi - lo] = src[..., origin:origin + hi - lo]
 
 
-def _level_steps(tops: np.ndarray, level: ChainLayout,
-                 up: ChainLayout) -> np.ndarray:
-    """The cells of the level above, in scan layout (see :func:`_cell_steps`).
+def _level_steps(tops: np.ndarray, level: ChainLayout, up: ChainLayout,
+                 work: _Workspace, depth: int) -> np.ndarray:
+    """The cells of the level above, in scan layout (see :func:`_cell_steps`),
+    in the steps of scan level `depth` of `work`.
 
     `tops` holds the whole-block deviations of a level, laid out as `level`:
     each chain's own blocks, then the shared ones.  The level above has the
@@ -314,14 +380,16 @@ def _level_steps(tops: np.ndarray, level: ChainLayout,
     N = 0.
     """
     blocks = -(-up.size // SCAN_WIDTH)
-    cells = np.zeros((2, 2, blocks * SCAN_WIDTH))
+    cells = work.take(("cells", depth), (2, 2, blocks * SCAN_WIDTH))
+    cells.fill(0.0)
     _copy_entries(cells, up, tops, level, up.cells)
-    return np.ascontiguousarray(
-        cells.reshape(2, 2, blocks, SCAN_WIDTH).transpose(3, 0, 1, 2))
+    steps = work.take(("steps", depth), (SCAN_WIDTH, 2, 2, blocks))
+    np.copyto(steps, cells.reshape(2, 2, blocks, SCAN_WIDTH).transpose(3, 0, 1, 2))
+    return steps
 
 
 def _scan(layout: ChainLayout, steps: np.ndarray, y0: complex, y1: complex,
-          states: np.ndarray | None = None) -> np.ndarray:
+          work: _Workspace, depth: int = 0) -> np.ndarray:
     """Node states of every chain of one level of the scan.
 
     Each chain of the level has `layout.cells` cells: cell i carries the
@@ -337,9 +405,9 @@ def _scan(layout: ChainLayout, steps: np.ndarray, y0: complex, y1: complex,
     the block tops are the node states of the level above, scanned by this
     function; once a chain has at most _LEAF_CELLS blocks they come instead
     from a scalar loop (:func:`_leaf_states`).  Returns psi and psi' over
-    the node slots of `layout` as the rows of `states`, a
-    :meth:`ChainLayout.node_buffer` (a new one when None); the slots past
-    each chain's top node are padding.
+    the node slots of `layout`, as the rows of a (2, slots) array of `work`
+    that the next scan of scan level `depth` (0 for the grid) overwrites;
+    the slots past each chain's top node are padding.
 
     Blocks are aligned from node 0 and padded with identity steps at the
     top, so every block product and block-top state is formed from the
@@ -347,26 +415,27 @@ def _scan(layout: ChainLayout, steps: np.ndarray, y0: complex, y1: complex,
     of one chain: the node states of every chain are bit for bit those of a
     scan of that chain alone.
     """
-    _block_products(steps)
+    _block_products(steps, work)
     tops = steps[0]
     blocks = -(-layout.cells // SCAN_WIDTH)  # per chain
 
-    # state at the top node of every block, z[j] at block j's top node
+    # state at the top node of every block, z[:, j] at block j's top node
     if blocks <= _LEAF_CELLS:
-        z0, z1 = _leaf_states(tops, layout.chains, layout.own // SCAN_WIDTH,
-                              y0, y1)
+        z = _leaf_states(tops, layout.chains, layout.own // SCAN_WIDTH, y0, y1)
     else:
         level = ChainLayout(layout.chains, layout.own // SCAN_WIDTH, blocks)
         up = ChainLayout.above(layout.chains, blocks, level.own)
-        above = _scan(up, _level_steps(tops, level, up), y0, y1)
-        # block j's top is node j + 1 of its chain at the level above
-        z = np.zeros((2, tops.shape[-1]), dtype=complex)
+        above = _scan(up, _level_steps(tops, level, up, work, depth + 1),
+                      y0, y1, work, depth + 1)
+        # block j's top is node j + 1 of its chain at the level above; the
+        # padding blocks of a chain padded up to `own` cells get zero
+        z = work.take("z", (2, tops.shape[-1]), complex)
+        z.fill(0.0)
         _copy_entries(z, level, above, up, blocks, shift=1)
-        z0, z1 = z
 
-    if states is None:
-        states = layout.node_buffer()
-    _node_states(steps, z0, z1, *states)
+    states = work.take(("nodes", depth),
+                       (2, tops.shape[-1] * SCAN_WIDTH + 1), complex)
+    _node_states(steps, z, states, work)
     for chain in range(layout.chains):
         top = layout.slot(chain, layout.cells)
         states[0, top], states[1, top] = y0, y1
@@ -375,21 +444,23 @@ def _scan(layout: ChainLayout, steps: np.ndarray, y0: complex, y1: complex,
 
 def _solve(k: float, h: float, top: tuple[complex, complex],
            layout: ChainLayout, lower: np.ndarray, mid: np.ndarray,
-           upper: np.ndarray, states: np.ndarray | None = None) -> np.ndarray:
+           upper: np.ndarray) -> np.ndarray:
     """The RK4 waves of the chains of `layout`, uncertified: psi and psi'
-    over its node slots, as the rows of `states` (see :func:`_scan`).
+    over its node slots, as the rows of an array of its
+    :func:`_workspace` that the thread's next solve overwrites (see
+    :func:`_scan`).
 
     `top` is the state at x_max, from the caller's :func:`_top_state`, and
-    `lower`, `mid` and `upper` the samples of every cell slot, which may be
-    views of `states` (see :func:`_sweep_scans`); `h` is the grid step.
+    `lower`, `mid` and `upper` the samples of every cell slot; `h` is the
+    grid step.
     """
-    steps = _cell_steps(k, h, lower, mid, upper)
-    # every sample is read: from here on `states` may be written
+    work = _workspace(layout)
+    steps = _cell_steps(k, h, lower, mid, upper, work)
     if layout.own > layout.cells:
         # every chain ends in a block of its own, padded with identity steps
         blocks = layout.own // SCAN_WIDTH
         steps[layout.cells % SCAN_WIDTH:, :, :, blocks - 1::blocks] = 0.0
-    return _scan(layout, steps, *top, states)
+    return _scan(layout, steps, *top, work)
 
 
 def _top_state(k: float, x_max: float) -> tuple[complex, complex]:
@@ -424,9 +495,10 @@ def integrate_wave_inward(k: float, grid: Grid,
     N = M - I (the RK4 stages, `tests/_oracles.py::rk4_wave_loop`, applied to
     the unit states), written straight into the layout of a recursive suffix
     scan over blocks of SCAN_WIDTH cells (see :func:`_scan`), here of one
-    chain.  Uncertified: :func:`solve_reference` certifies its result.
+    chain.  Uncertified: :func:`solve_reference` certifies the same wave.
 
-    Returns the (psi, psi') node arrays; psi[-1] is exactly exp(-i k x_max).
+    Returns the (psi, psi') node arrays, which the caller owns; psi[-1] is
+    exactly exp(-i k x_max).
 
     Raises
     ------
@@ -436,6 +508,14 @@ def integrate_wave_inward(k: float, grid: Grid,
         If k x_max is beyond the double range, so the state at x_max is not
         finite.
     """
+    psi, dpsi = _one_chain(k, grid, samples)
+    return psi.copy(), dpsi.copy()
+
+
+def _one_chain(k: float, grid: Grid,
+               samples: PotentialSamples) -> tuple[np.ndarray, np.ndarray]:
+    """The wave of :func:`integrate_wave_inward`, as views of the thread's
+    workspace that its next solve overwrites."""
     cells = grid.n_points - 1
     psi, dpsi = _solve(k, grid.step, _top_state(k, grid.x_max),
                        ChainLayout(1, 0, cells), samples.lower, samples.mid,
@@ -493,12 +573,6 @@ def _certify(k: float, tol: float, layout: ChainLayout, psi: np.ndarray,
     return tuple(residuals)
 
 
-#: a scan of a sweep's couplings holds about this many cell slots at most,
-#: or two couplings on a larger grid, since its buffers grow with the
-#: number of its couplings (:func:`_scan_groups`)
-_SCAN_SLOTS = 1 << 18
-
-
 def _support_cells(u: PotentialSamples) -> int:
     """Cells from x = 0 up to the last one where any sample of `u` is
     nonzero; 0 for a `u` that is zero everywhere.
@@ -547,7 +621,9 @@ def _sweep_scans(k: float, grid: Grid, v: PotentialSamples, u: PotentialSamples,
     cells above it are taken once, from the first coupling of the scan.
     Every block of every level goes through the same operations as in a
     solve of one potential alone, so each wave is bit for bit that of
-    :func:`integrate_wave_inward` on its potential.
+    :func:`integrate_wave_inward` on its potential.  The psi and psi' of a
+    scan are the workspace's (see :func:`_solve`), so the next scan
+    overwrites them: read each before asking for the next.
     """
     top = _top_state(k, grid.x_max)  # checks k, also for no couplings
     cells = grid.n_points - 1
@@ -555,10 +631,8 @@ def _sweep_scans(k: float, grid: Grid, v: PotentialSamples, u: PotentialSamples,
     for group in _scan_groups(list(couplings), cells, support):
         weights = np.array(group, dtype=float)
         layout = ChainLayout.above(len(weights), cells, support)
-        # the samples are views of the node-state buffer, which the solve
-        # writes only once it has read them all; padding cells are zero
-        states = layout.node_buffer()
-        samples = states.reshape(-1).view(float)[:3 * layout.size].reshape(3, -1)
+        # padding cells are zero
+        samples = _workspace(layout).take("samples", (3, layout.size))
         own_slots = layout.chains * layout.own
         own = samples[:, :own_slots].reshape(3, layout.chains, layout.own)
         own[:, :, cells:] = 0.0
@@ -568,7 +642,7 @@ def _sweep_scans(k: float, grid: Grid, v: PotentialSamples, u: PotentialSamples,
             combine_cells(v, u, weights, slice(0, layout.own), out=own[:, :, :cells])
             combine_cells(v, u, weights[:1], slice(layout.own, None),
                           out=samples[:, None, own_slots:])
-            psi, dpsi = _solve(k, grid.step, top, layout, *samples, states)
+            psi, dpsi = _solve(k, grid.step, top, layout, *samples)
             residuals = _certify(k, tol_wronskian, layout, psi, dpsi)
         yield layout, psi, dpsi, residuals
 
@@ -642,7 +716,7 @@ def solve_reference(V: PotentialSpec, k: float, grid: Grid,
     v = sample_potential(V, grid)
     # overflow fails the certificate, or the density's finiteness check
     with np.errstate(over="ignore", invalid="ignore"):
-        psi, dpsi = integrate_wave_inward(k, grid, v)
+        psi, dpsi = _one_chain(k, grid, v)
         (residual,) = _certify(k, tol_wronskian, ChainLayout(1, 0, len(psi) - 1),
                                psi, dpsi)
         return _reference_wave(k, grid, psi, dpsi, residual)

@@ -157,6 +157,24 @@ def rk4_wave_loop(k, grid, samples):
     return np.array(psi), np.array(dpsi)
 
 
+# The node-state kernel of the blocked scan before it stopped casting the real
+# step entries to complex, kept as the reference for the cast-free one: on
+# finite inputs whose block-top states hold no -0.0 the two agree bit for bit.
+def node_states_complex(steps, z0, z1):
+    """psi and psi' at every node of the blocks of `steps`, a
+    (W, 2, 2, blocks) array of suffix-product deviations, from the states
+    (z0, z1) at the block tops: node row r is (N_r0 z0 + N_r1 z1) + z_r, with
+    N cast to complex.  Returns two (W, blocks) arrays, [t, j] at node
+    j*W + t."""
+    psi = steps[:, 0, 0] * z0
+    psi += steps[:, 0, 1] * z1
+    psi += z0
+    dpsi = steps[:, 1, 0] * z0
+    dpsi += steps[:, 1, 1] * z1
+    dpsi += z1
+    return psi, dpsi
+
+
 # The per-tuple loop the package's partition sum replaced, kept verbatim as
 # its reference: every multiplicity is visited, zeros skipped, and each value
 # converted to complex where it is used.  The package must agree bit for bit.

@@ -116,7 +116,7 @@ def test_the_certificate_trace_point_sees_every_coupling(monkeypatch):
 # Only refwave decides how the chains of a scan are laid out: every other
 # module asks it for waves and never names the layout, its node buffer or
 # the uncertified scan.
-LAYOUT_NAMES = {"ChainLayout", "node_buffer", "_solve"}
+LAYOUT_NAMES = {"ChainLayout", "_solve"}
 
 
 def _names(path):

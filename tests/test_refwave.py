@@ -1,5 +1,7 @@
 import cmath
 import math
+import threading
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -28,7 +30,7 @@ from phaseshift.refwave import (
     wronskian_residual,
 )
 
-from _oracles import rk4_wave_loop, transfer_matrix_phase
+from _oracles import node_states_complex, rk4_wave_loop, transfer_matrix_phase
 
 
 def test_analytic_free_wave_closed_forms():
@@ -205,6 +207,19 @@ def test_wronskian_violation_on_coarse_strong_potential():
                         1.0, Grid(2.0, 401))
 
 
+def test_the_residual_bound_is_tol_times_k():
+    # at k = 2 a residual r passes at tol = r / 2, with the bound exactly r,
+    # and fails just below
+    grid = Grid(2.0, 401)
+    samples = sample_potential(_BARRIER, grid)
+    [(_, residual)] = solve_sweep(2.0, grid, samples, samples, [0.1], 1.0)
+    assert residual > 0.0
+    [(_, again)] = solve_sweep(2.0, grid, samples, samples, [0.1], residual / 2.0)
+    assert again == residual
+    with pytest.raises(WronskianViolation):
+        solve_sweep(2.0, grid, samples, samples, [0.1], residual / 2.0 * (1.0 - 1e-9))
+
+
 def test_a_wave_with_a_node_is_refused():
     # k = 1 on cells of width 0.5.  These samples of a cell make its RK4 step
     # N01 = 0 and N00 = -1 exactly, so psi at the cell's lower node is
@@ -306,3 +321,170 @@ def test_a_potential_nonzero_only_at_the_origin_leaves_the_wave_free():
         assert abs(solve_reference(u, 1.0, grid).delta0 - free.delta0) <= 1e-15
         for ref in (analytic_free_reference(1.0, grid), free):
             assert compute_hierarchy(ref, u, 4).values_at_zero == (0j,) * 4
+
+
+# The arrays of a scan are kept per thread from one solve to the next
+# (refwave._workspace), for scans of at most refwave._SCAN_SLOTS cell slots.
+_CONVERGE_GRID = Grid(2.0, 16001)
+
+
+def _in_new_thread(fn):
+    """fn(), run in a new thread, whose kept workspace starts empty."""
+    out = []
+
+    def run():
+        try:
+            out.append(("ok", fn()))
+        except BaseException as error:  # re-raised in the calling thread
+            out.append(("raised", error))
+
+    thread = threading.Thread(target=run)
+    thread.start()
+    thread.join()
+    [(how, value)] = out
+    if how == "raised":
+        raise value
+    return value
+
+
+def _kept_buffers():
+    """{key: (address, size)} of the calling thread's kept buffers."""
+    work = getattr(refwave._kept, "workspace", None)
+    return {} if work is None else {
+        key: (buffer.ctypes.data, buffer.size) for key, buffer in work._buffers.items()}
+
+
+def test_a_warm_sweep_reuses_the_kept_arrays():
+    # four couplings on 16001 points, U over the whole grid: 64000 cell
+    # slots, which no two couplings share
+    v = sample_potential(PotentialSpec.zero(), _CONVERGE_GRID)
+    u = sample_potential(PotentialSpec.piecewise_constant([(0.0, 2.0, 1.0)]),
+                         _CONVERGE_GRID)
+    couplings = [0.1, 0.05, -0.1, 0.2]
+
+    def sweep_twice():
+        first = solve_sweep(1.0, _CONVERGE_GRID, v, u, couplings, 1e-8)
+        kept = _kept_buffers()
+        tracemalloc.start()
+        try:
+            second = solve_sweep(1.0, _CONVERGE_GRID, v, u, couplings, 1e-8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return first, second, kept, _kept_buffers(), peak
+
+    first, second, kept, again, peak = _in_new_thread(sweep_twice)
+    assert repr(second) == repr(first)
+    assert {"samples", ("steps", 0), ("nodes", 0), ("steps", 1)} <= kept.keys()
+    assert again == kept  # the same buffers, none grown
+    # the warm sweep allocates no scan array anew, only temporaries over one
+    # coupling's nodes at a time: less than a double per cell slot
+    assert peak < 8 * 64000
+
+
+def test_a_scan_over_scan_slots_keeps_nothing(monkeypatch):
+    grid = Grid(2.0, 2001)  # 2000 cells
+    samples = sample_potential(_BARRIER, grid)
+    alone = integrate_wave_inward(1.0, grid, samples)
+    swept = solve_sweep(1.0, grid, samples, samples, [0.1, 0.05], 1e-8)
+    monkeypatch.setattr(refwave, "_SCAN_SLOTS", 1999)
+
+    def solves():
+        wave = integrate_wave_inward(1.0, grid, samples)
+        sweep = solve_sweep(1.0, grid, samples, samples, [0.1, 0.05], 1e-8)
+        large = _kept_buffers()
+        integrate_wave_inward(1.0, Grid(2.0, 401), samples=sample_potential(
+            _BARRIER, Grid(2.0, 401)))
+        return wave, sweep, large, _kept_buffers()
+
+    wave, sweep, large, small = _in_new_thread(solves)
+    assert large == {}
+    assert small  # a scan of at most _SCAN_SLOTS slots keeps its arrays
+    assert repr(sweep) == repr(swept)
+    for got, want in zip(wave, alone):
+        assert got.tobytes() == want.tobytes()
+
+
+def test_integrate_wave_inward_returns_arrays_it_owns():
+    grid = Grid(2.0, 4001)
+    psi, dpsi = integrate_wave_inward(1.0, grid, sample_potential(_BARRIER, grid))
+    before = psi.tobytes(), dpsi.tobytes()
+    other = PotentialSpec.gaussian_sum([(2.0, 0.7, 0.2)])
+    again, _ = integrate_wave_inward(1.3, grid, sample_potential(other, grid))
+    solve_reference(other, 0.9, grid)
+    solve_sweep(1.1, grid, sample_potential(other, grid),
+                sample_potential(_BARRIER, grid), [0.2, -0.1], 1e-8)
+    assert (psi.tobytes(), dpsi.tobytes()) == before
+    assert not np.shares_memory(psi, again)
+
+
+def test_threads_sweep_with_their_own_arrays():
+    # each thread's scans write its own kept arrays: two different sweeps,
+    # run at once, give the bits of each run alone
+    sweeps = {
+        "converge": (1.0, _CONVERGE_GRID, PotentialSpec.zero(), _BARRIER,
+                     [0.1, 0.05]),
+        "sweep": (1.3, Grid(2.0, 4001), PotentialSpec.gaussian_sum([(0.5, 1.2, 0.3)]),
+                  PotentialSpec.piecewise_constant([(0.0, 0.75, 2.0)]),
+                  [0.3, 0.15, 0.075, 0.0375]),
+    }
+
+    def run(name):
+        k, grid, V, U, couplings = sweeps[name]
+        v, u = sample_potential(V, grid), sample_potential(U, grid)
+        return repr(solve_sweep(k, grid, v, u, couplings, 1e-8))
+
+    alone = {name: run(name) for name in sweeps}
+    start = threading.Barrier(len(sweeps))
+    runs = {name: [] for name in sweeps}
+
+    def repeat(name):
+        start.wait()
+        for _ in range(20):
+            runs[name].append(run(name))
+
+    threads = [threading.Thread(target=repeat, args=(name,)) for name in sweeps]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    for name in sweeps:
+        assert runs[name] == [alone[name]] * 20, name
+
+
+@pytest.mark.parametrize("blocks", (1, 5, 64, 1001))
+def test_node_states_are_those_of_the_complex_cast(blocks):
+    # the cast-free kernel against the formula it replaced, on finite steps
+    # and block-top states with exact zeros (of both signs in the steps).
+    # A -0.0 in a block-top state could flip the sign of a zero node part;
+    # the scan starts from the free wave's state and never forms one
+    rng = np.random.default_rng(blocks)
+    width = refwave.SCAN_WIDTH
+    steps = rng.normal(size=(width, 2, 2, blocks)) * 10.0 ** rng.integers(
+        -8, 3, size=(width, 2, 2, blocks))
+    zeros = rng.random(steps.shape) < 0.2
+    steps[zeros] = rng.choice([0.0, -0.0], size=zeros.sum())
+    z = rng.normal(size=(2, blocks)) + 1j * rng.normal(size=(2, blocks))
+    parts = z.view(float)
+    parts[rng.random(parts.shape) < 0.3] = 0.0
+    states = np.full((2, blocks * width + 1), np.nan + 0j)
+    refwave._node_states(steps, z, states, refwave._Workspace())
+    for row, want in enumerate(node_states_complex(steps, *z)):
+        got = states[row, :-1].reshape(blocks, width).T
+        assert got.tobytes() == np.ascontiguousarray(want).tobytes()
+
+
+@pytest.mark.parametrize("coupling", (math.inf, -math.inf, math.nan, 1e308, -1e308))
+def test_a_sweep_through_a_non_finite_wave_fails_with_the_same_text(coupling):
+    # the certificate refuses these waves whatever NaN their node values
+    # carry: the residual is NaN, in the words of every earlier release
+    grid = Grid(2.0, 401)
+    text = ("residual nan is not within 1.0e-08 * k = 1.000e-08; refine the "
+            "grid or check the potential")
+    # a finite coupling times a U zero everywhere is zero
+    for U in (_BARRIER,) + ((PotentialSpec.zero(),) if not math.isfinite(coupling) else ()):
+        for couplings in ((0.1, coupling), (coupling, 0.1)):
+            with pytest.raises(WronskianViolation) as raised:
+                sweep_exact(PotentialSpec.zero(), U, couplings, 1.0, grid)
+            assert type(raised.value) is WronskianViolation
+            assert str(raised.value) == text
