@@ -3,7 +3,8 @@
 The oracle integrates the full equation  psi'' = (2(V + coupling*U) - k^2) psi
 with the same certified RK4 core the reference solver uses (a sweep solves
 all its couplings in one scan, which takes the wave above U's support once,
-with the bits of a full solve at each), then compares truncations of the
+with the bits of a full solve at each, on samples of V and U kept per
+thread from one sweep to the next), then compares truncations of the
 perturbation series against the exact phase along a coupling sweep.
 Remainders of an order-N truncation must shrink like coupling**(N+1); the
 empirical order
@@ -25,8 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateSweep
-from .potential import Grid, PotentialSpec, sample_potential
-from .refwave import DEFAULT_WRONSKIAN_TOL, phase_from_wave, solve_sweep
+from .potential import Grid, PotentialSpec
+from .refwave import DEFAULT_WRONSKIAN_TOL, phase_from_wave, sweep_potentials
 from .series import PhaseSeries, evaluate_truncated
 
 #: oracle grids refine the series grid by this factor
@@ -64,9 +65,10 @@ def sweep_exact(V: PotentialSpec, U: PotentialSpec, couplings, k: float,
                 tol_wronskian: float = DEFAULT_WRONSKIAN_TOL) -> list:
     """Solve a list of couplings and unwrap phases to a continuous branch.
 
-    V and U are sampled once for the whole sweep.  The wave above U's
-    support is the same at every coupling, so the couplings are solved
-    together and that wave is taken once (:func:`refwave.solve_sweep`).  Every
+    V and U are sampled once for the whole sweep, into arrays the calling
+    thread keeps.  The wave above U's support is the same at every
+    coupling, so the couplings are solved together and that wave is taken
+    once (:func:`refwave.sweep_potentials`).  Every
     wave is bit for bit that of a solve of its coupling alone; each coupling
     is certified over every node of its wave, and the first that fails
     raises.
@@ -77,6 +79,9 @@ def sweep_exact(V: PotentialSpec, U: PotentialSpec, couplings, k: float,
 
     Raises
     ------
+    TypeError, TabulatedGridMismatch
+        If V or U is not a spec that can be sampled on `grid`, before k is
+        checked.
     NonpositiveK, NonFiniteResult
         If k <= 0, or k x_max is beyond the double range; also for no
         couplings.
@@ -85,11 +90,10 @@ def sweep_exact(V: PotentialSpec, U: PotentialSpec, couplings, k: float,
         reference wave, which the perturbed wave also obeys).
     """
     couplings = list(couplings)
-    v, u = sample_potential(V, grid), sample_potential(U, grid)
     results = []
     previous = seed_delta
-    for c, (psi0, residual) in zip(
-            couplings, solve_sweep(k, grid, v, u, couplings, tol_wronskian)):
+    for c, (psi0, residual) in zip(couplings, sweep_potentials(
+            k, grid, V, U, couplings, tol_wronskian)):
         raw = phase_from_wave(psi0)
         previous = raw + math.pi * round((previous - raw) / math.pi)
         results.append(OracleResult(c, previous, psi0, residual))

@@ -2,12 +2,15 @@
 
 Everything downstream (wave integration, the correction hierarchy, the exact
 oracle, the closed-form checks) works one grid cell at a time and samples a
-:class:`PotentialSpec` one way: :func:`sample_potential`, the one place that
+:class:`PotentialSpec` one way: :func:`sample_cells`, the one place that
 decides which one-sided limit each end of a cell reads, returns U's right
 limit at each cell's lower node, its value at the centre and its left limit
-at the upper node.  Piecewise-constant potentials jump at segment edges
-(segments are half-open, [x_lo, x_hi)); a cell rule that reads each end from
-inside the cell keeps its order across a jump on a node.
+at the upper node.  :func:`sample_potential` keeps them as
+:class:`PotentialSamples`; the oracle's sweep has them written into arrays
+the solver keeps from one sweep to the next.  Piecewise-constant potentials
+jump at segment edges (segments are half-open, [x_lo, x_hi)); a cell rule
+that reads each end from inside the cell keeps its order across a jump on a
+node.
 
 Units are dimensionless throughout (hbar = m = 1).
 """
@@ -278,23 +281,27 @@ class PotentialSamples:
                 raise GridMismatch(f"{name}: expected {cells} values")
             object.__setattr__(self, name, arr)
 
+    @property
+    def rows(self) -> tuple:
+        """(lower, mid, upper), the rows :func:`combine_cells` reads."""
+        return self.lower, self.mid, self.upper
 
-def combine_cells(a: PotentialSamples, b: PotentialSamples, weights,
-                  cells: slice = slice(None), out: np.ndarray | None = None
-                  ) -> np.ndarray:
-    """Samples of ``a + w * b`` for each weight w in `weights`, over `cells`
-    of their common grid: a (3, len(weights), n) array of the lower, mid
-    and upper samples, written into `out` when one is given.
+
+def combine_cells(a, b, weights, cells: slice = slice(None),
+                  out: np.ndarray | None = None) -> np.ndarray:
+    """Samples of ``a + w * b`` for each weight w in `weights`, over `cells`:
+    a (3, len(weights), n) array of the lower, mid and upper samples,
+    written into `out` when one is given.  `a` and `b` are the rows lower,
+    mid and upper of two potentials' samples on one grid
+    (:attr:`PotentialSamples.rows`, or the rows of :func:`sample_cells`).
 
     The one formula for a combined potential: :func:`combine_samples` takes
     one weight, and a coupling sweep of the oracle every coupling at once.
     """
-    require_same_grid(a, b)
     weights = np.asarray(weights, dtype=float)[:, None]
-    pairs = ((a.lower, b.lower), (a.mid, b.mid), (a.upper, b.upper))
     if out is None:
-        out = np.empty((3, len(weights), len(a.lower[cells])))
-    for combined, (x, y) in zip(out, pairs):
+        out = np.empty((3, len(weights), len(a[0][cells])))
+    for combined, x, y in zip(out, a, b):
         np.multiply(weights, y[cells], out=combined)
         combined += x[cells]
     return out
@@ -303,18 +310,50 @@ def combine_cells(a: PotentialSamples, b: PotentialSamples, weights,
 def combine_samples(a: PotentialSamples, b: PotentialSamples,
                     weight_b: float) -> PotentialSamples:
     """Samples of ``a + weight_b * b`` on the common grid."""
-    return PotentialSamples(a.grid, *combine_cells(a, b, (weight_b,))[:, 0])
+    require_same_grid(a, b)
+    return PotentialSamples(a.grid, *combine_cells(a.rows, b.rows, (weight_b,))[:, 0])
 
 
-def sample_potential(spec: PotentialSpec, grid: Grid) -> PotentialSamples:
-    """The three per-cell samples of `spec` on `grid`.
+def _first(bound: float, step: float, offset, count: int, strict: bool) -> int:
+    """The smallest i in [0, count) whose point ``(i + offset) * step`` is
+    above `bound` (strict) or at or above it, or `count` if there is none.
+
+    The points are formed as the grid forms its nodes (offset 0 for a
+    cell's lower node, 1 for its upper one) and midpoints (offset 0.5), so
+    the index is exact: a guess from the division is moved to it one point
+    at a time.
+    """
+    guess = bound / step - offset
+    i = max(math.ceil(guess), 0) if guess < count else count
+
+    def reaches(j):
+        x = (j + offset) * step
+        return x > bound if strict else x >= bound
+
+    while i > 0 and reaches(i - 1):
+        i -= 1
+    while i < count and not reaches(i):
+        i += 1
+    return i
+
+
+def sample_cells(spec: PotentialSpec, grid: Grid, out: np.ndarray | None = None):
+    """The three per-cell samples of `spec` on `grid`, the rows lower, mid
+    and upper: those of `out`, a (3, cells) array, when one is given, and
+    otherwise three arrays.  The one sampling routine, behind
+    :func:`sample_potential` and the oracle's sweep.
 
     Each cell's lower end reads the right limit at its lower node and its
     upper end the left limit at its upper node; only piecewise-constant specs
-    evaluate the two limits apart.  Tabulated specs must declare `grid`
-    itself or a grid that `grid` refines (same domain, cell count an integer
-    multiple); off-node values are then linearly interpolated.  Anything but
-    a spec, such as a plain array with no one-sided limits, raises TypeError.
+    evaluate the two limits apart.  Such a spec fills, per segment, the
+    index ranges of the cells whose lower node, centre or upper node lies in
+    it, found from the segment's edges, so no array of nodes is built; the
+    ranges hold the cells :meth:`PotentialSpec.values_at` puts in the
+    segment at the grid's nodes and midpoints.  Tabulated specs must declare
+    `grid` itself or a grid that `grid` refines (same domain, cell count an
+    integer multiple); off-node values are then linearly interpolated.
+    Anything but a spec, such as a plain array with no one-sided limits,
+    raises TypeError.
     """
     if not isinstance(spec, PotentialSpec):
         raise TypeError(f"expected a PotentialSpec, got {type(spec).__name__}")
@@ -328,11 +367,33 @@ def sample_potential(spec: PotentialSpec, grid: Grid) -> PotentialSamples:
                 raise TabulatedGridMismatch(
                     f"tabulated on {declared}, requested {grid}"
                 )
-    right = spec.values_at(grid.nodes, side=+1)
-    left = (spec.values_at(grid.nodes, side=-1)
-            if spec.kind == "piecewise_constant" else right)
-    return PotentialSamples(grid, right[:-1],
-                            spec.values_at(grid.midpoints, side=+1), left[1:])
+    cells = grid.n_points - 1
+    if spec.kind != "piecewise_constant":
+        right = spec.values_at(grid.nodes, side=+1)
+        rows = right[:-1], spec.values_at(grid.midpoints, side=+1), right[1:]
+        if out is None:
+            return rows
+        for row, values in zip(out, rows):
+            np.copyto(row, values)
+        return out
+    if out is None:
+        out = np.zeros(cells), np.zeros(cells), np.zeros(cells)
+    else:
+        out.fill(0.0)
+    step = grid.step
+    for lo, hi, v in spec.segments:
+        # lo <= node c < hi, lo <= centre c < hi, lo < node c + 1 <= hi
+        for row, offset, strict in ((out[0], 0, False), (out[1], 0.5, False),
+                                    (out[2], 1, True)):
+            row[_first(lo, step, offset, cells, strict):
+                _first(hi, step, offset, cells, strict)] = v
+    return out
+
+
+def sample_potential(spec: PotentialSpec, grid: Grid) -> PotentialSamples:
+    """The three per-cell samples of `spec` on `grid`
+    (:func:`sample_cells`), as :class:`PotentialSamples`."""
+    return PotentialSamples(grid, *sample_cells(spec, grid))
 
 
 def simpson_weights(grid: Grid) -> np.ndarray:

@@ -19,19 +19,25 @@ some block (:class:`ChainLayout`): each chain's own blocks and the shared
 blocks above them, taken once, go through every level of the scan
 together.  Blocks are aligned from x = 0, so each block product and
 block-top state depends only on the cells at or above its block, and every
-chain's wave is bit for bit that of a scan of its potential alone.  One
-chain is the plain solve of one potential, :func:`integrate_wave_inward`,
-which :func:`solve_reference` certifies.  :func:`solve_sweep` solves the
-couplings of a sweep, and this module alone decides how their chains are
-laid out: the oracle asks it for each coupling's psi(0) and residual.
+chain's wave is bit for bit that of a scan of its potential alone.  Each
+distinct block of the grid's cells is built once: a block whose samples
+repeat those of the block below it, as they do on every constant stretch
+of a potential, takes that block's steps and products by a copy
+(:func:`_block_steps`).  One chain is the plain solve of one potential,
+:func:`integrate_wave_inward`, which :func:`solve_reference` certifies.
+:func:`solve_sweep` solves the couplings of a sweep, and this module alone
+decides how their chains are laid out: the oracle asks
+:func:`sweep_potentials`, the same sweep of two specs, for each coupling's
+psi(0) and residual.
 Every entry checks k once, before any work, in :func:`_top_state`, and a
 certified one runs each scan, its certificate and the wave built from it
 in one ``np.errstate``, so overflow ends in a typed error, not a warning.
 The arrays of a scan (its samples, the steps and node states of every
 level, the kernels' temporaries) are kept per thread from one solve to the
 next, and only for scans of at most _SCAN_SLOTS cell slots, so the memory
-a thread keeps is bounded (:func:`_workspace`); the entries return arrays
-their caller owns, or values.
+a thread keeps is bounded (:func:`_workspace`); so are the oracle's samples
+of V and U, on a grid of at most _SCAN_SLOTS cells.  The entries return
+arrays their caller owns, or values.
 
 The Wronskian  psi * conj(psi)' - conj(psi) * psi' = 2ik  is an exact
 invariant of the continuum equation; its maximum grid residual is the
@@ -57,6 +63,8 @@ from .potential import (
     PotentialSamples,
     PotentialSpec,
     combine_cells,
+    require_same_grid,
+    sample_cells,
     sample_potential,
 )
 
@@ -219,9 +227,9 @@ def _workspace(layout: ChainLayout) -> _Workspace:
 
 
 def _cell_steps(k: float, h: float, lower: np.ndarray, mid: np.ndarray,
-                upper: np.ndarray, work: _Workspace) -> np.ndarray:
-    """Deviation N = M - I of the RK4 step of each cell, in scan layout, in
-    the level-0 steps of `work`.
+                upper: np.ndarray, steps: np.ndarray, work: _Workspace) -> None:
+    """Write the deviation N = M - I of the RK4 step of each cell into
+    `steps`, in scan layout: a (SCAN_WIDTH, 2, 2, blocks) array.
 
     With s = -h (stepping toward smaller x), q = s^2 and hi, mid, lo the
     coefficient c = 2 V - k^2 from the cell's ``upper``, ``mid`` and
@@ -233,7 +241,7 @@ def _cell_steps(k: float, h: float, lower: np.ndarray, mid: np.ndarray,
         N11 = (q/6)(2 mid + lo) + (q^2/24) lo mid
     """
     cells = len(lower)
-    blocks = -(-cells // SCAN_WIDTH)
+    blocks = steps.shape[-1]
     full, rest = divmod(cells, SCAN_WIDTH)
     s = -h
     q = s * s
@@ -242,7 +250,6 @@ def _cell_steps(k: float, h: float, lower: np.ndarray, mid: np.ndarray,
     # and N11 first hold hi, mid and lo.  Padding cells of a partial last
     # block start at zero, so every entry stays finite, and end as the
     # identity step N = 0
-    steps = work.take(("steps", 0), (SCAN_WIDTH, 2, 2, blocks))
     steps[rest:, :, :, full:] = 0.0
     n00, n01, n10, n11 = steps[:, 0, 0], steps[:, 0, 1], steps[:, 1, 0], steps[:, 1, 1]
     for slot, values in ((n00, upper), (n01, mid), (n11, lower)):
@@ -272,7 +279,6 @@ def _cell_steps(k: float, h: float, lower: np.ndarray, mid: np.ndarray,
     mid *= s * q / 6.0
     mid += s
     steps[rest:, :, :, full:] = 0.0
-    return steps
 
 
 def _block_products(steps: np.ndarray, work: _Workspace) -> None:
@@ -396,14 +402,14 @@ def _scan(layout: ChainLayout, steps: np.ndarray, y0: complex, y1: complex,
     state at node i + 1 to node i, and (y0, y1) is the state at every
     chain's top node.  Level 0 is the chains of grid cells; each level above
     holds, per chain, the whole-block products of the level below.  `steps`
-    holds the cell deviations N = M - I of the level in scan layout, each
-    chain's own cells and then the shared ones (see :class:`ChainLayout`),
-    and is overwritten.
+    holds the in-block suffix products of the level's cell deviations
+    N = M - I (:func:`_block_products`) in scan layout, each chain's own
+    cells and then the shared ones (see :class:`ChainLayout`); at level 0
+    :func:`_block_steps` forms them, once per distinct block.
 
-    Inside a block the suffix products are formed in place
-    (:func:`_block_products`), all chains' blocks at once.  The states at
-    the block tops are the node states of the level above, scanned by this
-    function; once a chain has at most _LEAF_CELLS blocks they come instead
+    The states at the block tops are the node states of the level above,
+    whose cell products this function forms, all chains' blocks at once,
+    and scans; once a chain has at most _LEAF_CELLS blocks they come instead
     from a scalar loop (:func:`_leaf_states`).  Returns psi and psi' over
     the node slots of `layout`, as the rows of a (2, slots) array of `work`
     that the next scan of scan level `depth` (0 for the grid) overwrites;
@@ -415,7 +421,6 @@ def _scan(layout: ChainLayout, steps: np.ndarray, y0: complex, y1: complex,
     of one chain: the node states of every chain are bit for bit those of a
     scan of that chain alone.
     """
-    _block_products(steps, work)
     tops = steps[0]
     blocks = -(-layout.cells // SCAN_WIDTH)  # per chain
 
@@ -425,8 +430,9 @@ def _scan(layout: ChainLayout, steps: np.ndarray, y0: complex, y1: complex,
     else:
         level = ChainLayout(layout.chains, layout.own // SCAN_WIDTH, blocks)
         up = ChainLayout.above(layout.chains, blocks, level.own)
-        above = _scan(up, _level_steps(tops, level, up, work, depth + 1),
-                      y0, y1, work, depth + 1)
+        cells = _level_steps(tops, level, up, work, depth + 1)
+        _block_products(cells, work)
+        above = _scan(up, cells, y0, y1, work, depth + 1)
         # block j's top is node j + 1 of its chain at the level above; the
         # padding blocks of a chain padded up to `own` cells get zero
         z = work.take("z", (2, tops.shape[-1]), complex)
@@ -442,6 +448,100 @@ def _scan(layout: ChainLayout, steps: np.ndarray, y0: complex, y1: complex,
     return states
 
 
+def _run_starts(layout: ChainLayout, lower: np.ndarray, mid: np.ndarray,
+                upper: np.ndarray, work: _Workspace) -> np.ndarray:
+    """The first level-0 block of each run of repeated blocks, in slot order.
+
+    Block j repeats block j - 1 when the samples of its cells are, cell for
+    cell, the bits of those of block j - 1 (bits, so that 0.0 and -0.0
+    differ); its step deviations and in-block suffix products are then the
+    same bits as well.  Where nothing repeats the check is a pass over
+    blocks, not cells: it compares the ``lower`` sample of the first cell
+    of neighbouring blocks, and compares all their samples only over the
+    blocks from the first whose first cell matches to the last.  A partial
+    last block, each chain's padded last block (see :func:`_block_steps`)
+    and the block after it start runs of their own.
+    """
+    size = layout.size
+    full, blocks = size // SCAN_WIDTH, -(-size // SCAN_WIDTH)
+    heads = lower.view(np.int64)[:full * SCAN_WIDTH:SCAN_WIDTH]
+    same = heads[1:] == heads[:-1]
+    if not same.any():
+        return np.arange(blocks)
+    repeats = np.zeros(blocks, bool)
+    repeats[1:full] = same
+    if layout.own > layout.cells:
+        per = layout.own // SCAN_WIDTH
+        repeats[per - 1::per] = False
+        repeats[per::per] = False
+    candidates = np.flatnonzero(repeats)
+    if not candidates.size:
+        return np.arange(blocks)
+    rows = [x.view(np.int64) for x in (lower, mid, upper)]
+    first, last = int(candidates[0]), int(candidates[-1]) + 1
+    span = slice(first * SCAN_WIDTH, last * SCAN_WIDTH)
+    below = slice((first - 1) * SCAN_WIDTH, (last - 1) * SCAN_WIDTH)
+    # differ[c]: cell c of the span differs from the cell a block below
+    differ, part = work.take("differ", (2, (last - first) * SCAN_WIDTH), bool)
+    np.not_equal(rows[0][span], rows[0][below], out=differ)
+    for bits in rows[1:]:
+        differ |= np.not_equal(bits[span], bits[below], out=part)
+    # the 16 flags of a block, as two words: nonzero where a cell differs
+    words = differ.view(np.uint64).reshape(-1, SCAN_WIDTH // 8)
+    flags = work.take("flags", (last - first,), np.uint64)
+    np.bitwise_or(words[:, 0], words[:, 1], out=flags)
+    repeats[first:last] &= np.equal(flags, 0, out=part[:last - first])
+    return np.flatnonzero(np.logical_not(repeats, out=repeats))
+
+
+def _block_steps(k: float, h: float, layout: ChainLayout, lower: np.ndarray,
+                 mid: np.ndarray, upper: np.ndarray, work: _Workspace) -> np.ndarray:
+    """The level-0 input of :func:`_scan`: the in-block suffix products of
+    the cell steps of `layout`'s slots (:func:`_cell_steps`,
+    :func:`_block_products`), in the level-0 steps of `work`.
+
+    Each distinct block is built once.  The first block of every run of
+    repeated blocks (:func:`_run_starts`) is gathered, and the steps and
+    products of all of them are formed together; each is then copied over
+    its run with one slice assignment, and the lone blocks between two runs
+    with one more.  When nothing repeats every block is distinct and is
+    built in place, and nothing is copied.  If a chain is padded up to
+    `own` cells, it ends in a block of its own whose padding cells take the
+    identity step N = 0.
+    """
+    blocks = -(-layout.size // SCAN_WIDTH)
+    steps = work.take(("steps", 0), (SCAN_WIDTH, 2, 2, blocks))
+    starts = _run_starts(layout, lower, mid, upper, work)
+    distinct = len(starts)
+    built, samples = steps, (lower, mid, upper)
+    if distinct < blocks:
+        full, rest = divmod(layout.size, SCAN_WIDTH)
+        whole = distinct - (rest > 0)  # a partial last block starts the last run
+        samples = work.take("distinct samples", (3, whole * SCAN_WIDTH + rest))
+        for row, x in zip(samples, (lower, mid, upper)):
+            np.take(x[:full * SCAN_WIDTH].reshape(full, SCAN_WIDTH), starts[:whole],
+                    axis=0, out=row[:whole * SCAN_WIDTH].reshape(whole, SCAN_WIDTH),
+                    mode="clip")
+            row[whole * SCAN_WIDTH:] = x[full * SCAN_WIDTH:]
+        built = work.take("distinct steps", (SCAN_WIDTH, 2, 2, distinct))
+    _cell_steps(k, h, *samples, built, work)
+    if layout.own > layout.cells:
+        per = layout.own // SCAN_WIDTH
+        padded = np.searchsorted(starts, np.arange(per - 1, blocks, per))
+        built[layout.cells % SCAN_WIDTH:, :, :, padded] = 0.0
+    _block_products(built, work)
+    if distinct < blocks:
+        lengths = np.diff(starts, append=blocks)
+        first = 0  # the first run not yet copied
+        for run in np.flatnonzero(lengths > 1).tolist():
+            at, length = int(starts[run]), int(lengths[run])
+            steps[..., at - (run - first):at + 1] = built[..., first:run + 1]
+            steps[..., at + 1:at + length] = built[..., run, None]
+            first = run + 1
+        steps[..., blocks - (distinct - first):] = built[..., first:]
+    return steps
+
+
 def _solve(k: float, h: float, top: tuple[complex, complex],
            layout: ChainLayout, lower: np.ndarray, mid: np.ndarray,
            upper: np.ndarray) -> np.ndarray:
@@ -455,11 +555,7 @@ def _solve(k: float, h: float, top: tuple[complex, complex],
     grid step.
     """
     work = _workspace(layout)
-    steps = _cell_steps(k, h, lower, mid, upper, work)
-    if layout.own > layout.cells:
-        # every chain ends in a block of its own, padded with identity steps
-        blocks = layout.own // SCAN_WIDTH
-        steps[layout.cells % SCAN_WIDTH:, :, :, blocks - 1::blocks] = 0.0
+    steps = _block_steps(k, h, layout, lower, mid, upper, work)
     return _scan(layout, steps, *top, work)
 
 
@@ -573,14 +669,16 @@ def _certify(k: float, tol: float, layout: ChainLayout, psi: np.ndarray,
     return tuple(residuals)
 
 
-def _support_cells(u: PotentialSamples) -> int:
-    """Cells from x = 0 up to the last one where any sample of `u` is
-    nonzero; 0 for a `u` that is zero everywhere.
+def _support_cells(u) -> int:
+    """Cells from x = 0 up to the last one where any sample of `u`, the rows
+    lower, mid and upper of U's samples, is nonzero; 0 for a `u` that is
+    zero everywhere.
 
     RK4 reads a cell's ``mid`` as well as its ends, so a cell whose only
     nonzero sample is its centre counts.
     """
-    nonzero = np.flatnonzero((u.lower != 0.0) | (u.mid != 0.0) | (u.upper != 0.0))
+    lower, mid, upper = u
+    nonzero = np.flatnonzero((lower != 0.0) | (mid != 0.0) | (upper != 0.0))
     return int(nonzero[-1]) + 1 if nonzero.size else 0
 
 
@@ -611,10 +709,11 @@ def _scan_groups(couplings: list, cells: int, support: int) -> list:
     return [g for g in groups if g]
 
 
-def _sweep_scans(k: float, grid: Grid, v: PotentialSamples, u: PotentialSamples,
-                 couplings, tol_wronskian: float):
+def _sweep_scans(k: float, grid: Grid, v, u, couplings, tol_wronskian: float):
     """Yield (layout, psi, dpsi, residuals) for each scan of a sweep of the
-    potentials v + c u, one scan per group of :func:`_scan_groups`.
+    potentials v + c u, one scan per group of :func:`_scan_groups`; `v` and
+    `u` are the rows lower, mid and upper of the samples of V and U on
+    `grid`.
 
     Above U's support every potential of the sweep is V, so each coupling's
     own cells run up to U's support, rounded up to whole blocks, and the
@@ -656,6 +755,8 @@ def solve_sweep(k: float, grid: Grid, v: PotentialSamples, u: PotentialSamples,
 
     Raises
     ------
+    GridMismatch
+        If `v` and `u` are samples on different grids.
     NonpositiveK
         If k <= 0.
     NonFiniteResult
@@ -664,9 +765,32 @@ def solve_sweep(k: float, grid: Grid, v: PotentialSamples, u: PotentialSamples,
         If a residual is non-finite or over the bound, or a wave has a node:
         that of the first such coupling.
     """
+    require_same_grid(v, u)
+    return _sweep_results(_sweep_scans(k, grid, v.rows, u.rows, couplings,
+                                       tol_wronskian))
+
+
+def sweep_potentials(k: float, grid: Grid, V: PotentialSpec, U: PotentialSpec,
+                     couplings, tol_wronskian: float) -> list:
+    """:func:`solve_sweep` of the samples of `V` and `U` on `grid`.
+
+    They are sampled (:func:`sample_cells`) into the calling thread's kept
+    workspace, which holds them until its next sweep, on a grid of at most
+    _SCAN_SLOTS cells (:func:`_workspace`), so a warm sweep allocates no
+    sample array.  Raises as :func:`sample_cells` does for a bad spec, and
+    then as :func:`solve_sweep` does.
+    """
+    work = _workspace(ChainLayout(1, 0, grid.n_points - 1))
+    shape = (3, grid.n_points - 1)
+    v = sample_cells(V, grid, out=work.take("V", shape))
+    u = sample_cells(U, grid, out=work.take("U", shape))
+    return _sweep_results(_sweep_scans(k, grid, v, u, couplings, tol_wronskian))
+
+
+def _sweep_results(scans) -> list:
+    """(psi(0), residual) of each chain of each of `scans`, in order."""
     return [(complex(psi[layout.slot(chain, 0)]), residual)
-            for layout, psi, _, residuals in _sweep_scans(
-                k, grid, v, u, couplings, tol_wronskian)
+            for layout, psi, _, residuals in scans
             for chain, residual in enumerate(residuals)]
 
 

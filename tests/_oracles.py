@@ -10,10 +10,15 @@ partition enumeration (pinned by brute force in ``test_partitions``) because
 it is a reference for the arithmetic of the sum, not for the partitions, and
 :func:`full_grid_recursion`, which samples U through the package and takes
 its reference wave because it is a reference for the windowed hierarchy,
-not for the sampling or the wave, and :func:`full_solves`, which
+not for the sampling or the wave, :func:`full_solves`, which
 combines, integrates and certifies through the package one coupling at a
 time because it is a reference for the oracle's shared sweep, not for the
-propagator.
+propagator, :func:`full_block_scan`, which runs the package's RK4
+kernels on every block because it is a reference for the scan's
+deduplication of repeated blocks, not for the kernels, and
+:func:`sample_by_values_at`, which evaluates a spec by its ``values_at``
+because it is a reference for the cells that sampling assigns to each
+segment, not for the evaluation.
 """
 
 import cmath
@@ -22,6 +27,7 @@ import math
 import numpy as np
 
 from phaseshift import combine_samples, enumerate_partitions, sample_potential
+from phaseshift import refwave
 from phaseshift.refwave import integrate_wave_inward, wronskian_residual
 
 # Taylor coefficients (orders 1..6) of the exact phase of a unit-height
@@ -300,3 +306,33 @@ def unwrap(phases, seed):
         previous = d + math.pi * round((previous - d) / math.pi)
         out.append(previous)
     return out
+
+
+# The level-0 build of the scan before it built each distinct block once,
+# kept as its reference: the cell steps and in-block suffix products of every
+# block are formed, also where a block repeats the one below it.  The package
+# must agree bit for bit.
+def full_block_scan(k, h, top, layout, lower, mid, upper):
+    """psi and psi' over the node slots of `layout`, as a (2, slots) array
+    the caller owns, from the arguments of ``refwave._solve``."""
+    width = refwave.SCAN_WIDTH
+    work = refwave._Workspace()
+    steps = np.empty((width, 2, 2, -(-layout.size // width)))
+    refwave._cell_steps(k, h, lower, mid, upper, steps, work)
+    if layout.own > layout.cells:
+        # every chain ends in a block of its own, padded with identity steps
+        blocks = layout.own // width
+        steps[layout.cells % width:, :, :, blocks - 1::blocks] = 0.0
+    refwave._block_products(steps, work)
+    return refwave._scan(layout, steps, *top, work).copy()
+
+
+# The sampling of a spec before it filled index ranges, kept as its reference:
+# every end and centre of a cell is evaluated by `values_at` on the grid's
+# node and midpoint arrays.  The package must agree bit for bit.
+def sample_by_values_at(spec, grid):
+    """(lower, mid, upper) of `spec` on `grid`, one entry per cell."""
+    right = spec.values_at(grid.nodes, side=+1)
+    left = (spec.values_at(grid.nodes, side=-1)
+            if spec.kind == "piecewise_constant" else right)
+    return right[:-1], spec.values_at(grid.midpoints, side=+1), left[1:]

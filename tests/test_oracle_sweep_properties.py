@@ -123,7 +123,7 @@ def test_sweep_is_bit_identical_to_full_solves(V, U, couplings, k, n_points):
 
 def _assert_every_node_is_that_of_a_full_solve(v, u, couplings, k, grid):
     # each coupling's wave is its own node slots, then the shared ones
-    scans = _sweep_scans(k, grid, v, u, couplings, LOOSE_TOL)
+    scans = _sweep_scans(k, grid, v.rows, u.rows, couplings, LOOSE_TOL)
     waves = [[np.concatenate([a[s] for s in layout.nodes(chain)])
               for a in (psi, dpsi)]
              for layout, psi, dpsi, _ in scans for chain in range(layout.chains)]
@@ -154,6 +154,6 @@ def test_own_blocks_that_end_on_an_upper_block_keep_every_node(n_points):
     v = sample_potential(PotentialSpec.gaussian_sum([(1.2, 0.4, 0.3)]), grid)
     u = sample_potential(
         PotentialSpec.piecewise_constant([(0.0, 500.5 * grid.step, 1.0)]), grid)
-    assert _support_cells(u) == 501
+    assert _support_cells(u.rows) == 501
     _assert_every_node_is_that_of_a_full_solve(v, u, np.array([0.4, -0.3, 0.7]),
                                                k, grid)

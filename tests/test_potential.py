@@ -15,7 +15,9 @@ from phaseshift import (
     sample_potential,
     simpson_weights,
 )
-from phaseshift.potential import PotentialSamples, require_same_grid
+from phaseshift.potential import PotentialSamples, require_same_grid, sample_cells
+
+from _oracles import sample_by_values_at
 
 
 def test_grid_nodes_are_multiples_of_step():
@@ -343,3 +345,74 @@ def test_grid_function_rejects_bad_values():
         ComplexGridFunction(g, np.zeros(4))
     with pytest.raises(ValueError):
         ComplexGridFunction(g, np.array([0.0, 0.0, np.nan, 0.0, 0.0]))
+
+
+# sample_cells, the one sampling routine, fills each segment's index ranges
+# of a piecewise spec: they must be the cells that values_at puts in it at
+# the grid's nodes and midpoints (tests/_oracles.py::sample_by_values_at)
+def _seeded_piecewise(rng, grid):
+    """A piecewise spec of up to five segments: edges on nodes, between
+    them, at 0, at or beyond x_max; adjacent or apart; values repeated."""
+    h, cells = grid.step, grid.n_points - 1
+    segments, x = [], 0.0
+    for _ in range(rng.integers(0, 6)):
+        kind = rng.integers(3)
+        if kind == 0:  # on a node
+            lo = x if rng.random() < 0.5 else x + h * rng.integers(0, cells // 3 + 1)
+            hi = lo + h * rng.integers(1, cells // 2 + 2)
+        elif kind == 1:  # between nodes
+            lo = x + rng.uniform(0.0, 0.4) * grid.x_max
+            hi = lo + rng.uniform(1e-9, 0.6) * grid.x_max
+        else:  # one node step wide, or up to x_max and past it
+            lo = x
+            hi = lo + (h if rng.random() < 0.5 else grid.x_max * rng.uniform(0.5, 1.5))
+        if hi <= lo:
+            continue
+        segments.append((lo, hi, rng.choice([0.0, -0.0, 1.0, -1.5, rng.normal()])))
+        x = hi if rng.random() < 0.5 else hi + rng.uniform(0.0, 0.1) * grid.x_max
+    return PotentialSpec.piecewise_constant(segments)
+
+
+def _sampled_specs(seed, count):
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        grid = Grid(float(rng.choice([1.0, 2.0, 3.7, rng.uniform(0.3, 5.0)])),
+                    int(rng.choice([3, 5, 17, 33, 35, 401, 1027, 4001])))
+        kind = rng.integers(10)
+        if kind < 7:
+            yield _seeded_piecewise(rng, grid), grid
+        elif kind < 9:
+            yield PotentialSpec.gaussian_sum(
+                [(rng.uniform(-0.5, 1.2) * grid.x_max, rng.uniform(0.01, 0.5),
+                  rng.normal()) for _ in range(rng.integers(1, 4))]), grid
+        else:
+            cells = grid.n_points - 1
+            coarse = Grid(grid.x_max, min(
+                (c for c in (2, 4, 8, cells) if cells % c == 0),
+                key=lambda c: abs(c - rng.integers(2, 9))) + 1)
+            yield PotentialSpec.tabulated(rng.normal(size=coarse.n_points)
+                                          * (coarse.nodes < grid.x_max * rng.random()),
+                                          coarse), grid
+
+
+def test_sample_cells_is_the_values_at_sampling_bit_for_bit():
+    for spec, grid in _sampled_specs(23, 600):
+        want = np.array(sample_by_values_at(spec, grid))
+        out = np.full((3, grid.n_points - 1), np.nan)  # every entry written
+        assert sample_cells(spec, grid, out=out) is out
+        assert out.tobytes() == want.tobytes(), (spec, grid)
+        samples = sample_potential(spec, grid)
+        assert np.array(samples.rows).tobytes() == want.tobytes()
+
+
+def test_segment_ranges_are_exact_at_edges_that_round():
+    # node 3 of this grid is 3 * 0.1 = 0.30000000000000004, just above an
+    # edge at 0.3, while 0.3 / 0.1 rounds to 2.9999999999999996: the guess
+    # from the division must move to the node the comparison picks
+    grid = Grid(1.0, 11)
+    for edge in (0.3, 0.30000000000000004, 0.7, 0.7000000000000001, 1.0):
+        spec = PotentialSpec.piecewise_constant([(0.0, edge, 1.0), (edge, 1.5, 2.0)])
+        assert (np.array(sample_cells(spec, grid)).tobytes()
+                == np.array(sample_by_values_at(spec, grid)).tobytes()), edge
+    huge = PotentialSpec.piecewise_constant([(1e300, 1e301, 1.0)])
+    assert not np.array(sample_cells(huge, grid)).any()

@@ -30,7 +30,13 @@ from phaseshift.refwave import (
     wronskian_residual,
 )
 
-from _oracles import node_states_complex, rk4_wave_loop, transfer_matrix_phase
+from _oracles import (
+    full_block_scan,
+    full_solves,
+    node_states_complex,
+    rk4_wave_loop,
+    transfer_matrix_phase,
+)
 
 
 def test_analytic_free_wave_closed_forms():
@@ -405,6 +411,20 @@ def test_a_scan_over_scan_slots_keeps_nothing(monkeypatch):
         assert got.tobytes() == want.tobytes()
 
 
+def test_the_oracle_keeps_samples_on_grids_of_at_most_scan_slots_cells(monkeypatch):
+    grid = Grid(2.0, 2001)  # 2000 cells
+    swept = sweep_exact(_ZERO, _BARRIER, [0.1, 0.05], 1.0, grid)
+    for slots, kept in ((2000, True), (1999, False)):
+        monkeypatch.setattr(refwave, "_SCAN_SLOTS", slots)
+
+        def sweep():
+            return sweep_exact(_ZERO, _BARRIER, [0.1, 0.05], 1.0, grid), _kept_buffers()
+
+        again, buffers = _in_new_thread(sweep)
+        assert again == swept
+        assert ({"V", "U"} <= buffers.keys()) is kept, slots
+
+
 def test_integrate_wave_inward_returns_arrays_it_owns():
     grid = Grid(2.0, 4001)
     psi, dpsi = integrate_wave_inward(1.0, grid, sample_potential(_BARRIER, grid))
@@ -430,9 +450,11 @@ def test_threads_sweep_with_their_own_arrays():
     }
 
     def run(name):
+        # the samples of sweep_exact are kept per thread too
         k, grid, V, U, couplings = sweeps[name]
         v, u = sample_potential(V, grid), sample_potential(U, grid)
-        return repr(solve_sweep(k, grid, v, u, couplings, 1e-8))
+        return (repr(solve_sweep(k, grid, v, u, couplings, 1e-8)),
+                repr(sweep_exact(V, U, couplings, k, grid)))
 
     alone = {name: run(name) for name in sweeps}
     start = threading.Barrier(len(sweeps))
@@ -450,6 +472,179 @@ def test_threads_sweep_with_their_own_arrays():
         thread.join()
     for name in sweeps:
         assert runs[name] == [alone[name]] * 20, name
+
+
+def test_a_warm_sweep_exact_keeps_its_samples():
+    # V and U are sampled into the thread's kept arrays: the warm sweep
+    # allocates less than a double per cell slot (24512 here), where fresh
+    # samples would take six doubles per cell.  What it allocates is the
+    # certificate's two temporaries over a chain's nodes
+    U = PotentialSpec.piecewise_constant([(0.0, 1.0625, 1.0)])
+
+    def sweep_twice():
+        first = sweep_exact(_ZERO, U, [0.1, 0.05], 1.0, _CONVERGE_GRID)
+        kept = _kept_buffers()
+        tracemalloc.start()
+        try:
+            second = sweep_exact(_ZERO, U, [0.1, 0.05], 1.0, _CONVERGE_GRID)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return first, second, kept, _kept_buffers(), peak
+
+    first, second, kept, again, peak = _in_new_thread(sweep_twice)
+    assert second == first
+    assert {"V", "U", "samples", ("steps", 0)} <= kept.keys()
+    assert again == kept
+    assert peak < 8 * 24512
+
+
+# Each distinct level-0 block is built once (refwave._block_steps): every
+# solve keeps the bits of the scan that builds every block
+# (tests/_oracles.py::full_block_scan), on every node slot of every chain
+def _scans_checked_against_full_blocks(monkeypatch):
+    """Make refwave._solve check each call against full_block_scan; returns
+    the list of the layouts it solved."""
+    layouts = []
+    solve = refwave._solve
+
+    def checked(k, h, top, layout, lower, mid, upper):
+        want = full_block_scan(k, h, top, layout, lower, mid, upper)
+        got = solve(k, h, top, layout, lower, mid, upper)
+        for chain in range(layout.chains):
+            for nodes in layout.nodes(chain):
+                assert got[:, nodes].tobytes() == want[:, nodes].tobytes(), layout
+        layouts.append(layout)
+        return got
+
+    monkeypatch.setattr(refwave, "_solve", checked)
+    return layouts
+
+
+_BLOCK_RUN_SWEEPS = {
+    # chains 0 and 1 are one run of blocks across their boundary
+    "run across chains": (Grid(2.0, 4001), _ZERO,
+                          PotentialSpec.piecewise_constant([(0.0, 1.0, 1.0)]),
+                          [0.3, 0.3, -0.2]),
+    "adjacent segments, jumps on nodes": (
+        Grid(2.0, 4001),
+        PotentialSpec.piecewise_constant([(0.0, 0.5, 1.0), (0.5, 1.25, -0.5),
+                                          (1.25, 1.5, 0.25)]),
+        PotentialSpec.piecewise_constant([(0.25, 0.75, 1.0), (0.75, 1.0, 2.0)]),
+        [0.2, -0.1]),
+    "partial last block": (Grid(2.0, 4003), _ZERO,
+                           PotentialSpec.piecewise_constant([(0.0, 0.7, 1.0)]),
+                           [0.2, 0.1, 0.05]),
+    "chains padded up to own": (Grid(2.0, 1027), _ZERO,
+                                PotentialSpec.piecewise_constant([(0.0, 2.0, 1.0)]),
+                                [0.2, 0.2, 0.1]),
+    "padded, U from mid grid": (Grid(2.0, 1027),
+                                PotentialSpec.piecewise_constant([(0.0, 0.5, 0.3)]),
+                                PotentialSpec.piecewise_constant([(1.0, 2.5, 1.0)]),
+                                [0.1, -0.1]),
+    # zero chains: a padded block repeats the block below it and the next
+    # chain's first block repeats it, were padding not a run of its own
+    "padded chains of zero coupling": (
+        Grid(2.0, 1027), _ZERO, PotentialSpec.piecewise_constant([(0.0, 2.0, 1.0)]),
+        [0.0, 0.0, 0.2, 0.0]),
+    # segments inside cells 40 and 41, read by those cells' mid sample only
+    "mid samples alone differ": (Grid(2.0, 1001), PotentialSpec.piecewise_constant(
+        [(40.4 * 0.002, 40.6 * 0.002, 1.0), (41.3 * 0.002, 41.7 * 0.002, -1.0)]),
+        PotentialSpec.piecewise_constant([(0.0, 0.5, 1.0)]), [0.1, -0.1]),
+    "zero U": (Grid(2.0, 4001), PotentialSpec.piecewise_constant([(0.0, 1.0, 0.5)]),
+               _ZERO, [0.1, -0.2]),
+    "gaussians, no repeat": (Grid(2.0, 4003),
+                             PotentialSpec.gaussian_sum([(1.0, 0.6, 0.4)]),
+                             PotentialSpec.gaussian_sum([(0.8, 0.5, 0.5)]),
+                             [0.2, -0.3]),
+    "non-finite couplings": (Grid(2.0, 1027), _ZERO,
+                             PotentialSpec.piecewise_constant([(0.0, 0.5, 1.0)]),
+                             [0.1, math.inf, -math.inf, math.nan, 1e308]),
+}
+
+
+@pytest.mark.parametrize("slots", (1, 64, 1024, refwave._SCAN_SLOTS))
+@pytest.mark.parametrize("case", sorted(_BLOCK_RUN_SWEEPS))
+def test_each_distinct_block_is_built_once_with_the_bits_of_every_block(
+        case, slots, monkeypatch):
+    grid, V, U, couplings = _BLOCK_RUN_SWEEPS[case]
+    k = 1.3
+    finite = [c for c in couplings if abs(c) < 1e300]
+    reference = full_solves(V, U, finite, k, grid)  # before the patches
+    monkeypatch.setattr(refwave, "_SCAN_SLOTS", slots)
+    layouts = _scans_checked_against_full_blocks(monkeypatch)
+    swept = sweep_exact(V, U, finite, k, grid, tol_wronskian=1e6)
+    assert [r.psi_at_zero for r in swept] == [psi0 for psi0, _, _ in reference]
+    v, u = sample_potential(V, grid), sample_potential(U, grid)
+    if finite != couplings:
+        # the certificate refuses the non-finite waves in the words of the
+        # full solves, after checking their bits
+        with pytest.raises(WronskianViolation) as raised:
+            sweep_exact(V, U, couplings, k, grid)
+        assert str(raised.value) == ("residual nan is not within 1.0e-08 * k = "
+                                     "1.300e-08; refine the grid or check the "
+                                     "potential")
+        for c in couplings:
+            with np.errstate(over="ignore", invalid="ignore"):
+                integrate_wave_inward(k, grid, combine_samples(v, u, c))
+    assert layouts
+    if slots == refwave._SCAN_SLOTS:
+        for c in finite:
+            samples = combine_samples(v, u, c)
+            psi, dpsi = integrate_wave_inward(k, grid, samples)
+            loop_psi, loop_dpsi = rk4_wave_loop(k, grid, samples)
+            assert np.all(np.abs(psi - loop_psi) <= 1e-13 * np.abs(loop_psi)), c
+            assert np.all(np.abs(dpsi - loop_dpsi) <= 1e-13 * np.abs(loop_dpsi)), c
+
+
+def test_single_waves_keep_the_bits_of_every_block(monkeypatch):
+    _scans_checked_against_full_blocks(monkeypatch)
+    for n in (3, 17, 33, 35, 4001, 4003):
+        grid = Grid(2.0, n)
+        for samples in _sampled_suite(grid).values():
+            integrate_wave_inward(0.7, grid, samples)
+        solve_reference(PotentialSpec.piecewise_constant(
+            [(0.0, 0.5, -1.0), (0.5, 1.0, 1.0)]), 1.1, grid, tol_wronskian=1e6)
+
+
+def test_a_chain_of_64_blocks_is_carried_down_by_the_scalar_loop(monkeypatch):
+    # refwave._LEAF_CELLS: 1024 cells are 64 blocks, at most 64, so their
+    # tops come from the leaf loop, not from one more scan level of 4 blocks
+    leaves = []
+    leaf = refwave._leaf_states
+
+    def recorded(tops, *rest):
+        leaves.append(tops.shape[-1])
+        return leaf(tops, *rest)
+
+    monkeypatch.setattr(refwave, "_leaf_states", recorded)
+    for n in (1025, 1041):  # 64 blocks; 66 blocks, then 5 one level up
+        integrate_wave_inward(1.0, Grid(2.0, n), sample_potential(_BARRIER, Grid(2.0, n)))
+    assert leaves == [64, 5]
+
+
+def test_a_converge_sweep_steps_each_distinct_block_once(monkeypatch):
+    # a converge job's oracle: two couplings of a barrier on 16001 points lay
+    # out 1532 level-0 blocks, of which five are distinct (each chain's
+    # barrier blocks, each chain's top block and the free blocks above);
+    # only those are stepped
+    built, layouts = [], []
+    cell_steps, solve = refwave._cell_steps, refwave._solve
+
+    def counted(k, h, lower, mid, upper, steps, work):
+        built.append(steps.shape[-1])
+        return cell_steps(k, h, lower, mid, upper, steps, work)
+
+    def recorded(k, h, top, layout, *samples):
+        layouts.append(-(-layout.size // refwave.SCAN_WIDTH))
+        return solve(k, h, top, layout, *samples)
+
+    monkeypatch.setattr(refwave, "_cell_steps", counted)
+    monkeypatch.setattr(refwave, "_solve", recorded)
+    U = PotentialSpec.piecewise_constant([(0.0, 1.0625, 1.3)])
+    sweep_exact(_ZERO, U, [0.08, 0.04], 1.1, _CONVERGE_GRID)
+    assert layouts == [1532]
+    assert sum(built) <= 16
 
 
 @pytest.mark.parametrize("blocks", (1, 5, 64, 1001))

@@ -11,13 +11,22 @@ Finds the mutation sites of the module with ``ast``:
 * a ``raise`` statement, replaced by ``pass``.
 
 It draws a seeded sample of those sites and, one mutant at a time, writes
-the mutated module into a temporary copy of the repository and runs the
-tier-1 tests there with a timeout.  The working tree is never written.  A
-mutant is killed when its set of failing tests differs from that of the
-unmutated copy (so a test that already fails needs no deselection), when
-the run times out, or when pytest writes no report because the tests cannot
-even be collected; otherwise it survives.  Each operator is rewritten in the
+the mutated module into a temporary copy of the repository and runs tests
+there with a timeout.  The working tree is never written.  A mutant is
+killed when its set of failing tests differs from that of the unmutated
+copy (so a test that already fails needs no deselection), when the run
+times out, or when pytest writes no report because the tests cannot even
+be collected; otherwise it survives.  Each operator is rewritten in the
 source text itself, so comments, layout and line numbers stay as they are.
+
+Each mutant first runs the module's own test files (``tests/test_<module>.py``
+and ``tests/test_<module>_*.py``), under a short timeout taken from their
+unmutated run time, so a mutant that makes a loop endless is killed in
+seconds.  Only a mutant that survives its own tests gets the full tier-1
+run, under ``--timeout``.  A mutant that fails its own tests fails them in
+tier-1 too, which holds them, so it gets the verdict tier-1 would give; one
+that runs past the short timeout is killed as a timeout, as tier-1 kills an
+endless loop.
 
 Usage, from anywhere:
 
@@ -51,8 +60,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "phaseshift"
-TIER1 = ["-q", "-p", "no:cacheprovider", "--continue-on-collection-errors",
-         "tests"]
+OPTIONS = ["-q", "-p", "no:cacheprovider", "--continue-on-collection-errors"]
+TIER1 = [*OPTIONS, "tests"]
 # what the copy leaves out: version control, caches, build and bench output
 SKIP = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache",
                               ".hypothesis", ".benchmarks", ".bench_work",
@@ -182,16 +191,25 @@ class NoReport(RuntimeError):
         self.code = code
 
 
-def failing_tests(copy: Path, timeout: float, maxfail: int = 0) -> set | None:
-    """Ids of the tests that fail or error in `copy`, the run stopping after
-    `maxfail` of them (0: never); None on a timeout.  Raises
-    :class:`NoReport` when pytest writes no report."""
+def own_tests(module: Path) -> list:
+    """The test files of the module at `module`, relative to the root."""
+    tests = ROOT / "tests"
+    found = [tests / f"test_{module.stem}.py",
+             *sorted(tests.glob(f"test_{module.stem}_*.py"))]
+    return [str(path.relative_to(ROOT)) for path in found if path.is_file()]
+
+
+def failing_tests(copy: Path, timeout: float, maxfail: int = 0,
+                  tests: list = TIER1) -> set | None:
+    """Ids of the tests that fail or error in `copy`, the run of the pytest
+    arguments `tests` stopping after `maxfail` of them (0: never); None on
+    a timeout.  Raises :class:`NoReport` when pytest writes no report."""
     report = copy / ".mutate-report.xml"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (str(copy / "src"), os.environ.get("PYTHONPATH")) if p),
         PYTHONDONTWRITEBYTECODE="1")
     proc = subprocess.Popen(
-        [sys.executable, "-m", "pytest", *TIER1, f"--junitxml={report}",
+        [sys.executable, "-m", "pytest", *tests, f"--junitxml={report}",
          f"--maxfail={maxfail}"],
         cwd=copy, env=env, stdout=subprocess.DEVNULL,
         stderr=subprocess.DEVNULL, start_new_session=True)
@@ -213,19 +231,21 @@ def failing_tests(copy: Path, timeout: float, maxfail: int = 0) -> set | None:
     return failed
 
 
-def mutant_verdict(copy: Path, timeout: float, baseline: set) -> str:
-    """How the tier-1 run of the mutant in `copy` compares with the
-    unmutated run's failing tests `baseline`."""
-    try:
-        # one failure more than the unmutated run already differs
-        failed = failing_tests(copy, timeout, len(baseline) + 1)
-    except NoReport as error:
-        # the tests could not start, e.g. conftest could not import the package
-        return f"killed (no report, exit {error.code})"
-    if failed is None:
-        return "killed (timeout)"
-    if failed != baseline:
-        return "killed (" + ", ".join(sorted(failed ^ baseline)) + ")"
+def mutant_verdict(copy: Path, runs: list) -> str:
+    """How the mutant in `copy` fares in `runs`, a list of (pytest
+    arguments, timeout, the unmutated run's failing tests), run in turn
+    until one kills it."""
+    for tests, timeout, baseline in runs:
+        try:
+            # one failure more than the unmutated run already differs
+            failed = failing_tests(copy, timeout, len(baseline) + 1, tests)
+        except NoReport as error:
+            # the tests could not start, e.g. conftest could not import the package
+            return f"killed (no report, exit {error.code})"
+        if failed is None:
+            return "killed (timeout)"
+        if failed != baseline:
+            return "killed (" + ", ".join(sorted(failed ^ baseline)) + ")"
     return "SURVIVED"
 
 
@@ -263,18 +283,26 @@ def main(argv=None) -> int:
         shutil.copytree(ROOT, copy, ignore=SKIP)
         target = copy / rel
         original = target.read_bytes()
-        started = time.monotonic()
-        baseline = failing_tests(copy, args.timeout)
-        if baseline is None:
-            print("the unmutated tests time out; raise --timeout")
-            return 1
-        print(f"unmutated: {len(baseline)} failing, "
-              f"{time.monotonic() - started:.0f} s")
+        runs = []
+        own = own_tests(path)
+        for name, tests in ([(" ".join(own), [*OPTIONS, *own])] if own else []) + [
+                ("tier-1", TIER1)]:
+            started = time.monotonic()
+            baseline = failing_tests(copy, args.timeout, tests=tests)
+            if baseline is None:
+                print("the unmutated tests time out; raise --timeout")
+                return 1
+            elapsed = time.monotonic() - started
+            # the own tests' short timeout, with slack for a loaded machine
+            timeout = args.timeout if tests is TIER1 else min(args.timeout,
+                                                              3 * elapsed + 10)
+            runs.append((tests, timeout, baseline))
+            print(f"unmutated {name}: {len(baseline)} failing, {elapsed:.0f} s")
         killed = 0
         for site in chosen:
             target.write_bytes(mutated(original, site))
             try:
-                verdict = mutant_verdict(copy, args.timeout, baseline)
+                verdict = mutant_verdict(copy, runs)
             finally:
                 target.write_bytes(original)
             killed += verdict != "SURVIVED"

@@ -12,7 +12,10 @@ For each end-to-end metric of ``BENCHMARK.json`` it prints every pair, each
 side's median and quartiles, the ratio of the medians (change / base), the
 pairs the change wins, and whether the change is better in at least nine
 pairs of ten with a median gap larger than the base's interquartile range.
-Quartiles are those of ``statistics.quantiles`` (exclusive method).
+Quartiles are those of ``statistics.quantiles`` (exclusive method).  The
+same goes for ``minflt``, the minor page faults of each whole run (its own
+and those of the processes it waits for), so that a change in how the heap
+is reused shows up as faults and not only as time.
 
 Usage, from anywhere:
 
@@ -26,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import resource
 import shutil
 import statistics
 import subprocess
@@ -35,6 +39,8 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+#: the row of the page faults of a run, beside those of BENCHMARK.json
+FAULTS = {"name": "minflt", "better": "lower"}
 # what the copy of the working tree leaves out: version control, caches,
 # build and bench output
 SKIP = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache",
@@ -60,11 +66,14 @@ def extract(rev: str, dest: Path) -> Path:
 
 
 def run_bench(tree: Path, workload: str, seconds: float, seed: int) -> dict:
-    """{metric: value} of one untraced ``bench/run.py`` run in `tree`."""
+    """{metric: value} of one untraced ``bench/run.py`` run in `tree`, and
+    its minor page faults under FAULTS' name."""
+    faults = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
     done = subprocess.run(
         [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", "0"],
         cwd=tree, capture_output=True, text=True)
+    faults = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt - faults
     lines = done.stdout.strip().splitlines()
     try:
         result = json.loads(lines[-1])
@@ -73,7 +82,8 @@ def run_bench(tree: Path, workload: str, seconds: float, seed: int) -> dict:
     if not result["correct"] or done.returncode != 0:
         raise RunFailed(f"{tree.name}: checks failed ({result['failed']} of "
                         f"{result['attempted']})\n{done.stderr[-2000:]}")
-    return {name: entry["value"] for name, entry in result["metrics"].items()}
+    return {**{name: entry["value"] for name, entry in result["metrics"].items()},
+            FAULTS["name"]: faults}
 
 
 def quartiles(values: list) -> tuple:
@@ -88,8 +98,12 @@ def better(value: float, than: float, direction: str) -> bool:
 
 
 def pair_line(label: str, metrics: list, base: dict, change: dict) -> str:
+    def show(value):  # counts in full
+        return str(value) if isinstance(value, int) else f"{value:.4g}"
+
     return f"{label}: " + "  ".join(
-        f"{m['name']} {base[m['name']]:.4g} -> {change[m['name']]:.4g}" for m in metrics)
+        f"{m['name']} {show(base[m['name']])} -> {show(change[m['name']])}"
+        for m in metrics)
 
 
 def report(metrics: list, pairs: list, aa: tuple) -> None:
@@ -119,7 +133,7 @@ def main(argv=None) -> int:
     parser.add_argument("--seconds", type=float, default=55.0)
     parser.add_argument("--seed", type=int, required=True)
     args = parser.parse_args(argv)
-    metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"] + [FAULTS]
 
     with tempfile.TemporaryDirectory(prefix="pairs-") as tmp:
         base = extract(args.base, Path(tmp) / "a")
