@@ -29,7 +29,6 @@ from .potential import (
     Grid,
     PotentialSamples,
     PotentialSpec,
-    combine_samples,
     cumulative_from_right,
     sample_potential,
     simpson_weights,
@@ -100,7 +99,6 @@ __all__ = [
     "analytic_free_reference",
     "assemble_delta_n",
     "assemble_series",
-    "combine_samples",
     "compute_hierarchy",
     "convergence_order_check",
     "cumulative_from_right",

@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import DegenerateSweep
 from .potential import Grid, PotentialSpec
-from .refwave import DEFAULT_WRONSKIAN_TOL, phase_from_wave, sweep_potentials
+from .refwave import DEFAULT_WRONSKIAN_TOL, phase_from_wave, solve_sweep
 from .series import PhaseSeries, evaluate_truncated
 
 #: oracle grids refine the series grid by this factor
@@ -68,7 +68,7 @@ def sweep_exact(V: PotentialSpec, U: PotentialSpec, couplings, k: float,
     V and U are sampled once for the whole sweep, into arrays the calling
     thread keeps.  The wave above U's support is the same at every
     coupling, so the couplings are solved together and that wave is taken
-    once (:func:`refwave.sweep_potentials`).  Every
+    once (:func:`refwave.solve_sweep`).  Every
     wave is bit for bit that of a solve of its coupling alone; each coupling
     is certified over every node of its wave, and the first that fails
     raises.
@@ -92,7 +92,7 @@ def sweep_exact(V: PotentialSpec, U: PotentialSpec, couplings, k: float,
     couplings = list(couplings)
     results = []
     previous = seed_delta
-    for c, (psi0, residual) in zip(couplings, sweep_potentials(
+    for c, (psi0, residual) in zip(couplings, solve_sweep(
             k, grid, V, U, couplings, tol_wronskian)):
         raw = phase_from_wave(psi0)
         previous = raw + math.pi * round((previous - raw) / math.pi)

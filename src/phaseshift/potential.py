@@ -6,8 +6,9 @@ oracle, the closed-form checks) works one grid cell at a time and samples a
 decides which one-sided limit each end of a cell reads, returns U's right
 limit at each cell's lower node, its value at the centre and its left limit
 at the upper node.  :func:`sample_potential` keeps them as
-:class:`PotentialSamples`; the oracle's sweep has them written into arrays
-the solver keeps from one sweep to the next.  Piecewise-constant potentials
+:class:`PotentialSamples`; the certified solves of the reference wave and
+the oracle have them written into arrays each thread keeps from one solve
+to the next.  Piecewise-constant potentials
 jump at segment edges (segments are half-open, [x_lo, x_hi)); a cell rule
 that reads each end from inside the cell keeps its order across a jump on a
 node.
@@ -281,22 +282,15 @@ class PotentialSamples:
                 raise GridMismatch(f"{name}: expected {cells} values")
             object.__setattr__(self, name, arr)
 
-    @property
-    def rows(self) -> tuple:
-        """(lower, mid, upper), the rows :func:`combine_cells` reads."""
-        return self.lower, self.mid, self.upper
-
 
 def combine_cells(a, b, weights, cells: slice = slice(None),
                   out: np.ndarray | None = None) -> np.ndarray:
     """Samples of ``a + w * b`` for each weight w in `weights`, over `cells`:
     a (3, len(weights), n) array of the lower, mid and upper samples,
     written into `out` when one is given.  `a` and `b` are the rows lower,
-    mid and upper of two potentials' samples on one grid
-    (:attr:`PotentialSamples.rows`, or the rows of :func:`sample_cells`).
-
-    The one formula for a combined potential: :func:`combine_samples` takes
-    one weight, and a coupling sweep of the oracle every coupling at once.
+    mid and upper of two potentials' samples on one grid (those of
+    :func:`sample_cells`).  The one formula for a combined potential, which
+    a coupling sweep of the oracle forms for every coupling at once.
     """
     weights = np.asarray(weights, dtype=float)[:, None]
     if out is None:
@@ -305,13 +299,6 @@ def combine_cells(a, b, weights, cells: slice = slice(None),
         np.multiply(weights, y[cells], out=combined)
         combined += x[cells]
     return out
-
-
-def combine_samples(a: PotentialSamples, b: PotentialSamples,
-                    weight_b: float) -> PotentialSamples:
-    """Samples of ``a + weight_b * b`` on the common grid."""
-    require_same_grid(a, b)
-    return PotentialSamples(a.grid, *combine_cells(a.rows, b.rows, (weight_b,))[:, 0])
 
 
 def _first(bound: float, step: float, offset, count: int, strict: bool) -> int:
@@ -341,7 +328,7 @@ def sample_cells(spec: PotentialSpec, grid: Grid, out: np.ndarray | None = None)
     """The three per-cell samples of `spec` on `grid`, the rows lower, mid
     and upper: those of `out`, a (3, cells) array, when one is given, and
     otherwise three arrays.  The one sampling routine, behind
-    :func:`sample_potential` and the oracle's sweep.
+    :func:`sample_potential` and the certified solves.
 
     Each cell's lower end reads the right limit at its lower node and its
     upper end the left limit at its upper node; only piecewise-constant specs

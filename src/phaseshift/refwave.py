@@ -25,19 +25,19 @@ repeat those of the block below it, as they do on every constant stretch
 of a potential, takes that block's steps and products by a copy
 (:func:`_block_steps`).  One chain is the plain solve of one potential,
 :func:`integrate_wave_inward`, which :func:`solve_reference` certifies.
-:func:`solve_sweep` solves the couplings of a sweep, and this module alone
-decides how their chains are laid out: the oracle asks
-:func:`sweep_potentials`, the same sweep of two specs, for each coupling's
-psi(0) and residual.
+:func:`solve_sweep`, the oracle's one way in, solves the couplings of a
+sweep of two specs, and this module alone decides how their chains are
+laid out.
 Every entry checks k once, before any work, in :func:`_top_state`, and a
 certified one runs each scan, its certificate and the wave built from it
 in one ``np.errstate``, so overflow ends in a typed error, not a warning.
 The arrays of a scan (its samples, the steps and node states of every
 level, the kernels' temporaries) are kept per thread from one solve to the
 next, and only for scans of at most _SCAN_SLOTS cell slots, so the memory
-a thread keeps is bounded (:func:`_workspace`); so are the oracle's samples
-of V and U, on a grid of at most _SCAN_SLOTS cells.  The entries return
-arrays their caller owns, or values.
+a thread keeps is bounded (:func:`_workspace`); so are the samples of the
+specs a certified solve takes, on a grid of at most _SCAN_SLOTS cells
+(:func:`_sampled`).  The entries return arrays their caller owns, or
+values.
 
 The Wronskian  psi * conj(psi)' - conj(psi) * psi' = 2ik  is an exact
 invariant of the continuum equation; its maximum grid residual is the
@@ -63,9 +63,7 @@ from .potential import (
     PotentialSamples,
     PotentialSpec,
     combine_cells,
-    require_same_grid,
     sample_cells,
-    sample_potential,
 )
 
 #: default Wronskian tolerance, as a coefficient multiplying k
@@ -604,18 +602,18 @@ def integrate_wave_inward(k: float, grid: Grid,
         If k x_max is beyond the double range, so the state at x_max is not
         finite.
     """
-    psi, dpsi = _one_chain(k, grid, samples)
+    psi, dpsi = _one_chain(k, grid, samples.lower, samples.mid, samples.upper)
     return psi.copy(), dpsi.copy()
 
 
-def _one_chain(k: float, grid: Grid,
-               samples: PotentialSamples) -> tuple[np.ndarray, np.ndarray]:
-    """The wave of :func:`integrate_wave_inward`, as views of the thread's
-    workspace that its next solve overwrites."""
+def _one_chain(k: float, grid: Grid, lower: np.ndarray, mid: np.ndarray,
+               upper: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The wave of :func:`integrate_wave_inward` of the samples `lower`,
+    `mid` and `upper`, as views of the thread's workspace that its next
+    solve overwrites."""
     cells = grid.n_points - 1
     psi, dpsi = _solve(k, grid.step, _top_state(k, grid.x_max),
-                       ChainLayout(1, 0, cells), samples.lower, samples.mid,
-                       samples.upper)
+                       ChainLayout(1, 0, cells), lower, mid, upper)
     return psi[:cells + 1], dpsi[:cells + 1]
 
 
@@ -746,17 +744,29 @@ def _sweep_scans(k: float, grid: Grid, v, u, couplings, tol_wronskian: float):
         yield layout, psi, dpsi, residuals
 
 
-def solve_sweep(k: float, grid: Grid, v: PotentialSamples, u: PotentialSamples,
+def _sampled(spec: PotentialSpec, grid: Grid, key: str) -> np.ndarray:
+    """The rows lower, mid and upper of `spec` on `grid` (:func:`sample_cells`),
+    a (3, cells) array kept under `key` in the calling thread's workspace
+    until it next samples under `key`, on a grid of at most _SCAN_SLOTS
+    cells (:func:`_workspace`): the one way a spec enters a certified
+    solve, so a warm one allocates no sample array."""
+    work = _workspace(ChainLayout(1, 0, grid.n_points - 1))
+    return sample_cells(spec, grid, out=work.take(key, (3, grid.n_points - 1)))
+
+
+def solve_sweep(k: float, grid: Grid, V: PotentialSpec, U: PotentialSpec,
                 couplings, tol_wronskian: float) -> list:
-    """(psi(0), certified Wronskian residual) of the RK4 wave of v + c u for
+    """(psi(0), certified Wronskian residual) of the RK4 wave of V + c U for
     each coupling c, in order, with the bits of a full solve at each
-    (:func:`_sweep_scans`).  Each wave is certified on its own, over every
+    (:func:`_sweep_scans`).  V and U are sampled once for the sweep
+    (:func:`_sampled`).  Each wave is certified on its own, over every
     node (:func:`_certify`).
 
     Raises
     ------
-    GridMismatch
-        If `v` and `u` are samples on different grids.
+    TypeError, TabulatedGridMismatch
+        If V or U is not a spec that can be sampled on `grid`, before k is
+        checked.
     NonpositiveK
         If k <= 0.
     NonFiniteResult
@@ -765,30 +775,8 @@ def solve_sweep(k: float, grid: Grid, v: PotentialSamples, u: PotentialSamples,
         If a residual is non-finite or over the bound, or a wave has a node:
         that of the first such coupling.
     """
-    require_same_grid(v, u)
-    return _sweep_results(_sweep_scans(k, grid, v.rows, u.rows, couplings,
-                                       tol_wronskian))
-
-
-def sweep_potentials(k: float, grid: Grid, V: PotentialSpec, U: PotentialSpec,
-                     couplings, tol_wronskian: float) -> list:
-    """:func:`solve_sweep` of the samples of `V` and `U` on `grid`.
-
-    They are sampled (:func:`sample_cells`) into the calling thread's kept
-    workspace, which holds them until its next sweep, on a grid of at most
-    _SCAN_SLOTS cells (:func:`_workspace`), so a warm sweep allocates no
-    sample array.  Raises as :func:`sample_cells` does for a bad spec, and
-    then as :func:`solve_sweep` does.
-    """
-    work = _workspace(ChainLayout(1, 0, grid.n_points - 1))
-    shape = (3, grid.n_points - 1)
-    v = sample_cells(V, grid, out=work.take("V", shape))
-    u = sample_cells(U, grid, out=work.take("U", shape))
-    return _sweep_results(_sweep_scans(k, grid, v, u, couplings, tol_wronskian))
-
-
-def _sweep_results(scans) -> list:
-    """(psi(0), residual) of each chain of each of `scans`, in order."""
+    v, u = _sampled(V, grid, "V"), _sampled(U, grid, "U")
+    scans = _sweep_scans(k, grid, v, u, couplings, tol_wronskian)
     return [(complex(psi[layout.slot(chain, 0)]), residual)
             for layout, psi, _, residuals in scans
             for chain, residual in enumerate(residuals)]
@@ -830,6 +818,9 @@ def solve_reference(V: PotentialSpec, k: float, grid: Grid,
 
     Raises
     ------
+    TypeError, TabulatedGridMismatch
+        If V is not a spec that can be sampled on `grid`, before k is
+        checked.
     NonpositiveK
         If k <= 0.
     NonFiniteResult
@@ -837,10 +828,10 @@ def solve_reference(V: PotentialSpec, k: float, grid: Grid,
     WronskianViolation
         If the integration cannot be certified at the requested tolerance.
     """
-    v = sample_potential(V, grid)
+    v = _sampled(V, grid, "V")
     # overflow fails the certificate, or the density's finiteness check
     with np.errstate(over="ignore", invalid="ignore"):
-        psi, dpsi = _one_chain(k, grid, v)
+        psi, dpsi = _one_chain(k, grid, *v)
         (residual,) = _certify(k, tol_wronskian, ChainLayout(1, 0, len(psi) - 1),
                                psi, dpsi)
         return _reference_wave(k, grid, psi, dpsi, residual)

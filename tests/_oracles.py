@@ -26,7 +26,7 @@ import math
 
 import numpy as np
 
-from phaseshift import combine_samples, enumerate_partitions, sample_potential
+from phaseshift import PotentialSamples, enumerate_partitions, sample_potential
 from phaseshift import refwave
 from phaseshift.refwave import integrate_wave_inward, wronskian_residual
 
@@ -276,9 +276,17 @@ def full_grid_hierarchy(ref, u, order):
 
 
 # The per-coupling full solve the oracle's sweep replaced, kept as its
-# reference: every coupling samples V + c U by `combine_samples`, integrates
+# reference: every coupling samples V + c U by :func:`combined`, integrates
 # every cell by `integrate_wave_inward` and takes the residual over every
 # node by `wronskian_residual`.  The sweep must agree bit for bit.
+def combined(a, b, c):
+    """The samples of a + c b, formed as ``a + c * b`` in each row.  IEEE
+    addition commutes, so these are the bits of `potential.combine_cells`,
+    which forms ``c * b + a``."""
+    return PotentialSamples(a.grid, *(x + c * y for x, y in (
+        (a.lower, b.lower), (a.mid, b.mid), (a.upper, b.upper))))
+
+
 def full_solves(V, U, couplings, k, grid):
     """[(psi(0), principal phase, Wronskian residual)] of V + c U for each
     coupling c, each from a solve of its own over the whole grid.
@@ -291,7 +299,7 @@ def full_solves(V, U, couplings, k, grid):
     results = []
     for c in couplings:
         with np.errstate(over="ignore", invalid="ignore"):
-            psi, dpsi = integrate_wave_inward(k, grid, combine_samples(v, u, c))
+            psi, dpsi = integrate_wave_inward(k, grid, combined(v, u, c))
             residual = wronskian_residual(k, psi, dpsi)
         psi0 = complex(psi[0])
         results.append((psi0, principal_phase(psi0), residual))

@@ -169,6 +169,9 @@ BAD_DOCS = (
     ("root not an object", [1, 2, 3]),
     ("unknown top-level key", {"command": "selftest", "mystery": 1}),
     ("bad command name", {"command": "solve"}),
+    # complete but for the command, so only the command's check refuses it
+    ("bad command name, full job", {"command": "solve", "k": 1.0, "max_order": 1,
+                                    "grid": {"x_max": 1.0, "n_points": 11}}),
     ("no command anywhere", {"k": 1.0}),
     ("phases without k", {"command": "phases", "max_order": 1,
                           "grid": {"x_max": 1.0, "n_points": 11}}),

@@ -23,10 +23,10 @@ from phaseshift import (
 )
 from phaseshift import oracle, refwave
 from phaseshift.oracle import ORACLE_REFINEMENT, halving_ladder
-from phaseshift.potential import combine_samples, sample_potential
+from phaseshift.potential import sample_potential
 from phaseshift.refwave import integrate_wave_inward
 
-from _oracles import full_solves, transfer_matrix_phase, unwrap
+from _oracles import combined, full_solves, transfer_matrix_phase, unwrap
 
 ZERO = PotentialSpec.zero()
 
@@ -278,8 +278,7 @@ def test_certificate_over_shared_nodes_fails_at_the_first_coupling():
     V = PotentialSpec.piecewise_constant([(1.0, 2.0, 3.0)])
     U = PotentialSpec.piecewise_constant([(0.0, 0.25, 0.1)])
     grid = Grid(2.0, 201)
-    samples = combine_samples(sample_potential(V, grid),
-                              sample_potential(U, grid), 0.5)
+    samples = combined(sample_potential(V, grid), sample_potential(U, grid), 0.5)
     psi, dpsi = integrate_wave_inward(1.0, grid, samples)
     w = 2.0 * np.abs(psi.imag * dpsi.real - psi.real * dpsi.imag - 1.0)
     fresh, shared = w[:32].max(), w[32:].max()
@@ -369,6 +368,10 @@ def test_scan_groups_share_the_top_on_any_grid():
     assert groups(couplings, 1_000_000, 100) == [[0.4, 0.2], [0.1, 0.05], [0.025]]
     assert groups(couplings, 1_000_000, 0) == [couplings]
     assert groups([0.4, math.inf, 0.2, 0.1], 400, 100) == [[0.4], [math.inf], [0.2, 0.1]]
+    # as many finite couplings as fit in _SCAN_SLOTS share a scan: U's 100
+    # cells round up to 112 own cells and 3888 are shared, so 2305
+    # couplings take 262048 of the 2**18 slots, where 2306 would take 262160
+    assert [len(g) for g in groups([0.1] * 2306, 4000, 100)] == [2305, 1]
     # U up to the top cell shares nothing: two full chains a scan, each
     # padded up to a whole block or not
     for cells in (1_000_000, 1_000_002):

@@ -21,14 +21,14 @@ pytest.importorskip("hypothesis")
 from hypothesis import Phase, example, given, settings, strategies as st  # noqa: E402
 
 from phaseshift import Grid, PotentialSpec, solve_exact, sweep_exact  # noqa: E402
-from phaseshift.potential import combine_samples, sample_potential  # noqa: E402
+from phaseshift.potential import sample_potential  # noqa: E402
 from phaseshift.refwave import (  # noqa: E402
     _support_cells,
     _sweep_scans,
     integrate_wave_inward,
 )
 
-from _oracles import full_solves, unwrap  # noqa: E402
+from _oracles import combined, full_solves, unwrap  # noqa: E402
 
 X_MAX = 2.0
 #: the bound is not under test here, only the bits: every wave passes it
@@ -123,13 +123,14 @@ def test_sweep_is_bit_identical_to_full_solves(V, U, couplings, k, n_points):
 
 def _assert_every_node_is_that_of_a_full_solve(v, u, couplings, k, grid):
     # each coupling's wave is its own node slots, then the shared ones
-    scans = _sweep_scans(k, grid, v.rows, u.rows, couplings, LOOSE_TOL)
+    scans = _sweep_scans(k, grid, (v.lower, v.mid, v.upper), (u.lower, u.mid, u.upper),
+                         couplings, LOOSE_TOL)
     waves = [[np.concatenate([a[s] for s in layout.nodes(chain)])
               for a in (psi, dpsi)]
              for layout, psi, dpsi, _ in scans for chain in range(layout.chains)]
     assert len(waves) == len(couplings)
     for (swept_psi, swept_dpsi), c in zip(waves, couplings):
-        psi, dpsi = integrate_wave_inward(k, grid, combine_samples(v, u, c))
+        psi, dpsi = integrate_wave_inward(k, grid, combined(v, u, c))
         assert swept_psi.tobytes() == psi.tobytes()
         assert swept_dpsi.tobytes() == dpsi.tobytes()
 
@@ -154,6 +155,6 @@ def test_own_blocks_that_end_on_an_upper_block_keep_every_node(n_points):
     v = sample_potential(PotentialSpec.gaussian_sum([(1.2, 0.4, 0.3)]), grid)
     u = sample_potential(
         PotentialSpec.piecewise_constant([(0.0, 500.5 * grid.step, 1.0)]), grid)
-    assert _support_cells(u.rows) == 501
+    assert _support_cells((u.lower, u.mid, u.upper)) == 501
     _assert_every_node_is_that_of_a_full_solve(v, u, np.array([0.4, -0.3, 0.7]),
                                                k, grid)

@@ -10,12 +10,12 @@ from phaseshift import (
     GridMismatch,
     PotentialSpec,
     TabulatedGridMismatch,
-    combine_samples,
     cumulative_from_right,
     sample_potential,
     simpson_weights,
 )
-from phaseshift.potential import PotentialSamples, require_same_grid, sample_cells
+from phaseshift.potential import (PotentialSamples, combine_cells, require_same_grid,
+                                  sample_cells)
 
 from _oracles import sample_by_values_at
 
@@ -266,14 +266,15 @@ def test_cumulative_two_sided_is_exact_across_a_jump(barrier):
     assert np.allclose(out, expected, rtol=0, atol=1e-15)
 
 
-def test_combine_samples_is_affine(barrier):
+def test_combine_cells_is_affine(barrier):
     g = Grid(2.0, 9)
-    a = sample_potential(barrier, g)
-    b = sample_potential(PotentialSpec.gaussian_sum([(0.5, 0.2, 1.0)]), g)
-    c = combine_samples(a, b, 0.25)
-    assert np.allclose(c.lower, a.lower + 0.25 * b.lower)
-    assert np.allclose(c.upper, a.upper + 0.25 * b.upper)
-    assert np.allclose(c.mid, a.mid + 0.25 * b.mid)
+    a = sample_cells(barrier, g)
+    b = sample_cells(PotentialSpec.gaussian_sum([(0.5, 0.2, 1.0)]), g)
+    c = combine_cells(a, b, [0.25, -2.0])
+    assert c.shape == (3, 2, 8)
+    for combined, x, y in zip(c, a, b):  # lower, mid, upper
+        assert np.allclose(combined[0], x + 0.25 * y)
+        assert np.allclose(combined[1], x - 2.0 * y)
 
 
 def test_sample_potential_rejects_plain_arrays(barrier):
@@ -402,7 +403,8 @@ def test_sample_cells_is_the_values_at_sampling_bit_for_bit():
         assert sample_cells(spec, grid, out=out) is out
         assert out.tobytes() == want.tobytes(), (spec, grid)
         samples = sample_potential(spec, grid)
-        assert np.array(samples.rows).tobytes() == want.tobytes()
+        assert np.array([samples.lower, samples.mid, samples.upper]).tobytes() == (
+            want.tobytes())
 
 
 def test_segment_ranges_are_exact_at_edges_that_round():

@@ -19,7 +19,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import Phase, given, settings, strategies as st  # noqa: E402
 
 from phaseshift import Grid, PotentialSpec  # noqa: E402
-from phaseshift.potential import combine_samples, sample_potential  # noqa: E402
+from phaseshift.potential import combine_cells, sample_cells, sample_potential  # noqa: E402
 
 PROPERTY_SETTINGS = settings(max_examples=60, derandomize=True,
                              database=None, deadline=None,
@@ -103,8 +103,8 @@ def test_neighbouring_cells_disagree_only_at_a_jump(case):
     st.just(g), _any_spec(g), _any_spec(g), st.floats(-3.0, 3.0))))
 def test_combined_samples_are_a_plus_w_b_in_every_entry(case):
     grid, a_spec, b_spec, weight = case
-    a, b = sample_potential(a_spec, grid), sample_potential(b_spec, grid)
-    c = combine_samples(a, b, weight)
-    for name in ("lower", "mid", "upper"):
-        want = getattr(a, name) + weight * getattr(b, name)
-        assert getattr(c, name).tobytes() == want.tobytes(), name
+    a, b = sample_cells(a_spec, grid), sample_cells(b_spec, grid)
+    c = combine_cells(a, b, [weight, 1.0])
+    for name, combined, x, y in zip(("lower", "mid", "upper"), c, a, b):
+        for row, w in zip(combined, (weight, 1.0)):
+            assert row.tobytes() == (x + w * y).tobytes(), name

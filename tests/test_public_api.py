@@ -165,3 +165,13 @@ def test_one_owner_of_the_oracle_grid_and_of_the_k_check():
             and "ORACLE_REFINEMENT" in _names(path)] == []
     assert [name for path in modules
             for name in _raisers(path, "NonpositiveK")] == ["refwave._top_state"]
+
+
+# A potential enters a certified solve as a spec, sampled into the thread's
+# kept memory by refwave itself, and the sum V + c U has one formula,
+# potential.combine_cells.
+def test_specs_are_the_one_way_into_a_certified_solve():
+    package = Path(phaseshift.__file__).resolve().parent
+    assert "sample_potential" not in _names(package / "refwave.py")
+    assert "combine_samples" not in phaseshift.__all__
+    assert not hasattr(phaseshift.potential, "combine_samples")

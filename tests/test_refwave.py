@@ -20,7 +20,8 @@ from phaseshift import (
     sweep_exact,
 )
 from phaseshift import refwave
-from phaseshift.potential import PotentialSamples, combine_samples, sample_potential
+from phaseshift import potential
+from phaseshift.potential import sample_cells, sample_potential
 from phaseshift.refwave import (
     ChainLayout,
     integrate_wave_inward,
@@ -31,6 +32,7 @@ from phaseshift.refwave import (
 )
 
 from _oracles import (
+    combined,
     full_block_scan,
     full_solves,
     node_states_complex,
@@ -127,7 +129,7 @@ _K_ENTRIES = {
     "sweep_exact_empty": lambda k: sweep_exact(_ZERO, _BARRIER, [], k, _GRID),
     "sweep_exact_two": lambda k: sweep_exact(_ZERO, _BARRIER, [0.1, 0.05], k,
                                              _GRID),
-    "solve_sweep": lambda k: solve_sweep(k, _GRID, _SAMPLES, _SAMPLES, [0.1],
+    "solve_sweep": lambda k: solve_sweep(k, _GRID, _BARRIER, _BARRIER, [0.1],
                                          1e-8),
 }
 
@@ -150,7 +152,7 @@ def test_each_entry_checks_k_once_whatever_its_scan_groups(monkeypatch):
     grid = Grid(2.0, 401)
     samples = sample_potential(_BARRIER, grid)
     couplings = [0.1, 0.05, 0.025, -0.05, 0.2]
-    whole = solve_sweep(1.0, grid, samples, samples, couplings, 1e-8)
+    whole = solve_sweep(1.0, grid, _BARRIER, _BARRIER, couplings, 1e-8)
     checks, scans = [], []
     top_state, solve = refwave._top_state, refwave._solve
 
@@ -170,7 +172,7 @@ def test_each_entry_checks_k_once_whatever_its_scan_groups(monkeypatch):
     # laid out as itself
     sweep = [(2, 208), (2, 208), (1, 0)]
     entries = {
-        "solve_sweep": (lambda: solve_sweep(1.0, grid, samples, samples,
+        "solve_sweep": (lambda: solve_sweep(1.0, grid, _BARRIER, _BARRIER,
                                             couplings, 1e-8), sweep),
         "sweep_exact": (lambda: sweep_exact(_ZERO, _BARRIER, couplings, 1.0,
                                             grid), sweep),
@@ -217,13 +219,13 @@ def test_the_residual_bound_is_tol_times_k():
     # at k = 2 a residual r passes at tol = r / 2, with the bound exactly r,
     # and fails just below
     grid = Grid(2.0, 401)
-    samples = sample_potential(_BARRIER, grid)
-    [(_, residual)] = solve_sweep(2.0, grid, samples, samples, [0.1], 1.0)
+    [(_, residual)] = solve_sweep(2.0, grid, _BARRIER, _BARRIER, [0.1], 1.0)
     assert residual > 0.0
-    [(_, again)] = solve_sweep(2.0, grid, samples, samples, [0.1], residual / 2.0)
+    [(_, again)] = solve_sweep(2.0, grid, _BARRIER, _BARRIER, [0.1], residual / 2.0)
     assert again == residual
     with pytest.raises(WronskianViolation):
-        solve_sweep(2.0, grid, samples, samples, [0.1], residual / 2.0 * (1.0 - 1e-9))
+        solve_sweep(2.0, grid, _BARRIER, _BARRIER, [0.1],
+                    residual / 2.0 * (1.0 - 1e-9))
 
 
 def test_a_wave_with_a_node_is_refused():
@@ -233,31 +235,29 @@ def test_a_wave_with_a_node_is_refused():
     # the node test refuses this wave.
     k, node = 1.0, "wave has a node; solution untrustworthy"
     mid, upper = -11.500000000000002, -23.5
-    # a single solve of these samples (v + 0 u with u zero): the upper of
-    # two cells
+    # the cell [0.5, 1] with these mid and upper samples, zero elsewhere
+    cell = PotentialSpec.piecewise_constant([(0.625, 0.875, mid), (0.875, 1.0, upper)])
+    for grid in (Grid(1.0, 3), Grid(17.0, 35)):
+        want = np.zeros((3, grid.n_points - 1))
+        want[1:, 1] = mid, upper
+        assert np.array(sample_cells(cell, grid)).tobytes() == want.tobytes()
+    # a single solve of the cell (v + 0 u with u zero): the upper of two cells
     grid = Grid(1.0, 3)
-    lower = np.zeros(2)
-    zero = PotentialSamples(grid, lower, lower, lower)
     for tol in (10.0, math.inf):
         with pytest.raises(WronskianViolation, match=node):
-            solve_sweep(k, grid, PotentialSamples(grid, lower, np.array([0.0, mid]),
-                                                  np.array([0.0, upper])),
-                        zero, [0.0], tol)
+            solve_sweep(k, grid, cell, _ZERO, [0.0], tol)
     # a sweep whose second coupling has the node in its own bottom block,
     # below 18 shared cells of free wave, while the first is free throughout:
-    # v is free and u the node's samples, at couplings 0 and 1
+    # v is free and u the node's cell, at couplings 0 and 1
     grid = Grid(17.0, 35)
     layout = ChainLayout.above(2, 34, 2)
     assert (layout.own, layout.cells - layout.own) == (16, 18)
-    second = np.zeros((3, 34))
-    second[1:, 1] = mid, upper
-    free = PotentialSamples(grid, *np.zeros((3, 34)))
     with pytest.raises(WronskianViolation, match=node):
-        solve_sweep(k, grid, free, PotentialSamples(grid, *second), [0.0, 1.0], 10.0)
-    psi, dpsi = integrate_wave_inward(k, grid, PotentialSamples(grid, *second))
+        solve_sweep(k, grid, _ZERO, cell, [0.0, 1.0], 10.0)
+    psi, dpsi = integrate_wave_inward(k, grid, sample_potential(cell, grid))
     assert psi[1] == 0.0
     assert wronskian_residual(k, psi, dpsi) <= 10.0 * k
-    [(_, residual)] = solve_sweep(k, grid, free, free, [0.0], 10.0)
+    [(_, residual)] = solve_sweep(k, grid, _ZERO, _ZERO, [0.0], 10.0)
     assert residual <= 10.0 * k
 
 
@@ -290,7 +290,7 @@ def _sampled_suite(grid):
     coarse = Grid(grid.x_max, coarse_cells + 1)
     table = np.sin(3.0 * coarse.nodes) * (coarse.nodes < 1.5)
     tabulated = sample_potential(PotentialSpec.tabulated(table, coarse), grid)
-    background = combine_samples(barrier, gauss, 0.6)
+    background = combined(barrier, gauss, 0.6)
     return {"barrier": barrier, "gaussian": gauss, "tabulated": tabulated,
             "background": background}
 
@@ -363,9 +363,7 @@ def _kept_buffers():
 def test_a_warm_sweep_reuses_the_kept_arrays():
     # four couplings on 16001 points, U over the whole grid: 64000 cell
     # slots, which no two couplings share
-    v = sample_potential(PotentialSpec.zero(), _CONVERGE_GRID)
-    u = sample_potential(PotentialSpec.piecewise_constant([(0.0, 2.0, 1.0)]),
-                         _CONVERGE_GRID)
+    v, u = _ZERO, PotentialSpec.piecewise_constant([(0.0, 2.0, 1.0)])
     couplings = [0.1, 0.05, -0.1, 0.2]
 
     def sweep_twice():
@@ -381,7 +379,7 @@ def test_a_warm_sweep_reuses_the_kept_arrays():
 
     first, second, kept, again, peak = _in_new_thread(sweep_twice)
     assert repr(second) == repr(first)
-    assert {"samples", ("steps", 0), ("nodes", 0), ("steps", 1)} <= kept.keys()
+    assert {"V", "U", "samples", ("steps", 0), ("nodes", 0), ("steps", 1)} <= kept.keys()
     assert again == kept  # the same buffers, none grown
     # the warm sweep allocates no scan array anew, only temporaries over one
     # coupling's nodes at a time: less than a double per cell slot
@@ -392,12 +390,12 @@ def test_a_scan_over_scan_slots_keeps_nothing(monkeypatch):
     grid = Grid(2.0, 2001)  # 2000 cells
     samples = sample_potential(_BARRIER, grid)
     alone = integrate_wave_inward(1.0, grid, samples)
-    swept = solve_sweep(1.0, grid, samples, samples, [0.1, 0.05], 1e-8)
+    swept = solve_sweep(1.0, grid, _BARRIER, _BARRIER, [0.1, 0.05], 1e-8)
     monkeypatch.setattr(refwave, "_SCAN_SLOTS", 1999)
 
     def solves():
         wave = integrate_wave_inward(1.0, grid, samples)
-        sweep = solve_sweep(1.0, grid, samples, samples, [0.1, 0.05], 1e-8)
+        sweep = solve_sweep(1.0, grid, _BARRIER, _BARRIER, [0.1, 0.05], 1e-8)
         large = _kept_buffers()
         integrate_wave_inward(1.0, Grid(2.0, 401), samples=sample_potential(
             _BARRIER, Grid(2.0, 401)))
@@ -432,8 +430,7 @@ def test_integrate_wave_inward_returns_arrays_it_owns():
     other = PotentialSpec.gaussian_sum([(2.0, 0.7, 0.2)])
     again, _ = integrate_wave_inward(1.3, grid, sample_potential(other, grid))
     solve_reference(other, 0.9, grid)
-    solve_sweep(1.1, grid, sample_potential(other, grid),
-                sample_potential(_BARRIER, grid), [0.2, -0.1], 1e-8)
+    solve_sweep(1.1, grid, other, _BARRIER, [0.2, -0.1], 1e-8)
     assert (psi.tobytes(), dpsi.tobytes()) == before
     assert not np.shares_memory(psi, again)
 
@@ -450,11 +447,11 @@ def test_threads_sweep_with_their_own_arrays():
     }
 
     def run(name):
-        # the samples of sweep_exact are kept per thread too
+        # the samples of the certified solves are kept per thread too
         k, grid, V, U, couplings = sweeps[name]
-        v, u = sample_potential(V, grid), sample_potential(U, grid)
-        return (repr(solve_sweep(k, grid, v, u, couplings, 1e-8)),
-                repr(sweep_exact(V, U, couplings, k, grid)))
+        return (repr(solve_sweep(k, grid, V, U, couplings, 1e-8)),
+                repr(sweep_exact(V, U, couplings, k, grid)),
+                solve_reference(V, k, grid).psi.values.tobytes())
 
     alone = {name: run(name) for name in sweeps}
     start = threading.Barrier(len(sweeps))
@@ -498,6 +495,33 @@ def test_a_warm_sweep_exact_keeps_its_samples():
     assert again == kept
     assert peak < 8 * 24512
 
+
+
+def test_a_warm_reference_solve_reuses_its_kept_samples(monkeypatch):
+    # V enters the solve as a spec, sampled into the thread's kept buffer,
+    # never through sample_potential: the warm solve samples into the same
+    # memory, with the bits of a solve of V's samples
+    V = PotentialSpec.gaussian_sum([(0.8, 0.3, 0.4), (1.4, 0.2, -0.3)])
+    grid = Grid(2.0, 8001)
+    psi, _ = integrate_wave_inward(1.0, grid, sample_potential(V, grid))
+    calls = []
+
+    def recorded(*args):
+        calls.append(args)
+        return sample_potential(*args)
+
+    for module in (potential, refwave):
+        monkeypatch.setattr(module, "sample_potential", recorded, raising=False)
+
+    def solve_twice():
+        first = solve_reference(V, 1.0, grid)
+        kept = _kept_buffers()
+        return first, kept, solve_reference(V, 1.0, grid), _kept_buffers()
+
+    first, kept, second, again = _in_new_thread(solve_twice)
+    assert calls == []
+    assert again["V"] == kept["V"]  # the same data pointer and size
+    assert first.psi.values.tobytes() == second.psi.values.tobytes() == psi.tobytes()
 
 # Each distinct level-0 block is built once (refwave._block_steps): every
 # solve keeps the bits of the scan that builds every block
@@ -586,11 +610,11 @@ def test_each_distinct_block_is_built_once_with_the_bits_of_every_block(
                                      "potential")
         for c in couplings:
             with np.errstate(over="ignore", invalid="ignore"):
-                integrate_wave_inward(k, grid, combine_samples(v, u, c))
+                integrate_wave_inward(k, grid, combined(v, u, c))
     assert layouts
     if slots == refwave._SCAN_SLOTS:
         for c in finite:
-            samples = combine_samples(v, u, c)
+            samples = combined(v, u, c)
             psi, dpsi = integrate_wave_inward(k, grid, samples)
             loop_psi, loop_dpsi = rk4_wave_loop(k, grid, samples)
             assert np.all(np.abs(psi - loop_psi) <= 1e-13 * np.abs(loop_psi)), c
