@@ -27,7 +27,6 @@ from .errors import (
 from .potential import (
     ComplexGridFunction,
     Grid,
-    PotentialSamples,
     PotentialSpec,
     cumulative_from_right,
     sample_potential,
@@ -89,7 +88,6 @@ __all__ = [
     "PartitionTuple",
     "PhaseSeries",
     "PhaseshiftError",
-    "PotentialSamples",
     "PotentialSpec",
     "ReferenceWave",
     "TabulatedGridMismatch",

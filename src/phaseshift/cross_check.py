@@ -14,7 +14,8 @@ itself, so agreement between the two pipelines is a strong end-to-end check.
 
 Evaluation is by right-to-left cumulative integration (innermost factor
 first), giving O(m * n_points) cost instead of an m-dimensional sum.  Each
-factor is held at both ends of every cell, as :class:`PotentialSamples` is.
+factor is held at both ends of every cell, as the rows lower and upper of
+:func:`~phaseshift.potential.sample_cells` hold U.
 """
 
 from __future__ import annotations
@@ -89,8 +90,7 @@ def integrand_factors(ref: ReferenceWave, u, powers) -> NestedIntegrandSet:
     with np.errstate(over="ignore", invalid="ignore"):
         for p in powers:
             core = base * r ** p if p else base
-            factors.append((samples.lower * core[:-1],
-                            samples.upper * core[1:]))
+            factors.append((samples[0] * core[:-1], samples[2] * core[1:]))
     return NestedIntegrandSet(grid, tuple(factors))
 
 

@@ -68,8 +68,8 @@ class HierarchyResult:
 
 def _window(samples) -> slice | None:
     """The cells from the first to the last one with U's ``lower`` or
-    ``upper`` sample nonzero (cell c spans nodes c and c + 1), or None."""
-    cells = np.flatnonzero((samples.lower != 0.0) | (samples.upper != 0.0))
+    ``upper`` sample (row 0 or 2 of `samples`) nonzero, or None."""
+    cells = np.flatnonzero((samples[0] != 0.0) | (samples[2] != 0.0))
     if not cells.size:
         return None
     return slice(int(cells[0]), int(cells[-1]) + 1)
@@ -112,8 +112,8 @@ def compute_hierarchy(ref: ReferenceWave, u, order: int) -> HierarchyResult:
     g = np.ones(m, dtype=complex)
     # an overflow is reported once, as NonFiniteResult, not as a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        lower = samples.lower[window] * d[:-1] * scale
-        upper = samples.upper[window] * d[1:] * scale
+        lower = samples[0, window] * d[:-1] * scale
+        upper = samples[2, window] * d[1:] * scale
         for n in range(order):
             np.multiply(lower, g[:-1], out=lo)
             np.multiply(upper, g[1:], out=hi)
@@ -161,8 +161,8 @@ def step_by_double_integral(ref: ReferenceWave, u,
     # an overflow is reported as NonFiniteResult, not as a warning
     with np.errstate(over="ignore", invalid="ignore"):
         base = 2.0 * ref.density.values * f_prev.values
-        inner = cumulative_from_right(samples.lower * base[:-1],
-                                      samples.upper * base[1:], grid.step)
+        inner = cumulative_from_right(samples[0] * base[:-1],
+                                      samples[2] * base[1:], grid.step)
         outer = inner / ref.density.values
         outer = cumulative_from_right(outer[:-1], outer[1:], grid.step)
     return ComplexGridFunction(grid, outer)

@@ -5,10 +5,10 @@ oracle, the closed-form checks) works one grid cell at a time and samples a
 :class:`PotentialSpec` one way: :func:`sample_cells`, the one place that
 decides which one-sided limit each end of a cell reads, returns U's right
 limit at each cell's lower node, its value at the centre and its left limit
-at the upper node.  :func:`sample_potential` keeps them as
-:class:`PotentialSamples`; the certified solves of the reference wave and
-the oracle have them written into arrays each thread keeps from one solve
-to the next.  Piecewise-constant potentials
+at the upper node, as the rows of one (3, cells) array.
+:func:`sample_potential` returns that array read-only; the certified solves
+of the reference wave and the oracle have it written into an array each
+thread keeps from one solve to the next.  Piecewise-constant potentials
 jump at segment edges (segments are half-open, [x_lo, x_hi)); a cell rule
 that reads each end from inside the cell keeps its order across a jump on a
 node.
@@ -259,30 +259,6 @@ class PotentialSpec:
         return out
 
 
-@dataclass(frozen=True)
-class PotentialSamples:
-    """Potential sampled for integration on a specific grid, cell by cell.
-
-    One entry per cell c, which spans nodes c and c + 1: ``lower[c]`` is U's
-    right limit at node c, ``mid[c]`` its value at the centre and ``upper[c]``
-    its left limit at node c + 1.  Only at a jump on node c + 1 do
-    ``upper[c]`` and ``lower[c + 1]`` differ.
-    """
-
-    grid: Grid
-    lower: np.ndarray
-    mid: np.ndarray
-    upper: np.ndarray
-
-    def __post_init__(self) -> None:
-        cells = self.grid.n_points - 1
-        for name in ("lower", "mid", "upper"):
-            arr = _as_readonly(getattr(self, name), float)
-            if arr.shape != (cells,):
-                raise GridMismatch(f"{name}: expected {cells} values")
-            object.__setattr__(self, name, arr)
-
-
 def combine_cells(a, b, weights, cells: slice = slice(None),
                   out: np.ndarray | None = None) -> np.ndarray:
     """Samples of ``a + w * b`` for each weight w in `weights`, over `cells`:
@@ -324,10 +300,14 @@ def _first(bound: float, step: float, offset, count: int, strict: bool) -> int:
     return i
 
 
-def sample_cells(spec: PotentialSpec, grid: Grid, out: np.ndarray | None = None):
-    """The three per-cell samples of `spec` on `grid`, the rows lower, mid
-    and upper: those of `out`, a (3, cells) array, when one is given, and
-    otherwise three arrays.  The one sampling routine, behind
+def sample_cells(spec: PotentialSpec, grid: Grid,
+                 out: np.ndarray | None = None) -> np.ndarray:
+    """The three per-cell samples of `spec` on `grid`: a (3, cells) array
+    whose rows are lower, mid and upper, written into `out` when one is
+    given.  Cell c spans nodes c and c + 1: ``lower[c]`` is the right limit
+    at node c, ``mid[c]`` the value at the centre and ``upper[c]`` the left
+    limit at node c + 1, so only at a jump on node c + 1 do ``upper[c]`` and
+    ``lower[c + 1]`` differ.  The one sampling routine, behind
     :func:`sample_potential` and the certified solves.
 
     Each cell's lower end reads the right limit at its lower node and its
@@ -355,18 +335,15 @@ def sample_cells(spec: PotentialSpec, grid: Grid, out: np.ndarray | None = None)
                     f"tabulated on {declared}, requested {grid}"
                 )
     cells = grid.n_points - 1
+    if out is None:
+        out = np.empty((3, cells))
     if spec.kind != "piecewise_constant":
         right = spec.values_at(grid.nodes, side=+1)
-        rows = right[:-1], spec.values_at(grid.midpoints, side=+1), right[1:]
-        if out is None:
-            return rows
-        for row, values in zip(out, rows):
-            np.copyto(row, values)
+        out[0] = right[:-1]
+        out[1] = spec.values_at(grid.midpoints, side=+1)
+        out[2] = right[1:]
         return out
-    if out is None:
-        out = np.zeros(cells), np.zeros(cells), np.zeros(cells)
-    else:
-        out.fill(0.0)
+    out.fill(0.0)
     step = grid.step
     for lo, hi, v in spec.segments:
         # lo <= node c < hi, lo <= centre c < hi, lo < node c + 1 <= hi
@@ -377,10 +354,12 @@ def sample_cells(spec: PotentialSpec, grid: Grid, out: np.ndarray | None = None)
     return out
 
 
-def sample_potential(spec: PotentialSpec, grid: Grid) -> PotentialSamples:
-    """The three per-cell samples of `spec` on `grid`
-    (:func:`sample_cells`), as :class:`PotentialSamples`."""
-    return PotentialSamples(grid, *sample_cells(spec, grid))
+def sample_potential(spec: PotentialSpec, grid: Grid) -> np.ndarray:
+    """The (3, cells) samples of `spec` on `grid` (:func:`sample_cells`),
+    read-only."""
+    samples = sample_cells(spec, grid)
+    samples.flags.writeable = False
+    return samples
 
 
 def simpson_weights(grid: Grid) -> np.ndarray:
@@ -402,10 +381,10 @@ def cumulative_from_right(lower: np.ndarray, upper: np.ndarray,
     """Right-to-left cumulative trapezoid integral on a uniform grid.
 
     `lower` and `upper` hold the integrand at the two ends of each cell, one
-    entry per cell, read from inside the cell as in :class:`PotentialSamples`;
-    a function f on the nodes is passed as ``f[:-1], f[1:]``.  Returns
-    ``out`` on the nodes with ``out[i] ~ integral from x_i to x_max`` and
-    ``out[-1] = 0`` exactly.  Reading a jump at a node from inside each cell
+    entry per cell, read from inside the cell as the rows lower and upper of
+    :func:`sample_cells` are; a function f on the nodes is passed as
+    ``f[:-1], f[1:]``.  Returns ``out`` on the nodes with
+    ``out[i] ~ integral from x_i to x_max`` and ``out[-1] = 0`` exactly.  Reading a jump at a node from inside each cell
     keeps the trapezoid rule at O(step^2) across it instead of O(step).
     """
     seg = 0.5 * step * (lower + upper)

@@ -56,11 +56,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonFiniteResult, NonpositiveK, WronskianViolation
+from .errors import GridMismatch, NonFiniteResult, NonpositiveK, WronskianViolation
 from .potential import (
     ComplexGridFunction,
     Grid,
-    PotentialSamples,
     PotentialSpec,
     combine_cells,
     sample_cells,
@@ -574,12 +573,14 @@ def _top_state(k: float, x_max: float) -> tuple[complex, complex]:
 
 
 def integrate_wave_inward(k: float, grid: Grid,
-                          samples: PotentialSamples) -> tuple[np.ndarray, np.ndarray]:
+                          samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Fixed-step RK4 integration of the wave from x_max down to 0.
 
     One RK4 step per grid cell.  The potential enters each stage through the
-    cell's samples, each read from inside the cell being crossed: ``upper``
-    at the upper node, ``mid`` at the half step, ``lower`` at the lower node.
+    cell's samples, the rows of the (3, cells) array `samples`
+    (:func:`~phaseshift.potential.sample_potential` on `grid`), each read
+    from inside the cell being crossed: ``upper`` at the upper node, ``mid``
+    at the half step, ``lower`` at the lower node.
     That keeps the integrator at full fourth order when the potential jumps
     exactly at grid nodes.
 
@@ -596,13 +597,18 @@ def integrate_wave_inward(k: float, grid: Grid,
 
     Raises
     ------
+    GridMismatch
+        If `samples` is not shaped (3, cells) for `grid`.
     NonpositiveK
         If k <= 0.
     NonFiniteResult
         If k x_max is beyond the double range, so the state at x_max is not
         finite.
     """
-    psi, dpsi = _one_chain(k, grid, samples.lower, samples.mid, samples.upper)
+    if np.shape(samples) != (3, grid.n_points - 1):
+        raise GridMismatch(f"samples of shape {np.shape(samples)} for a "
+                           f"{grid.n_points}-point grid")
+    psi, dpsi = _one_chain(k, grid, *samples)
     return psi.copy(), dpsi.copy()
 
 

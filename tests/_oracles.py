@@ -26,7 +26,7 @@ import math
 
 import numpy as np
 
-from phaseshift import PotentialSamples, enumerate_partitions, sample_potential
+from phaseshift import enumerate_partitions, sample_potential
 from phaseshift import refwave
 from phaseshift.refwave import integrate_wave_inward, wronskian_residual
 
@@ -135,9 +135,9 @@ def rk4_wave_loop(k, grid, samples):
 
     # coefficient c(x) = 2 V(x) - k^2 in psi'' = c psi, one channel per side
     ksq = k * k
-    c_hi = (2.0 * samples.upper - ksq).tolist()  # upper cell edge
-    c_mid = (2.0 * samples.mid - ksq).tolist()   # cell center
-    c_lo = (2.0 * samples.lower - ksq).tolist()  # lower cell edge
+    c_hi = (2.0 * samples[2] - ksq).tolist()   # upper cell edge
+    c_mid = (2.0 * samples[1] - ksq).tolist()  # cell center
+    c_lo = (2.0 * samples[0] - ksq).tolist()   # lower cell edge
 
     psi = [0j] * n
     dpsi = [0j] * n
@@ -238,8 +238,8 @@ def full_grid_recursion(ref, u):
     d = ref.density.values[::-1]
     # an overflowing weight ends in the callers' NonFiniteResult, not a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        lower = samples.lower[::-1] * d[1:] * scale
-        upper = samples.upper[::-1] * d[:-1] * scale
+        lower = samples[0, ::-1] * d[1:] * scale
+        upper = samples[2, ::-1] * d[:-1] * scale
     r = np.ascontiguousarray(ref.ratio_shift.values[::-1])
     r_lo, r_hi = r[1:], r[:-1]
     lo, hi, lo_r, hi_r = (np.empty(n - 1, dtype=complex) for _ in range(4))
@@ -283,8 +283,7 @@ def combined(a, b, c):
     """The samples of a + c b, formed as ``a + c * b`` in each row.  IEEE
     addition commutes, so these are the bits of `potential.combine_cells`,
     which forms ``c * b + a``."""
-    return PotentialSamples(a.grid, *(x + c * y for x, y in (
-        (a.lower, b.lower), (a.mid, b.mid), (a.upper, b.upper))))
+    return np.array([x + c * y for x, y in zip(a, b)])
 
 
 def full_solves(V, U, couplings, k, grid):

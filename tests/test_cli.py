@@ -239,6 +239,22 @@ def test_invalid_configs_are_rejected():
         print(f"rejected: {label}")
 
 
+def test_a_refused_potential_is_reported_with_its_reason():
+    # the spec constructor's own reason reaches the message, under the key
+    grid = {"x_max": 1.0, "n_points": 11}
+    for key, sub, reason in (
+            ("U", {"kind": "piecewise_constant", "segments": [[0.5, 0.25, 1.0]]},
+             "bad segment bounds"),
+            ("V", {"kind": "gaussian_sum", "bumps": [[0.5, 0.0, 1.0]]},
+             "gaussian width"),
+            ("U", {"kind": "tabulated", "samples": [0.0, 1.0]},
+             "samples of shape")):
+        doc = {"command": "phases", "k": 1.0, "max_order": 1, "grid": grid,
+               key: sub}
+        with pytest.raises(ConfigInvalid, match=f"^'{key}': {reason}"):
+            parse_config(doc)
+
+
 def test_converge_ladder_ending_in_zero_exits_2(tmp_path, capsys):
     path = tmp_path / "zero_ladder.json"
     path.write_text(json.dumps({

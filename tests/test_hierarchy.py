@@ -169,7 +169,7 @@ def former_step_inputs(ref, u, extended=False):
     # the loop reads U's right limit at nodes 0..n-2 and its left limit at
     # nodes 1..n-1; the node each array leaves out is never read
     arrays = (ref.density.values, ref.ratio_shift.values,
-              np.append(s.lower, 0.0), np.insert(s.upper, 0, 0.0))
+              np.append(s[0], 0.0), np.insert(s[2], 0, 0.0))
     if extended:
         arrays = tuple(a.astype(np.clongdouble if np.iscomplexobj(a)
                                 else np.longdouble) for a in arrays)
@@ -275,7 +275,7 @@ def test_window_spans_exactly_the_cells_with_a_nonzero_weight():
         for shape in WINDOW_SHAPES:
             s = sample_potential(window_shape(shape, grid), grid)
             cells = [c for c in range(n - 1)
-                     if s.lower[c] != 0.0 or s.upper[c] != 0.0]
+                     if s[0, c] != 0.0 or s[2, c] != 0.0]
             window = _window(s)
             if not cells:
                 assert window is None, shape

@@ -87,8 +87,8 @@ def _assert_sweep_is_full_solves(V, U, couplings, k, n_points):
 
 def test_mid_only_cell_lies_above_the_lower_upper_support():
     u = sample_potential(MID_ONLY, Grid(X_MAX, 401))
-    assert u.mid[300] != 0.0 and not u.mid[301:].any()
-    ends = (u.lower != 0.0) | (u.upper != 0.0)
+    assert u[1, 300] != 0.0 and not u[1, 301:].any()
+    ends = (u[0] != 0.0) | (u[2] != 0.0)
     assert ends[248] and not ends[249:].any()
 
 
@@ -123,8 +123,7 @@ def test_sweep_is_bit_identical_to_full_solves(V, U, couplings, k, n_points):
 
 def _assert_every_node_is_that_of_a_full_solve(v, u, couplings, k, grid):
     # each coupling's wave is its own node slots, then the shared ones
-    scans = _sweep_scans(k, grid, (v.lower, v.mid, v.upper), (u.lower, u.mid, u.upper),
-                         couplings, LOOSE_TOL)
+    scans = _sweep_scans(k, grid, v, u, couplings, LOOSE_TOL)
     waves = [[np.concatenate([a[s] for s in layout.nodes(chain)])
               for a in (psi, dpsi)]
              for layout, psi, dpsi, _ in scans for chain in range(layout.chains)]
@@ -155,6 +154,6 @@ def test_own_blocks_that_end_on_an_upper_block_keep_every_node(n_points):
     v = sample_potential(PotentialSpec.gaussian_sum([(1.2, 0.4, 0.3)]), grid)
     u = sample_potential(
         PotentialSpec.piecewise_constant([(0.0, 500.5 * grid.step, 1.0)]), grid)
-    assert _support_cells((u.lower, u.mid, u.upper)) == 501
+    assert _support_cells(u) == 501
     _assert_every_node_is_that_of_a_full_solve(v, u, np.array([0.4, -0.3, 0.7]),
                                                k, grid)

@@ -14,8 +14,7 @@ from phaseshift import (
     sample_potential,
     simpson_weights,
 )
-from phaseshift.potential import (PotentialSamples, combine_cells, require_same_grid,
-                                  sample_cells)
+from phaseshift.potential import _first, combine_cells, require_same_grid, sample_cells
 
 from _oracles import sample_by_values_at
 
@@ -87,14 +86,14 @@ def test_simpson_exact_on_cubics():
 
 def test_evaluate_empty_segment_list_is_zero():
     s = sample_potential(PotentialSpec.zero(), Grid(2.0, 5))
-    assert np.array_equal(s.lower, np.zeros(4))
-    assert np.array_equal(s.upper, np.zeros(4))
+    assert np.array_equal(s[0], np.zeros(4))
+    assert np.array_equal(s[2], np.zeros(4))
     assert PotentialSpec.zero().support_hi == 0.0
 
 
 def test_gaussian_peak_value():
     spec = PotentialSpec.gaussian_sum([(1.0, 0.2, 0.5)])
-    vals = sample_potential(spec, Grid(2.0, 5)).lower
+    vals = sample_potential(spec, Grid(2.0, 5))[0]
     assert vals[2] == 0.5  # node exactly at the bump center
 
 
@@ -108,9 +107,9 @@ def test_gaussian_clipped_to_zero_beyond_support():
         s = sample_potential(spec, g)
         beyond = g.nodes > spec.support_hi
         assert beyond.any()
-        assert np.all(s.lower[beyond[:-1]] == 0.0)
-        assert np.all(s.upper[beyond[1:]] == 0.0)
-        assert np.all(s.mid[g.midpoints > spec.support_hi] == 0.0)
+        assert np.all(s[0, beyond[:-1]] == 0.0)
+        assert np.all(s[2, beyond[1:]] == 0.0)
+        assert np.all(s[1, g.midpoints > spec.support_hi] == 0.0)
         assert spec.support_hi < g.x_max
 
 
@@ -119,8 +118,8 @@ def test_piecewise_beyond_support_is_zero():
     g = Grid(4.0, 17)
     s = sample_potential(spec, g)
     assert spec.support_hi == 1.25
-    assert np.all(s.lower[g.nodes[:-1] > 1.25] == 0.0)
-    assert np.all(s.upper[g.nodes[1:] > 1.25] == 0.0)
+    assert np.all(s[0, g.nodes[:-1] > 1.25] == 0.0)
+    assert np.all(s[2, g.nodes[1:] > 1.25] == 0.0)
 
 
 def test_spec_constructors_validate():
@@ -162,8 +161,8 @@ def test_tabulated_requires_declared_grid():
     g = Grid(2.0, 5)
     spec = PotentialSpec.tabulated([0.0, 1.0, 0.5, 0.0, 0.0], g)
     s = sample_potential(spec, g)
-    assert np.array_equal(s.lower, [0.0, 1.0, 0.5, 0.0])
-    assert np.array_equal(s.upper, [1.0, 0.5, 0.0, 0.0])
+    assert np.array_equal(s[0], [0.0, 1.0, 0.5, 0.0])
+    assert np.array_equal(s[2], [1.0, 0.5, 0.0, 0.0])
     # the interpolant is 0.25 at x = 1.25: its support ends at the next node
     assert spec.support_hi == 1.5
     for wrong in ([1.0, 2.0], 7.0):  # a scalar has no length to report
@@ -214,26 +213,26 @@ def test_tabulated_support_ends_where_the_interpolant_does():
     assert spec.support_hi == 1.0
     fine = g.refined(4)
     s = sample_potential(spec, fine)
-    assert np.all(s.lower[fine.nodes[:-1] > 1.0] == 0.0)
-    assert np.all(s.upper[fine.nodes[1:] > 1.0] == 0.0)
-    assert np.all(s.mid[fine.midpoints > 1.0] == 0.0)
+    assert np.all(s[0, fine.nodes[:-1] > 1.0] == 0.0)
+    assert np.all(s[2, fine.nodes[1:] > 1.0] == 0.0)
+    assert np.all(s[1, fine.midpoints > 1.0] == 0.0)
     inside = fine.nodes[:-1]
-    assert np.all(s.lower[(inside > 0.5) & (inside < 1.0)] > 0.0)
+    assert np.all(s[0, (inside > 0.5) & (inside < 1.0)] > 0.0)
     # this grid's top node rounds above x_max: the support is capped there,
     # and a nonzero top sample is kept
     top = Grid(0.9317519014656098, 47)
     assert top.nodes[-1] > top.x_max
     spec = PotentialSpec.tabulated(np.r_[np.zeros(46), 0.5], top)
     assert spec.support_hi == top.x_max
-    assert sample_potential(spec, top).upper[-1] == 0.5
+    assert sample_potential(spec, top)[2, -1] == 0.5
 
 
 def test_tabulated_sampling_accepts_refinements_only():
     g = Grid(2.0, 5)
     spec = PotentialSpec.tabulated([0.0, 1.0, 0.5, 0.0, 0.0], g)
     s = sample_potential(spec, g.refined(2))
-    assert s.lower[1] == 0.5  # linear interpolation between declared nodes
-    assert s.lower[2] == 1.0
+    assert s[0, 1] == 0.5  # linear interpolation between declared nodes
+    assert s[0, 2] == 1.0
     with pytest.raises(TabulatedGridMismatch):
         sample_potential(spec, Grid(2.5, 9))
     with pytest.raises(TabulatedGridMismatch):
@@ -242,10 +241,10 @@ def test_tabulated_sampling_accepts_refinements_only():
 
 def test_two_sided_sampling_at_barrier_edge(barrier):
     s = sample_potential(barrier, Grid(2.0, 5))
-    assert s.lower[0] == 1.0
-    assert s.lower[2] == 0.0  # right limit at the jump, node 2
-    assert s.upper[1] == 1.0  # left limit at the jump, node 2
-    assert s.mid[1] == 1.0 and s.mid[2] == 0.0
+    assert s[0, 0] == 1.0
+    assert s[0, 2] == 0.0  # right limit at the jump, node 2
+    assert s[2, 1] == 1.0  # left limit at the jump, node 2
+    assert s[1, 1] == 1.0 and s[1, 2] == 0.0
 
 
 def test_cumulative_from_right_constant_is_exact():
@@ -260,8 +259,8 @@ def test_cumulative_two_sided_is_exact_across_a_jump(barrier):
     # makes the trapezoid rule exact for a piecewise-constant integrand
     g = Grid(2.0, 9)
     s = sample_potential(barrier, g)
-    out = cumulative_from_right(s.lower.astype(complex),
-                                s.upper.astype(complex), g.step)
+    out = cumulative_from_right(s[0].astype(complex),
+                                s[2].astype(complex), g.step)
     expected = np.clip(1.0 - g.nodes, 0.0, None)
     assert np.allclose(out, expected, rtol=0, atol=1e-15)
 
@@ -292,14 +291,14 @@ def test_left_limits_differ_only_at_segment_edges():
     table = PotentialSpec.tabulated(np.sin(np.arange(9.0)), Grid(2.0, 9))
     for spec in (gauss, table):
         s = sample_potential(spec, g)
-        assert s.upper[:-1].tobytes() == s.lower[1:].tobytes()
+        assert s[2, :-1].tobytes() == s[0, 1:].tobytes()
     # edges at 0.5 and 1.25 (nodes 4 and 10) and at 0.6 (between nodes)
     steps = PotentialSpec.piecewise_constant([(0.5, 0.6, 2.0), (0.6, 1.25, -1.0)])
     s = sample_potential(steps, g)
-    differ = np.nonzero(s.upper[:-1] != s.lower[1:])[0] + 1  # inner nodes
+    differ = np.nonzero(s[2, :-1] != s[0, 1:])[0] + 1  # inner nodes
     assert differ.tolist() == [4, 10]
-    assert s.lower[4] == 2.0 and s.upper[3] == 0.0
-    assert s.lower[10] == 0.0 and s.upper[9] == -1.0
+    assert s[0, 4] == 2.0 and s[2, 3] == 0.0
+    assert s[0, 10] == 0.0 and s[2, 9] == -1.0
 
 
 def test_gaussian_widths_whose_square_underflows_are_refused():
@@ -313,13 +312,12 @@ def test_extreme_gaussians_sample_to_their_limits_without_warnings():
     # an overflowing square or quotient stays silent
     g = Grid(2.0, 5)
     needle = sample_potential(PotentialSpec.gaussian_sum([(1.0, 1e-160, 0.5)]), g)
-    assert needle.lower.tolist() == [0.0, 0.0, 0.5, 0.0]
-    assert needle.upper.tolist() == [0.0, 0.5, 0.0, 0.0]
-    assert not needle.mid.any()
+    assert needle[0].tolist() == [0.0, 0.0, 0.5, 0.0]
+    assert needle[2].tolist() == [0.0, 0.5, 0.0, 0.0]
+    assert not needle[1].any()
     for centre in (1e300, -1e300):
         far = sample_potential(PotentialSpec.gaussian_sum([(centre, 0.2, 0.5)]), g)
-        for channel in (far.lower, far.upper, far.mid):
-            assert not channel.any()
+        assert not far.any()
 
 
 def test_require_same_grid_raises_on_mismatch():
@@ -328,16 +326,6 @@ def test_require_same_grid_raises_on_mismatch():
     assert require_same_grid(f, f) == f.grid
     with pytest.raises(GridMismatch):
         require_same_grid(f, g)
-
-
-def test_samples_of_the_wrong_length_are_refused():
-    g = Grid(2.0, 5)
-    right, wrong = np.zeros(4), np.zeros(5)
-    for channels in ((wrong, right, right), (right, wrong, right),
-                     (right, right, wrong)):
-        with pytest.raises(GridMismatch):
-            PotentialSamples(g, *channels)
-    assert PotentialSamples(g, right, right, right).mid.shape == (4,)
 
 
 def test_grid_function_rejects_bad_values():
@@ -402,9 +390,34 @@ def test_sample_cells_is_the_values_at_sampling_bit_for_bit():
         out = np.full((3, grid.n_points - 1), np.nan)  # every entry written
         assert sample_cells(spec, grid, out=out) is out
         assert out.tobytes() == want.tobytes(), (spec, grid)
-        samples = sample_potential(spec, grid)
-        assert np.array([samples.lower, samples.mid, samples.upper]).tobytes() == (
-            want.tobytes())
+        assert sample_potential(spec, grid).tobytes() == want.tobytes()
+
+
+class _CountedStep(float):
+    """A grid step that counts the points formed from it."""
+
+    points = 0
+
+    def __rmul__(self, other):
+        _CountedStep.points += 1
+        return float(other) * float(self)
+
+
+def test_a_range_edge_is_found_from_its_guess_in_a_few_point_checks():
+    # _first guesses the index from the division and walks from there; with
+    # a dyadic step and edge the guess is exact, so it forms at most three
+    # points (the one below, the guess and the next) however many cells
+    # there are, and an edge above every point gives the cell count
+    step, count = _CountedStep(0.125), 10 ** 6
+    for offset, strict in ((0, False), (0.5, False), (1, True)):
+        for bound in (0.0, 0.0625, 3.0, 100000.5):
+            _CountedStep.points = 0
+            i = _first(bound, step, offset, count, strict)
+            assert _CountedStep.points <= 3, (bound, offset)
+            x = (np.array([i - 1, i]) + offset) * 0.125
+            above = x > bound if strict else x >= bound
+            assert above.tolist() == [False, True], (bound, offset)
+        assert _first(count * 0.125 + 1.0, 0.125, offset, count, strict) == count
 
 
 def test_segment_ranges_are_exact_at_edges_that_round():

@@ -78,10 +78,10 @@ def _jumps(spec):
 def test_each_end_of_a_cell_reads_the_limit_from_inside_it(case):
     grid, spec = case
     s = sample_potential(spec, grid)
-    assert s.lower.shape == s.mid.shape == s.upper.shape == (grid.n_points - 1,)
-    assert np.array_equal(s.lower, spec.values_at(grid.nodes[:-1], side=+1))
-    assert np.array_equal(s.mid, spec.values_at(grid.midpoints))
-    assert np.array_equal(s.upper, spec.values_at(grid.nodes[1:], side=-1))
+    assert s[0].shape == s[1].shape == s[2].shape == (grid.n_points - 1,)
+    assert np.array_equal(s[0], spec.values_at(grid.nodes[:-1], side=+1))
+    assert np.array_equal(s[1], spec.values_at(grid.midpoints))
+    assert np.array_equal(s[2], spec.values_at(grid.nodes[1:], side=-1))
 
 
 @PROPERTY_SETTINGS
@@ -90,7 +90,7 @@ def test_neighbouring_cells_disagree_only_at_a_jump(case):
     grid, spec = case
     s = sample_potential(spec, grid)
     # inner node i is the upper node of cell i - 1 and the lower of cell i
-    differ = s.upper[:-1] != s.lower[1:]
+    differ = s[2, :-1] != s[0, 1:]
     if spec.kind == "piecewise_constant":
         jumps = _jumps(spec)
         assert differ.tolist() == [x in jumps for x in grid.nodes[1:-1].tolist()]

@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+
 import phaseshift
 
 
@@ -175,3 +177,35 @@ def test_specs_are_the_one_way_into_a_certified_solve():
     assert "sample_potential" not in _names(package / "refwave.py")
     assert "combine_samples" not in phaseshift.__all__
     assert not hasattr(phaseshift.potential, "combine_samples")
+
+
+# Samples have one format, the (3, cells) rows lower, mid and upper of
+# potential.sample_cells, which sample_potential hands out read-only.  The
+# hierarchy and the closed forms sample U through sample_potential by name,
+# the function bench/spans.py traces as potential.sample.
+def test_samples_are_one_read_only_array_of_three_rows(monkeypatch):
+    from phaseshift import cross_check, hierarchy, potential
+    assert "PotentialSamples" not in phaseshift.__all__
+    assert not hasattr(potential, "PotentialSamples")
+    grid = phaseshift.Grid(2.0, 11)
+    specs = (phaseshift.PotentialSpec.piecewise_constant([(0.0, 0.5, 1.0)]),
+             phaseshift.PotentialSpec.gaussian_sum([(0.7, 0.2, -0.4)]))
+    for spec in specs:
+        samples = potential.sample_potential(spec, grid)
+        assert type(samples) is np.ndarray and samples.dtype == np.float64
+        assert samples.shape == (3, grid.n_points - 1)
+        assert not samples.flags.writeable
+        assert samples.tobytes() == potential.sample_cells(spec, grid).tobytes()
+    calls = []
+
+    def recorded(*args):
+        calls.append(args)
+        return potential.sample_potential(*args)
+
+    ref = phaseshift.analytic_free_reference(1.0, grid)
+    for module in (hierarchy, cross_check):
+        monkeypatch.setattr(module, "sample_potential", recorded)
+    phaseshift.compute_hierarchy(ref, specs[0], 3)
+    assert calls == [(specs[0], grid)]
+    phaseshift.delta1_direct(ref, specs[1])
+    assert calls[1:] == [(specs[1], grid)]

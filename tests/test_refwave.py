@@ -9,6 +9,7 @@ import pytest
 
 from phaseshift import (
     Grid,
+    GridMismatch,
     NonFiniteResult,
     NonpositiveK,
     PotentialSpec,
@@ -433,6 +434,26 @@ def test_integrate_wave_inward_returns_arrays_it_owns():
     solve_sweep(1.1, grid, other, _BARRIER, [0.2, -0.1], 1e-8)
     assert (psi.tobytes(), dpsi.tobytes()) == before
     assert not np.shares_memory(psi, again)
+
+
+def test_samples_of_the_wrong_shape_are_refused():
+    # integrate_wave_inward is the one entry that takes samples from a caller
+    g = Grid(2.0, 5)
+    right = np.zeros((3, 4))
+    for wrong in (np.zeros((3, 5)), np.zeros((3, 3)), np.zeros((2, 4)),
+                  np.zeros((4, 4)), np.zeros(12), np.zeros((1, 3, 4))):
+        with pytest.raises(GridMismatch):
+            integrate_wave_inward(1.0, g, wrong)
+    psi, dpsi = integrate_wave_inward(1.0, g, right)
+    assert psi.shape == dpsi.shape == (5,)
+
+
+def test_samples_from_another_grid_are_refused():
+    grid = Grid(2.0, 101)
+    for n in (201, 51):
+        samples = sample_potential(_BARRIER, Grid(2.0, n))
+        with pytest.raises(GridMismatch, match=rf"\(3, {n - 1}\)"):
+            integrate_wave_inward(1.0, grid, samples)
 
 
 def test_threads_sweep_with_their_own_arrays():

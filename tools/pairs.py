@@ -4,14 +4,19 @@ Extracts the base revision with ``git archive`` (no network) and copies this
 checkout's working tree, each into a sibling directory of one temporary
 directory, so both sides run from paths of the same length.  It then runs
 ``bench/run.py`` on the two sides in turn, ``--pairs`` times, and alternates
-which side runs first.  It also runs one A/A pair: the base against a second
-extract of the base, which shows how far two copies of one commit read apart
-on this machine.
+which side runs first; the run that goes second in a pair tends to read
+slower, so ``--pairs`` must be even, and each side goes first in half of the
+pairs.  It also runs one A/A pair: the base against a second extract of the
+base, which shows how far two copies of one commit read apart on this
+machine.
 
 For each end-to-end metric of ``BENCHMARK.json`` it prints every pair, each
 side's median and quartiles, the ratio of the medians (change / base), the
 pairs the change wins, and whether the change is better in at least nine
 pairs of ten with a median gap larger than the base's interquartile range.
+Beside the ratio of the medians it prints the median change / base ratio
+of the pairs the base ran first in (``base 1st``) and of those the change
+ran first in (``change 1st``), so a bias from the run order shows.
 Quartiles are those of ``statistics.quantiles`` (exclusive method).  The
 same goes for ``minflt``, the minor page faults of each whole run (its own
 and those of the processes it waits for), so that a change in how the heap
@@ -22,7 +27,8 @@ Usage, from anywhere:
     python tools/pairs.py --base HEAD~1 --workload oracle_sweep --pairs 10 \\
         --seconds 55 --seed 41
 
-Exit code 0 unless a run fails its checks or writes no result.
+Exit code 0 unless a run fails its checks or writes no result (1) or
+``--pairs`` is not a positive even number (2).
 """
 
 from __future__ import annotations
@@ -107,13 +113,18 @@ def pair_line(label: str, metrics: list, base: dict, change: dict) -> str:
 
 
 def report(metrics: list, pairs: list, aa: tuple) -> None:
-    """Print the summary of each metric over `pairs`, and the A/A ratio."""
+    """Print the summary of each metric over `pairs`, and the A/A ratio.
+
+    The base ran first in the even-numbered pairs and the change in the
+    odd-numbered ones."""
     print(f"{'metric':<12} {'base q1/med/q3':>26} {'change q1/med/q3':>26} "
-          f"{'ratio':>7} {'wins':>6} {'A/A':>7}  claim")
+          f"{'ratio':>7} {'base 1st':>8} {'change 1st':>10} {'wins':>6} "
+          f"{'A/A':>7}  claim")
     for m in metrics:
         name = m["name"]
         base = [b[name] for b, _ in pairs]
         change = [c[name] for _, c in pairs]
+        ratios = [c / b for b, c in zip(base, change)]
         bq, cq = quartiles(base), quartiles(change)
         wins = sum(better(c, b, m["better"]) for b, c in zip(base, change))
         gap = abs(cq[1] - bq[1])
@@ -121,7 +132,8 @@ def report(metrics: list, pairs: list, aa: tuple) -> None:
                  and gap > bq[2] - bq[0])
         print(f"{name:<12} {bq[0]:>8.4g} {bq[1]:>8.4g} {bq[2]:>8.4g} "
               f"{cq[0]:>8.4g} {cq[1]:>8.4g} {cq[2]:>8.4g} "
-              f"{cq[1] / bq[1]:>7.3f} {wins:>3}/{len(pairs):<2} "
+              f"{cq[1] / bq[1]:>7.3f} {statistics.median(ratios[::2]):>8.3f} "
+              f"{statistics.median(ratios[1::2]):>10.3f} {wins:>3}/{len(pairs):<2} "
               f"{aa[1][name] / aa[0][name]:>7.3f}  {'holds' if holds else 'no'}")
 
 
@@ -133,6 +145,10 @@ def main(argv=None) -> int:
     parser.add_argument("--seconds", type=float, default=55.0)
     parser.add_argument("--seed", type=int, required=True)
     args = parser.parse_args(argv)
+    if args.pairs < 2 or args.pairs % 2:
+        print(f"--pairs must be a positive even number, so that each side runs "
+              f"first equally often; got {args.pairs}", file=sys.stderr)
+        return 2
     metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"] + [FAULTS]
 
     with tempfile.TemporaryDirectory(prefix="pairs-") as tmp:
