@@ -64,7 +64,7 @@ from .oracle import (
     solve_exact,
     sweep_exact,
 )
-from .cli import JobConfig, parse_config, run, serialize_config
+from .cli import JobConfig, parse_config, run
 
 __version__ = "0.1.0"
 
@@ -112,7 +112,6 @@ __all__ = [
     "parse_config",
     "run",
     "sample_potential",
-    "serialize_config",
     "simpson_weights",
     "solve_exact",
     "solve_reference",

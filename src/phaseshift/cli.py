@@ -61,7 +61,6 @@ class JobConfig:
     U: PotentialSpec
     output_path: str | None
     tol_wronskian: float
-    eps_tail: float
 
 
 def _as_float(value, key) -> float:
@@ -237,40 +236,7 @@ def parse_config(doc: dict, command: str | None = None) -> JobConfig:
         U=U,
         output_path=output_path,
         tol_wronskian=tol_wronskian,
-        eps_tail=eps_tail,
     )
-
-
-def _potential_doc(spec: PotentialSpec) -> dict:
-    if spec.kind == "piecewise_constant":
-        return {"kind": spec.kind,
-                "segments": [list(s) for s in spec.segments]}
-    if spec.kind == "gaussian_sum":
-        return {"kind": spec.kind, "bumps": [list(b) for b in spec.bumps]}
-    return {"kind": "tabulated", "samples": [float(v) for v in spec.samples]}
-
-
-def serialize_config(config: JobConfig) -> dict:
-    """Canonical JSON document for `config`; parse_config inverts this."""
-    doc: dict = {"command": config.command}
-    if config.k_values:
-        ks = list(config.k_values)
-        doc["k"] = ks[0] if len(ks) == 1 else ks
-    if config.couplings:
-        cs = list(config.couplings)
-        doc["lambda"] = cs[0] if len(cs) == 1 else cs
-    if config.command != "selftest":
-        doc["max_order"] = config.max_order
-    if config.grid is not None:
-        doc["grid"] = {"x_max": config.grid.x_max,
-                       "n_points": config.grid.n_points}
-    doc["V"] = _potential_doc(config.V)
-    doc["U"] = _potential_doc(config.U)
-    if config.output_path is not None:
-        doc["output_path"] = config.output_path
-    doc["tolerances"] = {"tol_wronskian": config.tol_wronskian,
-                         "eps_tail": config.eps_tail}
-    return doc
 
 
 # ---------------------------------------------------------------------------

@@ -46,8 +46,6 @@ class PartitionTuple:
     ----------
     multiplicities : tuple of int
         (i_1, ..., i_n); entry p-1 counts the parts of size p.
-    j : int
-        Total number of parts, sum(i_p).
     coefficient : float
         (-1)^(j-1) (j-1)! / prod(i_p!), exact in double precision for
         n <= MAX_ORDER.
@@ -58,7 +56,6 @@ class PartitionTuple:
     """
 
     multiplicities: tuple
-    j: int
     coefficient: float
     factors: tuple = field(init=False, repr=False, compare=False)
 
@@ -69,10 +66,13 @@ class PartitionTuple:
             raise ValueError(
                 f"multiplicities {self.multiplicities} do not partition {n}"
             )
-        if self.j != sum(self.multiplicities):
-            raise ValueError("part count j disagrees with multiplicities")
         object.__setattr__(self, "factors", tuple(
             filter(itemgetter(1), enumerate(self.multiplicities))))
+
+    @property
+    def j(self) -> int:
+        """Total number of parts, sum(i_p)."""
+        return sum(self.multiplicities)
 
 
 def _signed_ratio(j: int, denom: int) -> float:
@@ -109,7 +109,7 @@ def _partition_table(n: int) -> tuple:
     # j and denom = prod(i_p!) are carried down with the parts
     def descend(remaining: int, largest: int, j: int, denom: int) -> None:
         if remaining == 0:
-            out.append(PartitionTuple(tuple(mult), j, _signed_ratio(j, denom)))
+            out.append(PartitionTuple(tuple(mult), _signed_ratio(j, denom)))
             return
         for part in range(min(remaining, largest), 0, -1):
             mult[part - 1] += 1

@@ -105,10 +105,6 @@ class ComplexGridFunction:
         if not np.all(np.isfinite(self.values)):
             raise NonFiniteResult("grid function contains non-finite values")
 
-    @property
-    def at_zero(self) -> complex:
-        return complex(self.values[0])
-
 
 def require_same_grid(*objs) -> Grid:
     """Return the common grid of the arguments or raise :class:`GridMismatch`."""

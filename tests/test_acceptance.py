@@ -9,10 +9,12 @@ the known fourth-order measurement limit.
 import time
 
 import numpy as np
+import pytest
 
 from phaseshift import (
     Grid,
     PotentialSpec,
+    analytic_free_reference,
     assemble_delta_n,
     assemble_series,
     compute_hierarchy,
@@ -75,6 +77,31 @@ def test_a3_remainder_orders(barrier_series, barrier):
     )
 
 
+def _unit_barrier_report(scale):
+    # the unit barrier with lengths in a unit 1/scale times as large: x_max
+    # and the edge times scale, k over scale, the height over scale^2
+    grid = Grid(2.0 * scale, 4001)
+    u = PotentialSpec.piecewise_constant([(0.0, scale, 1.0 / scale ** 2)])
+    series = assemble_series(analytic_free_reference(1.0 / scale, grid), u, 4)
+    return convergence_order_check(series, ZERO, u, (0.1, 0.05))
+
+
+def test_a3_order_estimates_do_not_depend_on_the_unit_of_length():
+    p_hats = [[c.p_hat.hex() for c in _unit_barrier_report(scale).checks]
+              for scale in (0.125, 1.0, 8.0)]
+    assert p_hats[0] == p_hats[1] == p_hats[2]
+
+
+@pytest.mark.xfail(strict=True, reason="oracle._noise_floor has terms in "
+                   "length^2 and length^5, so the gate that reads it moves "
+                   "with the unit of length while p_hat does not")
+def test_a3_verdicts_do_not_depend_on_the_unit_of_length():
+    # at scale 1/8, N=3 is FAIL and N=4 PASS; at 1 and 8 both INCONCLUSIVE
+    statuses = [[c.status for c in _unit_barrier_report(scale).checks]
+                for scale in (0.125, 1.0, 8.0)]
+    assert statuses[0] == statuses[1] == statuses[2]
+
+
 def test_a4_series_vs_direct_formulas(smooth_suite):
     t0 = time.perf_counter()
     worst = 0.0
@@ -135,7 +162,7 @@ def test_a7_hierarchy_path_equivalence(smooth_suite):
             for n in range(3):
                 g = step_by_double_integral(ref, u, g)
                 want = fast.values_at_zero[n]
-                rel = abs(g.at_zero - want) / max(1.0, abs(want))
+                rel = abs(g.values[0] - want) / max(1.0, abs(want))
                 worst = max(worst, rel)
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-6 and elapsed < 30.0

@@ -10,8 +10,7 @@ import pytest
 
 import phaseshift
 from phaseshift import ConfigInvalid, cli
-from phaseshift.cli import (MAX_POINTS, main, parse_config, render_csv, run,
-                            serialize_config)
+from phaseshift.cli import MAX_POINTS, main, parse_config, render_csv, run
 from phaseshift.series import assemble_corrections
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -142,16 +141,6 @@ def test_repeated_runs_are_byte_identical(tmp_path):
     assert first.read_bytes() == second.read_bytes()
 
 
-def test_serialize_parse_round_trip():
-    for name in ("selftest.json", "phases.json", "sweep.json",
-                 "converge.json"):
-        doc = load_config(name)
-        once = serialize_config(parse_config(doc))
-        twice = serialize_config(parse_config(once))
-        assert once == twice
-        assert once["command"] == doc["command"]
-
-
 def test_command_override_and_defaults():
     config = parse_config({
         "k": 1.0,
@@ -237,6 +226,35 @@ def test_invalid_configs_are_rejected():
         with pytest.raises(ConfigInvalid):
             parse_config(doc)
         print(f"rejected: {label}")
+
+
+def test_each_refusal_comes_from_its_own_rule():
+    # each document breaks one rule only, so that a later check cannot
+    # refuse it in that rule's place
+    def job(**changes):
+        doc = {"command": "phases", "k": 1.0, "max_order": 1,
+               "grid": {"x_max": 1.0, "n_points": 11}}
+        doc.update(changes)
+        return {key: value for key, value in doc.items() if value is not None}
+
+    def grid(n_points):
+        return {"x_max": 1.0, "n_points": n_points}
+
+    cases = (
+        (job(), "sweep", "config says command='phases' but 'sweep' was requested"),
+        (job(command=None), None, "no command given"),
+        (job(k=[1.0, True]), None, "'k' must be a number or a non-empty list"),
+        (job(k=0), None, "'k' values must be positive"),
+        (job(grid=grid(MAX_POINTS + 2)), None,
+         f"'n_points' must be at most {MAX_POINTS}"),
+        (job(grid=grid(10)), None, "n_points must be odd"),
+        ({"command": "selftest", "grid": grid(10)}, None, "n_points must be odd"),
+    )
+    for doc, command, message in cases:
+        with pytest.raises(ConfigInvalid, match=message):
+            parse_config(doc, command=command)
+    # the cap itself is allowed
+    assert parse_config(job(grid=grid(MAX_POINTS))).grid.n_points == MAX_POINTS
 
 
 def test_a_refused_potential_is_reported_with_its_reason():
@@ -404,6 +422,12 @@ def test_non_finite_json_numbers_are_config_errors(tmp_path, capsys):
     # end in exit code 2 wherever it appears
     _assert_refused(tmp_path, capsys, _NUMBER_PLACES,
                     ("NaN", "Infinity", "-Infinity", "1e999", "-1e999"))
+    # refused while the JSON is read, before parse_config sees the number
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(_number_doc()).replace('"k": 1.0', '"k": 1e999'))
+    assert main(["phases", "--config", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        "ConfigInvalid: cannot read config: non-finite number 1e999\n")
 
 
 def test_non_numbers_and_nonpositive_extents_are_config_errors(tmp_path, capsys):

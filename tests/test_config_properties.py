@@ -1,4 +1,8 @@
-"""Property test: serialize_config and parse_config invert each other.
+"""Property test: parse_config keeps a job document's own values.
+
+Each drawn document is parsed as built and again after a trip through JSON
+text, as a config file carries it; both configs must hold the values the
+document states, or their documented defaults where it states none.
 
 Examples are drawn from a fixed seed (``derandomize``) and nothing is kept
 between runs, so every run checks the same documents.  Grids stay small
@@ -8,14 +12,15 @@ hypothesis is not installed; the rest of the suite needs only pytest.
 
 import json
 
-import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
 
 from hypothesis import Phase, given, settings, strategies as st  # noqa: E402
 
-from phaseshift.cli import COMMANDS, parse_config, serialize_config  # noqa: E402
+from phaseshift.cli import COMMANDS, parse_config  # noqa: E402
+from phaseshift.potential import DEFAULT_TAIL_EPS, Grid  # noqa: E402
+from phaseshift.refwave import DEFAULT_WRONSKIAN_TOL  # noqa: E402
 
 PROPERTY_SETTINGS = settings(max_examples=60, derandomize=True,
                              database=None, deadline=None,
@@ -85,24 +90,49 @@ def job_documents(draw):
     return doc
 
 
-def _same_potential(a, b):
-    return (a.kind == b.kind and a.segments == b.segments
-            and a.bumps == b.bumps and a.support_hi == b.support_hi
-            and a.eps_tail == b.eps_tail and a.declared_grid == b.declared_grid
-            and (a.samples is None) == (b.samples is None)
-            and (a.samples is None or np.array_equal(a.samples, b.samples)))
+def _numbers(value):
+    return tuple(value) if isinstance(value, list) else (value,)
+
+
+def _assert_potential(spec, sub, grid, eps_tail):
+    """`spec` holds the kind and payload of the document `sub`; a gaussian
+    or tabulated one also holds the document's tail tolerance."""
+    if sub is None:  # an absent potential is zero
+        sub = {"kind": "piecewise_constant", "segments": []}
+    kind = sub["kind"]
+    assert spec.kind == kind
+    assert spec.segments == tuple(map(tuple, sub.get("segments", ())))
+    assert spec.bumps == tuple(map(tuple, sub.get("bumps", ())))
+    if kind == "tabulated":
+        assert spec.samples.tolist() == sub["samples"]
+        assert spec.declared_grid == grid
+    else:
+        assert spec.samples is None and spec.declared_grid is None
+    assert spec.eps_tail == (DEFAULT_TAIL_EPS if kind == "piecewise_constant"
+                             else eps_tail)
 
 
 @PROPERTY_SETTINGS
 @given(job_documents())
-def test_serialized_config_parses_back_to_the_same_config(doc):
-    config = parse_config(doc)
-    serialized = serialize_config(config)
-    # through JSON text, as a config file would carry it
-    again = parse_config(json.loads(json.dumps(serialized)))
-    assert serialize_config(again) == serialized
-    for field in ("command", "k_values", "couplings", "max_order", "grid",
-                  "output_path", "tol_wronskian", "eps_tail"):
-        assert getattr(again, field) == getattr(config, field)
-    assert _same_potential(again.V, config.V)
-    assert _same_potential(again.U, config.U)
+def test_a_parsed_config_holds_the_document_s_own_values(doc):
+    command = doc["command"]
+    runs = command != "selftest"
+    tolerances = doc.get("tolerances", {})
+    grid = Grid(**doc["grid"]) if runs else None
+    couplings = _numbers(doc["lambda"]) if "lambda" in doc else ()
+    if command == "phases":
+        couplings = couplings or (1.0,)
+    eps_tail = tolerances.get("eps_tail", DEFAULT_TAIL_EPS)
+    # as built, and through JSON text as a config file would carry it
+    for config in (parse_config(doc),
+                   parse_config(json.loads(json.dumps(doc)))):
+        assert config.command == command
+        assert config.k_values == (_numbers(doc["k"]) if runs else ())
+        assert config.couplings == couplings
+        assert config.grid == grid
+        assert config.max_order == doc.get("max_order", 0)
+        assert config.output_path == doc.get("output_path")
+        assert config.tol_wronskian == tolerances.get("tol_wronskian",
+                                                      DEFAULT_WRONSKIAN_TOL)
+        _assert_potential(config.V, doc.get("V"), grid, eps_tail)
+        _assert_potential(config.U, doc.get("U"), grid, eps_tail)

@@ -91,7 +91,7 @@ def test_path_equivalence_random_smooth_potentials():
         for n in range(3):
             g = step_by_double_integral(ref, u, g)
             a = fast.values_at_zero[n]
-            assert abs(a - g.at_zero) <= 1e-6 * max(1.0, abs(a))
+            assert abs(a - g.values[0]) <= 1e-6 * max(1.0, abs(a))
 
 
 def test_path_equivalence_with_a_jump(barrier):
@@ -102,7 +102,7 @@ def test_path_equivalence_with_a_jump(barrier):
     for n in range(3):
         g = step_by_double_integral(ref, barrier, g)
         a = fast.values_at_zero[n]
-        assert abs(a - g.at_zero) <= 1e-6 * max(1.0, abs(a))
+        assert abs(a - g.values[0]) <= 1e-6 * max(1.0, abs(a))
 
 
 def test_double_integral_path_trivial_cases(barrier):

@@ -454,3 +454,21 @@ def test_off_node_barrier_converges_at_full_order():
     for errors, lo, hi in ((born_err, 3.0, 5.0), (oracle_err, 12.0, 20.0)):
         ratios = [a / b for a, b in zip(errors, errors[1:])]
         assert all(lo <= r <= hi for r in ratios), (errors, ratios)
+
+
+@pytest.mark.xfail(strict=True, reason="oracle.sweep_exact picks each "
+                   "coupling's representative mod pi nearest the previous "
+                   "coupling's phase, so a step that moves delta by more "
+                   "than pi/2 lands on another branch")
+def test_a_sweep_s_phases_do_not_depend_on_its_order():
+    # A fine ladder moves delta by less than pi/2 at every step, so it
+    # follows the continuous branch from delta_0 = 0; the one-coupling
+    # sweep [4] and the reversed sweep [8, 4] read delta - pi today.
+    well = PotentialSpec.piecewise_constant([(0.5, 1.5, -1.0)])
+    grid = Grid(3.0, 4001)
+    ladder = {res.coupling: res.delta_exact for res in sweep_exact(
+        ZERO, well, [0.25 * i for i in range(1, 33)], 1.0, grid)}
+    for couplings in ([4.0], [8.0, 4.0]):
+        for res in sweep_exact(ZERO, well, couplings, 1.0, grid):
+            assert abs(res.delta_exact - ladder[res.coupling]) < 1e-12, (
+                couplings, res.coupling)

@@ -137,14 +137,19 @@ def test_factors_are_the_nonzero_multiplicities():
             assert all(i > 0 for _, i in t.factors)
     # derived, not compared: a rebuilt tuple equals the memoised one
     t = enumerate_partitions(4)[1]
-    assert PartitionTuple(t.multiplicities, t.j, t.coefficient) == t
+    assert PartitionTuple(t.multiplicities, t.coefficient) == t
 
 
 def test_tuple_validation():
     with pytest.raises(ValueError):
-        PartitionTuple((1, 1), 2, 1.0)  # 1*1 + 2*1 = 3, not a partition of 2
-    with pytest.raises(ValueError):
-        PartitionTuple((0, 1), 2, 1.0)  # j disagrees with the multiplicities
+        PartitionTuple((1, 1), 1.0)  # 1*1 + 2*1 = 3, not a partition of 2
+    # j is derived from the multiplicities: it can be neither given nor set
+    with pytest.raises(TypeError):
+        PartitionTuple((0, 1), 1, 1.0)
+    t = PartitionTuple((2, 1, 0, 0), 1.0)
+    assert t.j == 3
+    with pytest.raises(AttributeError):
+        t.j = 2
 
 
 def test_columns_are_memoised_read_only_views_of_the_tables():

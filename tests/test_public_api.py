@@ -4,6 +4,7 @@ import inspect
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -121,11 +122,17 @@ def test_the_certificate_trace_point_sees_every_coupling(monkeypatch):
 LAYOUT_NAMES = {"ChainLayout", "_solve"}
 
 
-def _names(path):
-    """Every identifier `path` names: variables, attributes, imports and
-    definitions."""
+def _names(path, definitions=True):
+    """Every identifier `path` names: variables, attributes, imports and,
+    unless `definitions` is false, the names that functions, classes and
+    assignments define."""
     names = set()
     for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if not definitions and (
+                isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef))
+                or isinstance(getattr(node, "ctx", None), ast.Store)):
+            continue
         for field in ("id", "attr", "name"):
             value = getattr(node, field, None)
             if isinstance(value, str):
@@ -209,3 +216,30 @@ def test_samples_are_one_read_only_array_of_three_rows(monkeypatch):
     assert calls == [(specs[0], grid)]
     phaseshift.delta1_direct(ref, specs[1])
     assert calls[1:] == [(specs[1], grid)]
+
+
+# Exported code that only tests call is code to delete, not to keep: each
+# exported name is used outside its own definition by the library, the
+# benchmark or the tools.  simpson_weights pins the odd-n_points rule every
+# grid is checked against, and step_by_double_integral is the checker the
+# hierarchy is verified against; both are read by tests alone on purpose.
+CHECKERS = {"simpson_weights", "step_by_double_integral"}
+
+
+def test_every_exported_name_is_used_outside_the_tests():
+    package = Path(phaseshift.__file__).resolve().parent
+    tools = BENCH.parent / "tools"
+    paths = ([path for path in sorted(package.glob("*.py"))
+              if path.name != "__init__.py"]
+             + sorted(BENCH.glob("*.py")) + sorted(tools.glob("*.py")))
+    assert len(paths) > 15
+    used = set().union(*(_names(path, definitions=False) for path in paths))
+    assert sorted(set(phaseshift.__all__) - used) == sorted(CHECKERS)
+
+
+def test_the_config_serializer_is_gone():
+    from phaseshift import cli
+    assert "serialize_config" not in phaseshift.__all__
+    assert not hasattr(cli, "serialize_config")
+    assert not hasattr(cli, "_potential_doc")
+    assert "eps_tail" not in {f.name for f in fields(cli.JobConfig)}
