@@ -25,7 +25,6 @@ from .errors import (
     WronskianViolation,
 )
 from .potential import (
-    ComplexGridFunction,
     Grid,
     PotentialSpec,
     cumulative_from_right,
@@ -69,7 +68,6 @@ from .cli import JobConfig, parse_config, run
 __version__ = "0.1.0"
 
 __all__ = [
-    "ComplexGridFunction",
     "ConfigInvalid",
     "ConvergenceReport",
     "DegenerateSweep",

@@ -317,12 +317,12 @@ def _check_free_wave_consistency() -> bool:
     grid = Grid(5.0, 2001)
     solved = solve_reference(PotentialSpec.zero(), 1.0, grid)
     exact = analytic_free_reference(1.0, grid)
-    return float(np.max(np.abs(solved.psi.values - exact.psi.values))) <= 1e-10
+    return float(np.max(np.abs(solved.psi - exact.psi))) <= 1e-10
 
 
 def _check_ratio_shift_origin() -> bool:
     ref = analytic_free_reference(1.3, Grid(2.0, 101))
-    return ref.ratio_shift.values[0] == 0.0
+    return ref.ratio_shift[0] == 0.0
 
 
 def _check_wronskian_free() -> bool:

@@ -83,8 +83,8 @@ def integrand_factors(ref: ReferenceWave, u, powers) -> NestedIntegrandSet:
     """Build the factor set (U * d * r**p for p in powers), cell by cell."""
     grid = ref.grid
     samples = sample_potential(u, grid)
-    base = ref.density.values
-    r = ref.ratio_shift.values
+    base = ref.density
+    r = ref.ratio_shift
     factors = []
     # an overflowing factor is refused by NestedIntegrandSet, not warned of
     with np.errstate(over="ignore", invalid="ignore"):

@@ -49,13 +49,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonFiniteResult, OrderOutOfRange
-from .potential import (
-    ComplexGridFunction,
-    cumulative_from_right,
-    require_same_grid,
-    sample_potential,
-)
+from .errors import GridMismatch, NonFiniteResult, OrderOutOfRange
+from .potential import cumulative_from_right, sample_potential
 from .refwave import ReferenceWave
 
 
@@ -98,10 +93,10 @@ def compute_hierarchy(ref: ReferenceWave, u, order: int) -> HierarchyResult:
         return HierarchyResult(values_at_zero=(0j,) * order)
     nodes = slice(window.start, window.stop + 1)
     scale = 0.5 * grid.step / (1j * ref.k)
-    d = ref.density.values[nodes]
-    r = ref.ratio_shift.values[nodes]
+    d = ref.density[nodes]
+    r = ref.ratio_shift[nodes]
     r_lo, r_hi = r[:-1], r[1:]
-    r_below = ref.ratio_shift.values[:nodes.start]
+    r_below = ref.ratio_shift[:nodes.start]
     m = len(r)
     lo, hi, lo_r, hi_r = (np.empty(m - 1, dtype=complex) for _ in range(4))
     # one row each for the integrals W (of the weights times r g) and P;
@@ -126,7 +121,7 @@ def compute_hierarchy(ref: ReferenceWave, u, order: int) -> HierarchyResult:
             np.multiply(r, plain, out=g)
             np.subtract(weighted, g, out=g)
             totals[:, n] = sums[:, 0]
-        values = totals[0] - ref.ratio_shift.values[0] * totals[1]
+        values = totals[0] - ref.ratio_shift[0] * totals[1]
         if r_below.size:
             # Below the window f_n = W_n - r P_n, which no later order reads:
             # build it for every order whose bound |W_n| + max|r| |P_n|
@@ -147,22 +142,30 @@ def compute_hierarchy(ref: ReferenceWave, u, order: int) -> HierarchyResult:
 
 
 def step_by_double_integral(ref: ReferenceWave, u,
-                            f_prev: ComplexGridFunction) -> ComplexGridFunction:
+                            f_prev: np.ndarray) -> np.ndarray:
     """Advance one order through the explicit double integral.
 
     inner(y) = integral_y^xmax 2 U d f_prev dz, then the result is
-    integral_x^xmax inner(y) / d(y) dy.  Numerically independent of
+    integral_x^xmax inner(y) / d(y) dy, a read-only node array on
+    ``ref.grid`` like `f_prev`.  Numerically independent of
     :func:`compute_hierarchy` (different discretization of a different
     formula), which is exactly what makes the agreement of the two a
-    meaningful check.  Raises NonFiniteResult if the result overflows.
+    meaningful check.  Raises GridMismatch if `f_prev` has another length,
+    NonFiniteResult if the result overflows.
     """
-    grid = require_same_grid(ref.psi, f_prev)
+    grid = ref.grid
+    if np.shape(f_prev) != (grid.n_points,):
+        raise GridMismatch(
+            f"expected {grid.n_points} values, got {np.shape(f_prev)}")
     samples = sample_potential(u, grid)
     # an overflow is reported as NonFiniteResult, not as a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        base = 2.0 * ref.density.values * f_prev.values
+        base = 2.0 * ref.density * f_prev
         inner = cumulative_from_right(samples[0] * base[:-1],
                                       samples[2] * base[1:], grid.step)
-        outer = inner / ref.density.values
+        outer = inner / ref.density
         outer = cumulative_from_right(outer[:-1], outer[1:], grid.step)
-    return ComplexGridFunction(grid, outer)
+    if not np.all(np.isfinite(outer)):
+        raise NonFiniteResult("grid function contains non-finite values")
+    outer.flags.writeable = False
+    return outer

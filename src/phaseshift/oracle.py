@@ -38,9 +38,11 @@ ORACLE_REFINEMENT = 4
 class OracleResult:
     """Exact phase at one coupling.
 
-    `delta_exact` is on the principal branch for a single solve; sweep
-    results are unwrapped to the continuous branch seeded by the background
-    phase.  `wronskian_residual` is the solve's certified residual.
+    `delta_exact` is on the principal branch for a single solve.  In a
+    sweep, each coupling takes the representative mod pi nearest the
+    previous coupling's phase, starting from the seed (see
+    :func:`sweep_exact`).  `wronskian_residual` is the solve's certified
+    residual.
     """
 
     coupling: float
@@ -63,7 +65,7 @@ def solve_exact(V: PotentialSpec, U: PotentialSpec, coupling: float, k: float,
 def sweep_exact(V: PotentialSpec, U: PotentialSpec, couplings, k: float,
                 grid: Grid, seed_delta: float = 0.0,
                 tol_wronskian: float = DEFAULT_WRONSKIAN_TOL) -> list:
-    """Solve a list of couplings and unwrap phases to a continuous branch.
+    """Solve a list of couplings and unwrap each phase against the one before.
 
     V and U are sampled once for the whole sweep, into arrays the calling
     thread keeps.  The wave above U's support is the same at every
@@ -75,7 +77,12 @@ def sweep_exact(V: PotentialSpec, U: PotentialSpec, couplings, k: float,
 
     The phase is only defined mod pi; each sweep point picks the
     representative closest to the previous one, starting from `seed_delta`
-    (normally the background phase, the exact coupling -> 0 limit).
+    (normally the background phase, the exact coupling -> 0 limit).  That
+    follows the continuous branch only while each step, the first one from
+    the seed included, moves delta by less than pi/2; a larger step lands a
+    multiple of pi away, so a sweep's phases can depend on its order
+    (ROADMAP item 12, the strict xfail
+    ``test_a_sweep_s_phases_do_not_depend_on_its_order``).
 
     Raises
     ------

@@ -19,7 +19,8 @@ the first time it is asked for, and kept as an immutable tuple.  Each tuple
 also carries its nonzero factors.  :func:`partition_columns` lays the tuples
 of orders 1..N out as read-only arrays, so the series assembly can evaluate
 every order of the sum in a few numpy passes; they too are built once per N.
-The tables and their columns are the only module-level state of the package.
+Beside them, the package keeps at module level only the CLI's parser
+(``cli._PARSER``) and each thread's solver workspace (``refwave._kept``).
 """
 
 from __future__ import annotations

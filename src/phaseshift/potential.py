@@ -24,8 +24,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import (EvenPointCount, GridMismatch, NonFiniteResult,
-                     TabulatedGridMismatch)
+from .errors import EvenPointCount, TabulatedGridMismatch
 
 #: values with magnitude below this are treated as an exact zero tail
 DEFAULT_TAIL_EPS = 1e-12
@@ -87,32 +86,6 @@ def _as_readonly(values: np.ndarray, dtype) -> np.ndarray:
     arr = np.array(values, dtype=dtype)
     arr.flags.writeable = False
     return arr
-
-
-@dataclass(frozen=True)
-class ComplexGridFunction:
-    """A complex-valued function sampled on the nodes of a :class:`Grid`."""
-
-    grid: Grid
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "values", _as_readonly(self.values, complex))
-        if self.values.shape != (self.grid.n_points,):
-            raise GridMismatch(
-                f"expected {self.grid.n_points} values, got {self.values.shape}"
-            )
-        if not np.all(np.isfinite(self.values)):
-            raise NonFiniteResult("grid function contains non-finite values")
-
-
-def require_same_grid(*objs) -> Grid:
-    """Return the common grid of the arguments or raise :class:`GridMismatch`."""
-    grid = objs[0].grid
-    for other in objs[1:]:
-        if other.grid != grid:
-            raise GridMismatch(f"{other.grid} != {grid}")
-    return grid
 
 
 def _require_finite(values, what: str) -> None:

@@ -4,7 +4,7 @@ Solves  psi'' = (2 V(x) - k^2) psi  inward from x_max, where the solution is
 pinned to the free outgoing form exp(-i k x), and extracts the background
 phase shift from the ratio psi*(0)/psi(0); for V = 0 the exact free wave
 serves (:func:`analytic_free_reference`).  One builder derives, from either
-wave, the two auxiliary grid functions the perturbation hierarchy consumes:
+wave, the two auxiliary node arrays the perturbation hierarchy consumes:
 
 * ``density``     -- the squared wave psi^2,
 * ``ratio_shift`` -- conj(psi)/psi minus its value at x = 0 (zero at 0 by
@@ -57,13 +57,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridMismatch, NonFiniteResult, NonpositiveK, WronskianViolation
-from .potential import (
-    ComplexGridFunction,
-    Grid,
-    PotentialSpec,
-    combine_cells,
-    sample_cells,
-)
+from .potential import Grid, PotentialSpec, _as_readonly, combine_cells, sample_cells
 
 #: default Wronskian tolerance, as a coefficient multiplying k
 DEFAULT_WRONSKIAN_TOL = 1e-8
@@ -78,15 +72,23 @@ _LEAF_CELLS = 64
 class ReferenceWave:
     """Solved reference wave plus the derived auxiliary functions.
 
+    The three node arrays are complex, one entry per node of `grid`,
+    finite and read-only, and own their memory: each is copied on
+    construction, so none aliases an array the caller keeps, such as the
+    thread's workspace.  A wrong length raises :class:`GridMismatch`, a NaN
+    or inf :class:`NonFiniteResult`.
+
     Attributes
     ----------
     k : float
         Wavenumber (> 0).
-    psi, dpsi : ComplexGridFunction
-        Wave and its derivative on the grid.
-    density : ComplexGridFunction
+    grid : Grid
+        The grid whose nodes the arrays sample.
+    psi : ndarray
+        The wave.
+    density : ndarray
         psi^2.
-    ratio_shift : ComplexGridFunction
+    ratio_shift : ndarray
         conj(psi)/psi - conj(psi(0))/psi(0); exactly zero at x = 0.
     delta0 : float
         Background phase shift, reduced to (-pi/2, pi/2].
@@ -95,25 +97,35 @@ class ReferenceWave:
     """
 
     k: float
-    psi: ComplexGridFunction
-    dpsi: ComplexGridFunction
-    density: ComplexGridFunction
-    ratio_shift: ComplexGridFunction
+    grid: Grid
+    psi: np.ndarray
+    density: np.ndarray
+    ratio_shift: np.ndarray
     delta0: float
     wronskian_residual: float
 
-    @property
-    def grid(self) -> Grid:
-        return self.psi.grid
+    def __post_init__(self) -> None:
+        n = self.grid.n_points
+        for name in ("psi", "density", "ratio_shift"):
+            values = _as_readonly(getattr(self, name), complex)
+            if values.shape != (n,):
+                raise GridMismatch(f"expected {n} values, got {values.shape}")
+            if not np.all(np.isfinite(values)):
+                raise NonFiniteResult("grid function contains non-finite values")
+            object.__setattr__(self, name, values)
 
 
 def reduce_phase(angle: float) -> float:
-    """Reduce a phase defined mod pi to the branch (-pi/2, pi/2]."""
-    while angle <= -0.5 * math.pi:
-        angle += math.pi
-    while angle > 0.5 * math.pi:
-        angle -= math.pi
-    return angle
+    """Reduce a phase defined mod pi to the branch (-pi/2, pi/2]; NaN for
+    a NaN or infinite angle.
+
+    One exact IEEE remainder, so any finite angle returns at once and one
+    in [-pi/2, pi/2] keeps its bits, except -pi/2, which maps to pi/2.
+    """
+    if not math.isfinite(angle):
+        return math.nan
+    reduced = math.remainder(angle, math.pi)
+    return 0.5 * math.pi if reduced == -0.5 * math.pi else reduced
 
 
 def phase_from_wave(value: complex) -> float:
@@ -788,9 +800,9 @@ def solve_sweep(k: float, grid: Grid, V: PotentialSpec, U: PotentialSpec,
             for chain, residual in enumerate(residuals)]
 
 
-def _reference_wave(k: float, grid: Grid, psi: np.ndarray, dpsi: np.ndarray,
+def _reference_wave(k: float, grid: Grid, psi: np.ndarray,
                     residual: float) -> ReferenceWave:
-    """The :class:`ReferenceWave` of node arrays psi and psi'.
+    """The :class:`ReferenceWave` of the node array psi.
 
     Both constructors derive density, ratio_shift (exactly zero at x = 0)
     and delta0 here.
@@ -798,10 +810,10 @@ def _reference_wave(k: float, grid: Grid, psi: np.ndarray, dpsi: np.ndarray,
     ratio = np.conj(psi) / psi
     return ReferenceWave(
         k=k,
-        psi=ComplexGridFunction(grid, psi),
-        dpsi=ComplexGridFunction(grid, dpsi),
-        density=ComplexGridFunction(grid, psi * psi),
-        ratio_shift=ComplexGridFunction(grid, ratio - ratio[0]),
+        grid=grid,
+        psi=psi,
+        density=psi * psi,
+        ratio_shift=ratio - ratio[0],
         delta0=phase_from_wave(complex(psi[0])),
         wronskian_residual=residual,
     )
@@ -840,7 +852,7 @@ def solve_reference(V: PotentialSpec, k: float, grid: Grid,
         psi, dpsi = _one_chain(k, grid, *v)
         (residual,) = _certify(k, tol_wronskian, ChainLayout(1, 0, len(psi) - 1),
                                psi, dpsi)
-        return _reference_wave(k, grid, psi, dpsi, residual)
+        return _reference_wave(k, grid, psi, residual)
 
 
 def analytic_free_reference(k: float, grid: Grid) -> ReferenceWave:
@@ -855,4 +867,4 @@ def analytic_free_reference(k: float, grid: Grid) -> ReferenceWave:
     with np.errstate(over="ignore", invalid="ignore"):
         psi = np.exp(-1j * k * grid.nodes)
         dpsi = -1j * k * psi
-        return _reference_wave(k, grid, psi, dpsi, wronskian_residual(k, psi, dpsi))
+        return _reference_wave(k, grid, psi, wronskian_residual(k, psi, dpsi))

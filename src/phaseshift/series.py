@@ -41,13 +41,15 @@ class PhaseSeries:
     grid: Grid
     delta0: float
     corrections: tuple
-    max_order: int
 
     def __post_init__(self) -> None:
-        if len(self.corrections) != self.max_order:
-            raise ValueError("corrections length disagrees with max_order")
         if not all(np.isfinite(self.corrections)):
             raise NonFiniteResult("non-finite correction")
+
+    @property
+    def max_order(self) -> int:
+        """The assembled order, ``len(corrections)``."""
+        return len(self.corrections)
 
 
 def _check_order(values_at_zero, n: int) -> None:
@@ -164,7 +166,6 @@ def assemble_series(ref: ReferenceWave, u, max_order: int) -> PhaseSeries:
         grid=ref.grid,
         delta0=ref.delta0,
         corrections=assemble_corrections(result.values_at_zero, max_order),
-        max_order=max_order,
     )
 
 

@@ -235,12 +235,12 @@ def full_grid_recursion(ref, u):
     samples = sample_potential(u, grid)
     n = grid.n_points
     scale = 0.5 * grid.step / (1j * ref.k)
-    d = ref.density.values[::-1]
+    d = ref.density[::-1]
     # an overflowing weight ends in the callers' NonFiniteResult, not a warning
     with np.errstate(over="ignore", invalid="ignore"):
         lower = samples[0, ::-1] * d[1:] * scale
         upper = samples[2, ::-1] * d[:-1] * scale
-    r = np.ascontiguousarray(ref.ratio_shift.values[::-1])
+    r = np.ascontiguousarray(ref.ratio_shift[::-1])
     r_lo, r_hi = r[1:], r[:-1]
     lo, hi, lo_r, hi_r = (np.empty(n - 1, dtype=complex) for _ in range(4))
     weighted = np.zeros(n, dtype=complex)

@@ -175,7 +175,7 @@ def pinned_remainders(monkeypatch, remainders):
     """A first-order series with delta0 = delta_1 = 0 on Grid(2.0, 401),
     and exact phases that make {coupling: remainder} its remainders."""
     series = PhaseSeries(k=1.0, grid=Grid(2.0, 401), delta0=0.0,
-                         corrections=(0.0,), max_order=1)
+                         corrections=(0.0,))
     monkeypatch.setattr(oracle, "sweep_series", lambda *args: [
         oracle.OracleResult(c, remainders[c], 1 + 0j, 0.0)
         for c in args[3]])
@@ -418,7 +418,7 @@ def test_a_first_order_series_outside_the_window_is_degenerate(barrier):
     assert len(report.checks) == 2
     # the window is open: 0.5 * 0.2 is exactly the double 0.1
     edge = PhaseSeries(k=1.0, grid=Grid(2.0, 401), delta0=0.0,
-                       corrections=(0.2,), max_order=1)
+                       corrections=(0.2,))
     with pytest.raises(DegenerateSweep, match="window"):
         convergence_order_check(edge, ZERO, ZERO, (0.5, 0.25))
 

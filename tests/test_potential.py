@@ -4,17 +4,15 @@ import numpy as np
 import pytest
 
 from phaseshift import (
-    ComplexGridFunction,
     EvenPointCount,
     Grid,
-    GridMismatch,
     PotentialSpec,
     TabulatedGridMismatch,
     cumulative_from_right,
     sample_potential,
     simpson_weights,
 )
-from phaseshift.potential import _first, combine_cells, require_same_grid, sample_cells
+from phaseshift.potential import _first, combine_cells, sample_cells
 
 from _oracles import sample_by_values_at
 
@@ -318,22 +316,6 @@ def test_extreme_gaussians_sample_to_their_limits_without_warnings():
     for centre in (1e300, -1e300):
         far = sample_potential(PotentialSpec.gaussian_sum([(centre, 0.2, 0.5)]), g)
         assert not far.any()
-
-
-def test_require_same_grid_raises_on_mismatch():
-    f = ComplexGridFunction(Grid(2.0, 5), np.zeros(5))
-    g = ComplexGridFunction(Grid(2.0, 9), np.zeros(9))
-    assert require_same_grid(f, f) == f.grid
-    with pytest.raises(GridMismatch):
-        require_same_grid(f, g)
-
-
-def test_grid_function_rejects_bad_values():
-    g = Grid(2.0, 5)
-    with pytest.raises(GridMismatch):
-        ComplexGridFunction(g, np.zeros(4))
-    with pytest.raises(ValueError):
-        ComplexGridFunction(g, np.array([0.0, 0.0, np.nan, 0.0, 0.0]))
 
 
 # sample_cells, the one sampling routine, fills each segment's index ranges

@@ -243,3 +243,21 @@ def test_the_config_serializer_is_gone():
     assert not hasattr(cli, "serialize_config")
     assert not hasattr(cli, "_potential_doc")
     assert "eps_tail" not in {f.name for f in fields(cli.JobConfig)}
+
+
+# Node arrays have one format, the bare read-only complex arrays a
+# ReferenceWave holds on its own grid, and results store each value once:
+# no grid-function wrapper, no unread psi', no order stored beside the
+# corrections it counts.
+def test_node_arrays_have_one_format():
+    package = Path(phaseshift.__file__).resolve().parent
+    for name in ("ComplexGridFunction", "require_same_grid"):
+        assert name not in phaseshift.__all__
+        assert not hasattr(phaseshift, name)
+        assert [path.name for path in sorted(package.glob("*.py"))
+                if name in _names(path)] == []
+    assert [f.name for f in fields(phaseshift.ReferenceWave)] == [
+        "k", "grid", "psi", "density", "ratio_shift", "delta0",
+        "wronskian_residual"]
+    assert [f.name for f in fields(phaseshift.PhaseSeries)] == [
+        "k", "grid", "delta0", "corrections"]

@@ -46,21 +46,21 @@ def test_analytic_free_wave_closed_forms():
     g = Grid(2.0 * np.pi, 201)
     ref = analytic_free_reference(1.0, g)
     x = g.nodes
-    assert np.allclose(ref.psi.values, np.exp(-1j * x), rtol=0, atol=1e-15)
-    assert np.allclose(ref.density.values, np.exp(-2j * x), rtol=0, atol=1e-15)
-    assert np.allclose(ref.ratio_shift.values, np.exp(2j * x) - 1.0,
+    assert np.allclose(ref.psi, np.exp(-1j * x), rtol=0, atol=1e-15)
+    assert np.allclose(ref.density, np.exp(-2j * x), rtol=0, atol=1e-15)
+    assert np.allclose(ref.ratio_shift, np.exp(2j * x) - 1.0,
                        rtol=0, atol=1e-15)
     assert ref.delta0 == 0.0
     assert ref.wronskian_residual < 1e-12
     # k=1 at x=pi: the wave is exactly -1
     i_pi = g.n_points // 2
-    assert abs(ref.psi.values[i_pi] - (-1.0)) < 1e-14
+    assert abs(ref.psi[i_pi] - (-1.0)) < 1e-14
 
 
 def test_ratio_shift_is_zero_at_origin_exactly(barrier03):
-    assert analytic_free_reference(1.3, Grid(2.0, 101)).ratio_shift.values[0] == 0.0
+    assert analytic_free_reference(1.3, Grid(2.0, 101)).ratio_shift[0] == 0.0
     solved = solve_reference(barrier03, 1.0, Grid(5.0, 2001))
-    assert solved.ratio_shift.values[0] == 0.0
+    assert solved.ratio_shift[0] == 0.0
 
 
 def test_solved_free_wave_matches_analytic():
@@ -68,15 +68,16 @@ def test_solved_free_wave_matches_analytic():
     for k in (0.5, 1.0, 2.0):
         solved = solve_reference(PotentialSpec.zero(), k, g)
         exact = analytic_free_reference(k, g)
-        assert np.max(np.abs(solved.psi.values - exact.psi.values)) <= 1e-10
+        assert np.max(np.abs(solved.psi - exact.psi)) <= 1e-10
         assert abs(solved.delta0) < 1e-10
 
 
 def test_boundary_values_are_exact(barrier03):
     g = Grid(5.0, 801)
     ref = solve_reference(barrier03, 1.2, g)
-    assert ref.psi.values[-1] == cmath.exp(-1.2j * 5.0)
-    assert ref.dpsi.values[-1] == -1.2j * cmath.exp(-1.2j * 5.0)
+    psi, dpsi = integrate_wave_inward(1.2, g, sample_potential(barrier03, g))
+    assert ref.psi[-1] == psi[-1] == cmath.exp(-1.2j * 5.0)
+    assert dpsi[-1] == -1.2j * cmath.exp(-1.2j * 5.0)
 
 
 def test_barrier_background_phase_matches_transfer_matrix(barrier03):
@@ -84,7 +85,7 @@ def test_barrier_background_phase_matches_transfer_matrix(barrier03):
     exact = transfer_matrix_phase([(0.0, 1.0, 0.3)], 1.0, 5.0)
     assert abs(ref.delta0 - exact) < 1e-8
     assert ref.wronskian_residual < 1e-8 * 1.0
-    assert np.min(np.abs(ref.psi.values)) > 0.0
+    assert np.min(np.abs(ref.psi)) > 0.0
 
 
 def test_density_ratio_product_invariant_free():
@@ -93,8 +94,8 @@ def test_density_ratio_product_invariant_free():
     for k, n in ((1.0, 801), (2.0, 1601)):
         ref = analytic_free_reference(k, Grid(4.0, n))
         h = ref.grid.step
-        fd = (ref.ratio_shift.values[2:] - ref.ratio_shift.values[:-2]) / (2 * h)
-        resid = np.abs(ref.density.values[1:-1] * fd - 2j * k)
+        fd = (ref.ratio_shift[2:] - ref.ratio_shift[:-2]) / (2 * h)
+        resid = np.abs(ref.density[1:-1] * fd - 2j * k)
         assert resid.max() < 2.0 * (2.0 * k) ** 3 * h * h
 
 
@@ -103,8 +104,8 @@ def test_density_ratio_invariant_quadratic_with_jump(barrier03):
     for n in (1001, 2001):
         ref = solve_reference(barrier03, 1.0, Grid(4.0, n))
         h = ref.grid.step
-        fd = (ref.ratio_shift.values[2:] - ref.ratio_shift.values[:-2]) / (2 * h)
-        resids.append(np.abs(ref.density.values[1:-1] * fd - 2j).max())
+        fd = (ref.ratio_shift[2:] - ref.ratio_shift[:-2]) / (2 * h)
+        resids.append(np.abs(ref.density[1:-1] * fd - 2j).max())
     assert resids[1] < resids[0] / 3.0  # halving the step quarters the error
 
 
@@ -270,6 +271,42 @@ def test_reduce_phase_branch_convention():
     assert reduce_phase(0.3) == 0.3
 
 
+def test_reduce_phase_returns_at_once_for_any_angle():
+    # one subtraction of pi per pass took over 5 s at 1e16 and never ended
+    # from about 4e16 up, or at +-inf, where angle - pi == angle
+    out = {}
+    angles = (1e16, 1e300, -1e300, math.inf, -math.inf, math.nan)
+    worker = threading.Thread(
+        target=lambda: out.update((a, reduce_phase(a)) for a in angles),
+        daemon=True)
+    worker.start()
+    worker.join(timeout=5.0)
+    assert not worker.is_alive()
+    assert all(math.isnan(out[a]) for a in (math.inf, -math.inf, math.nan))
+    for angle in (1e16, 1e300, -1e300):
+        assert -0.5 * math.pi < out[angle] <= 0.5 * math.pi
+
+
+def test_reduce_phase_lands_on_its_branch_and_keeps_it():
+    half = 0.5 * math.pi
+    rng = np.random.default_rng(5)
+    finite = ([m * half for m in range(-12, 13)]
+              + [math.nextafter(half, 0.0), math.nextafter(-half, 0.0),
+                 math.nextafter(half, 2.0), math.nextafter(-half, -2.0),
+                 0.0, -0.0, 5e-324, -5e-324]
+              + rng.uniform(-1e3, 1e3, 200).tolist()
+              + (rng.choice([-1.0, 1.0], 200) * 10.0 ** rng.uniform(-300, 300, 200)).tolist())
+    for angle in finite:
+        reduced = reduce_phase(angle)
+        assert -half < reduced <= half, angle
+        if -half < angle <= half:  # the branch keeps its own bits
+            assert math.copysign(1.0, reduced) == math.copysign(1.0, angle)
+            assert reduced == angle
+        if abs(angle) < 1e3:  # the same phase mod pi
+            turns = (angle - reduced) / math.pi
+            assert abs(turns - round(turns)) < 1e-12, angle
+
+
 def test_phase_from_wave_reads_off_the_argument():
     assert abs(phase_from_wave(cmath.exp(0.3j)) - 0.3) < 1e-15
     assert abs(phase_from_wave(2.5 * cmath.exp(-0.4j)) - (-0.4)) < 1e-15
@@ -424,6 +461,46 @@ def test_the_oracle_keeps_samples_on_grids_of_at_most_scan_slots_cells(monkeypat
         assert ({"V", "U"} <= buffers.keys()) is kept, slots
 
 
+def test_reference_waves_hold_read_only_arrays_of_their_own():
+    # solve_reference's psi comes from the thread's kept workspace: the
+    # wave keeps a copy, which later solves on the thread leave alone
+    grid = Grid(2.0, 4001)
+    other = PotentialSpec.gaussian_sum([(2.0, 0.7, 0.2)])
+    for make in (lambda: solve_reference(_BARRIER, 1.0, grid),
+                 lambda: analytic_free_reference(1.0, grid)):
+        ref = make()
+        arrays = (ref.psi, ref.density, ref.ratio_shift)
+        before = [a.tobytes() for a in arrays]
+        solve_reference(other, 0.9, grid)
+        solve_sweep(1.1, grid, other, _BARRIER, [0.2, -0.1], 1e-8)
+        kept = refwave._kept.workspace._buffers.values()
+        for a, was in zip(arrays, before):
+            assert a.dtype == complex and a.shape == (grid.n_points,)
+            assert not a.flags.writeable
+            assert a.tobytes() == was
+            assert not any(np.shares_memory(a, buffer) for buffer in kept)
+            with pytest.raises(ValueError):
+                a[0] = 1.0
+
+
+def test_a_reference_wave_refuses_a_wrong_length_or_a_non_finite_value():
+    grid = Grid(2.0, 5)
+    good = {"psi": np.ones(5), "density": np.ones(5), "ratio_shift": np.zeros(5)}
+    for name in good:
+        for bad, error in ((np.ones(4), GridMismatch), (np.ones((1, 5)), GridMismatch),
+                           (np.array([1.0, 1.0, np.nan, 1.0, 1.0]), NonFiniteResult),
+                           (np.array([1.0, np.inf, 1.0, 1.0, 1.0]), NonFiniteResult)):
+            with pytest.raises(error):
+                refwave.ReferenceWave(k=1.0, grid=grid, delta0=0.0,
+                                      wronskian_residual=0.0,
+                                      **{**good, name: bad})
+    given = np.ones(5)
+    ref = refwave.ReferenceWave(k=1.0, grid=grid, delta0=0.0,
+                                wronskian_residual=0.0, **{**good, "psi": given})
+    given[0] = 2.0  # the wave holds a copy, as complex
+    assert ref.psi.dtype == complex and ref.psi.tolist() == [1.0] * 5
+
+
 def test_integrate_wave_inward_returns_arrays_it_owns():
     grid = Grid(2.0, 4001)
     psi, dpsi = integrate_wave_inward(1.0, grid, sample_potential(_BARRIER, grid))
@@ -472,7 +549,7 @@ def test_threads_sweep_with_their_own_arrays():
         k, grid, V, U, couplings = sweeps[name]
         return (repr(solve_sweep(k, grid, V, U, couplings, 1e-8)),
                 repr(sweep_exact(V, U, couplings, k, grid)),
-                solve_reference(V, k, grid).psi.values.tobytes())
+                solve_reference(V, k, grid).psi.tobytes())
 
     alone = {name: run(name) for name in sweeps}
     start = threading.Barrier(len(sweeps))
@@ -490,6 +567,26 @@ def test_threads_sweep_with_their_own_arrays():
         thread.join()
     for name in sweeps:
         assert runs[name] == [alone[name]] * 20, name
+
+
+def test_a_narrow_sweep_sizes_its_arrays_for_the_widest_one():
+    # a sweep whose U covers the bottom 17 cells shares the cells above
+    # them; its kept scan arrays are sized for the sweep of as many
+    # couplings that shares none (refwave._Workspace.room), which then
+    # takes the same buffers
+    couplings = [0.1, 0.05, -0.1, 0.2]
+    narrow = PotentialSpec.piecewise_constant([(0.0, 17 * 2.0 / 16000, 1.0)])
+    wide = PotentialSpec.piecewise_constant([(0.0, 2.0, 1.0)])
+
+    def narrow_then_wide():
+        solve_sweep(1.0, _CONVERGE_GRID, _ZERO, narrow, couplings, 1e-8)
+        kept = _kept_buffers()
+        solve_sweep(1.0, _CONVERGE_GRID, _ZERO, wide, couplings, 1e-8)
+        return kept, _kept_buffers()
+
+    kept, again = _in_new_thread(narrow_then_wide)
+    for key in ("samples", ("steps", 0), ("nodes", 0)):
+        assert again[key] == kept[key], key
 
 
 def test_a_warm_sweep_exact_keeps_its_samples():
@@ -542,7 +639,7 @@ def test_a_warm_reference_solve_reuses_its_kept_samples(monkeypatch):
     first, kept, second, again = _in_new_thread(solve_twice)
     assert calls == []
     assert again["V"] == kept["V"]  # the same data pointer and size
-    assert first.psi.values.tobytes() == second.psi.values.tobytes() == psi.tobytes()
+    assert first.psi.tobytes() == second.psi.tobytes() == psi.tobytes()
 
 # Each distinct level-0 block is built once (refwave._block_steps): every
 # solve keeps the bits of the scan that builds every block
@@ -640,6 +737,27 @@ def test_each_distinct_block_is_built_once_with_the_bits_of_every_block(
             loop_psi, loop_dpsi = rk4_wave_loop(k, grid, samples)
             assert np.all(np.abs(psi - loop_psi) <= 1e-13 * np.abs(loop_psi)), c
             assert np.all(np.abs(dpsi - loop_dpsi) <= 1e-13 * np.abs(loop_dpsi)), c
+
+
+def test_chains_that_share_no_cell_run_on_across_their_boundary(monkeypatch):
+    # U fills the grid's 250 whole blocks, so the chains are neither padded
+    # nor share a cell; the two equal couplings are one run of blocks, as
+    # each chain is, and only the last coupling's first block starts another
+    built = []
+    cell_steps = refwave._cell_steps
+
+    def counted(k, h, lower, mid, upper, steps, work):
+        built.append(steps.shape[-1])
+        return cell_steps(k, h, lower, mid, upper, steps, work)
+
+    grid, U = Grid(2.0, 4001), PotentialSpec.piecewise_constant([(0.0, 2.0, 1.0)])
+    couplings = [0.1, 0.1, 0.2]
+    reference = full_solves(_ZERO, U, couplings, 1.0, grid)
+    monkeypatch.setattr(refwave, "_cell_steps", counted)
+    swept = solve_sweep(1.0, grid, _ZERO, U, couplings, 1e-8)
+    assert built == [2]
+    assert [psi0 for psi0, _ in swept] == [psi0 for psi0, _, _ in reference]
+    assert refwave.ChainLayout.above(3, 4000, 4000).own == 4000
 
 
 def test_single_waves_keep_the_bits_of_every_block(monkeypatch):

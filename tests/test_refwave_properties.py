@@ -91,7 +91,7 @@ def test_propagator_matches_the_rk4_loop_and_is_certified(case):
     # solve_reference raises unless the residual is finite and within
     # bound, and its certified wave is the propagator's, bit for bit
     ref = solve_reference(spec, k, grid, DEFAULT_WRONSKIAN_TOL)
-    assert ref.psi.values.tobytes() == psi.tobytes()
+    assert ref.psi.tobytes() == psi.tobytes()
     assert ref.wronskian_residual == wronskian_residual(k, psi, dpsi)
     assert ref.wronskian_residual <= DEFAULT_WRONSKIAN_TOL * k
 

@@ -185,9 +185,8 @@ def test_assemble_series_order_validation(fine_free_ref, barrier):
 
 
 def synthetic_series(corrections):
-    order = len(corrections)
     return PhaseSeries(k=1.0, grid=Grid(1.0, 3), delta0=0.1,
-                       corrections=tuple(corrections), max_order=order)
+                       corrections=tuple(corrections))
 
 
 def test_divergence_flag_heuristic():
@@ -233,10 +232,19 @@ def test_divergence_flag_survives_huge_couplings():
 def test_series_container_validation():
     with pytest.raises(ValueError):
         PhaseSeries(k=1.0, grid=Grid(1.0, 3), delta0=0.0,
-                    corrections=(0.1, 0.2), max_order=3)
-    with pytest.raises(ValueError):
+                    corrections=(0.1, float("nan")))
+
+
+def test_the_assembled_order_is_the_number_of_corrections(fine_free_ref, barrier):
+    for corrections in ((), (0.1,), (0.1, 0.2, 0.3)):
+        series = synthetic_series(corrections)
+        assert series.max_order == len(corrections)
+        with pytest.raises(AttributeError):
+            series.max_order = 7
+    assert assemble_series(fine_free_ref, barrier, 5).max_order == 5
+    with pytest.raises(TypeError):
         PhaseSeries(k=1.0, grid=Grid(1.0, 3), delta0=0.0,
-                    corrections=(0.1, float("nan")), max_order=2)
+                    corrections=(0.1, 0.2), max_order=2)
 
 
 def test_overflowing_series_is_a_typed_error():

@@ -14,9 +14,9 @@ and zero specs, and a few that cannot be sampled; k of 0, -1, NaN and
 tolerances of 1e-8, 1e6 and inf; and each case again with
 ``refwave._SCAN_SLOTS`` set to 1, 64, 1024 and 2**18 where the side has it.
 
-Each case is hashed (SHA-256) from its entry, its wave bytes (psi, psi',
-density and ratio shift), residuals and phases, or from its error's type
-and text.  Warnings are not part of the hash.  Prints one digest per side,
+Each case is hashed (SHA-256) from its entry, its wave bytes (psi and psi'
+of ``integrate_wave_inward``; psi, density and ratio shift of a reference
+wave), residuals and phases, or from its error's type and text.  Warnings are not part of the hash.  Prints one digest per side,
 how many calls returned rather than raised, and the first case that
 differs.
 
@@ -130,9 +130,10 @@ def _feed(h, value) -> None:
         for item in value:
             _feed(h, item)
     elif hasattr(value, "delta0"):  # a ReferenceWave
-        _feed(h, (value.k, value.psi.values, value.dpsi.values,
-                  value.density.values, value.ratio_shift.values, value.delta0,
-                  value.wronskian_residual))
+        # its node arrays are bare, or wrapped with `.values` in older revisions
+        arrays = (value.psi, value.density, value.ratio_shift)
+        _feed(h, (value.k, *(getattr(a, "values", a) for a in arrays),
+                  value.delta0, value.wronskian_residual))
     elif hasattr(value, "delta_exact"):  # an OracleResult
         _feed(h, (value.coupling, value.delta_exact, value.psi_at_zero,
                   value.wronskian_residual))
