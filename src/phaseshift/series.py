@@ -12,20 +12,25 @@ the hierarchy values f_n(0).  Two independent assembly routes are shipped:
 
 The two are algebraically identical order by order; their agreement to
 machine precision on random inputs is one of the package's core checks.
+
+The layout of the vectorised partition sum is this module's alone:
+:func:`_partition_plan` lays the tuples of orders 1..N out as read-only
+arrays, built once per N from the tables of :mod:`phaseshift.partitions`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import (InsufficientFValues, NonFiniteResult, OrderOutOfRange,
                      TruncationTooHigh)
 from .hierarchy import compute_hierarchy
-from .partitions import MAX_ORDER, partition_columns
-from .potential import Grid
+from .partitions import MAX_ORDER, enumerate_partitions
+from .potential import Grid, _as_readonly
 from .refwave import ReferenceWave
 
 
@@ -61,10 +66,74 @@ def _check_order(values_at_zero, n: int) -> None:
         )
 
 
+@dataclass(frozen=True, eq=False)
+class _PartitionPlan:
+    """The tuples of orders 1..max_order as read-only arrays.
+
+    A row is one tuple.  Its factors are its nonzero multiplicities, as
+    (index, i_p) pairs with index = p - 1, taken in increasing p.  Rows are
+    sorted by their number of factors, most first (ties keep the
+    enumeration order), so the rows that have a k-th factor are a prefix of
+    all rows.
+
+    Attributes
+    ----------
+    width : int
+        1 + p(max_order): the length of one order's line in the summation
+        layout (see `positions`).
+    powers : tuple of (int, int)
+        The power table: entry s stands for f[index] ** i with
+        (index, i) = powers[s], for every part size p = index + 1 and every
+        i from 1 to max_order // p.
+    coefficients : ndarray of float
+        Each row's coefficient.
+    factor_slots : tuple of ndarray of int
+        ``factor_slots[k][r]`` is the power-table entry of row r's (k+1)-th
+        factor; its length is the number of rows with more than k factors.
+    positions : ndarray of int
+        Each row's flat index in a (max_order, width) array: the j-th tuple
+        of order n sits at (n - 1, j + 1), so column 0 and the padding after
+        each order's last tuple are free.
+    """
+
+    width: int
+    powers: tuple
+    coefficients: np.ndarray
+    factor_slots: tuple
+    positions: np.ndarray
+
+
+@lru_cache(maxsize=None)
+def _partition_plan(max_order: int) -> _PartitionPlan:
+    """The plan of orders 1..max_order, built on the first call for
+    `max_order` and returned as the same object afterwards."""
+    tables = [enumerate_partitions(n) for n in range(1, max_order + 1)]
+    width = 1 + len(tables[-1])
+    powers = tuple((p - 1, i) for p in range(1, max_order + 1)
+                   for i in range(1, max_order // p + 1))
+    slot = {pair: s for s, pair in enumerate(powers)}
+    # (position, coefficient, power-table entries of the factors) per row
+    rows = [(n * width + j + 1, t.coefficient,
+             [slot[index, i] for index, i in enumerate(t.multiplicities) if i])
+            for n, table in enumerate(tables) for j, t in enumerate(table)]
+    rows.sort(key=lambda row: len(row[2]), reverse=True)  # stable
+    factor_slots = tuple(
+        _as_readonly([slots[k] for _, _, slots in rows if len(slots) > k],
+                     np.intp)
+        for k in range(len(rows[0][2])))
+    return _PartitionPlan(
+        width=width,
+        powers=powers,
+        coefficients=_as_readonly([c for _, c, _ in rows], float),
+        factor_slots=factor_slots,
+        positions=_as_readonly([pos for pos, _, _ in rows], np.intp),
+    )
+
+
 def assemble_corrections(values_at_zero, max_order: int) -> tuple:
     """Corrections delta_1 .. delta_max_order via the partition sum.
 
-    Evaluates every order at once over :func:`partition_columns`, with the
+    Evaluates every order at once over :func:`_partition_plan`, with the
     arithmetic of summing the tuples one at a time, so each delta_n is
     bit-identical to that loop.  Each term starts as its coefficient and is
     multiplied by f_p ** i_p (Python's ``**``) in increasing p, with Python's
@@ -94,26 +163,31 @@ def assemble_corrections(values_at_zero, max_order: int) -> tuple:
         If a power f_p ** i_p overflows.
     """
     _check_order(values_at_zero, max_order)
-    columns = partition_columns(max_order)
+    # every call reads each order's table through enumerate_partitions, the
+    # one way into the tables, also once the plan is built: a trace of the
+    # assembly sees the tables it sums
+    for n in range(1, max_order + 1):
+        enumerate_partitions(n)
+    plan = _partition_plan(max_order)
     f = [complex(v) for v in values_at_zero[:max_order]]
     try:
-        table = np.array([f[index] ** i for index, i in columns.powers])
+        table = np.array([f[index] ** i for index, i in plan.powers])
     except OverflowError as exc:
         raise NonFiniteResult(
             f"delta_1..delta_{max_order}: {exc}") from exc
     table_re, table_im = table.real, table.imag
-    re = columns.coefficients.copy()
+    re = plan.coefficients.copy()
     im = np.zeros_like(re)
     with np.errstate(over="ignore", invalid="ignore"):
         # pass k multiplies every row that has a k-th factor: a prefix
-        for slots in columns.factor_slots:
+        for slots in plan.factor_slots:
             rows = len(slots)
             ar, ai = re[:rows], im[:rows]
             br, bi = table_re[slots], table_im[slots]
             re[:rows], im[:rows] = ar * br - ai * bi, ar * bi + ai * br
-        terms = np.zeros(max_order * columns.width)
-        terms[columns.positions] = im
-        sums = np.cumsum(terms.reshape(max_order, columns.width), axis=1)
+        terms = np.zeros(max_order * plan.width)
+        terms[plan.positions] = im
+        sums = np.cumsum(terms.reshape(max_order, plan.width), axis=1)
     return tuple(sums[:, -1].tolist())
 
 

@@ -50,6 +50,21 @@ BARRIER_TAYLOR = (
 TWO_FACTOR_BARRIER = 0.0054814440558409875 + 0.2761952380464922j
 
 
+def segment_edges(segments, x_max):
+    """0, x_max and every edge of `segments`, sorted, each once."""
+    return sorted({0.0, float(x_max), *(float(s[0]) for s in segments),
+                   *(float(s[1]) for s in segments)})
+
+
+def value_in(segments, lo, hi):
+    """The value of the first segment that holds the middle of [lo, hi]."""
+    mid = 0.5 * (lo + hi)
+    for a, b, v in segments:
+        if a <= mid < b:
+            return v
+    return 0.0
+
+
 def transfer_matrix_wave(segments, k, x_max):
     """(psi, psi') at x = 0 for a piecewise-constant potential, closed form.
 
@@ -61,24 +76,49 @@ def transfer_matrix_wave(segments, k, x_max):
 
     No grid, no stepping error -- only rounding.
     """
-    edges = sorted({0.0, float(x_max), *(float(s[0]) for s in segments),
-                    *(float(s[1]) for s in segments)})
-
-    def value_in(lo, hi):
-        mid = 0.5 * (lo + hi)
-        for a, b, v in segments:
-            if a <= mid < b:
-                return v
-        return 0.0
-
+    edges = segment_edges(segments, x_max)
     psi = cmath.exp(-1j * k * x_max)
     dpsi = -1j * k * psi
     for lo, hi in zip(edges[-2::-1], edges[::-1]):
         d = hi - lo
-        kappa = cmath.sqrt(complex(k * k - 2.0 * value_in(lo, hi)))
+        kappa = cmath.sqrt(complex(k * k - 2.0 * value_in(segments, lo, hi)))
         c, s = cmath.cos(kappa * d), cmath.sin(kappa * d)
         psi, dpsi = psi * c - dpsi * s / kappa, psi * kappa * s + dpsi * c
     return psi, dpsi
+
+
+def coupling_taylor_coefficients(v_segments, u_segments, k, x_max, orders,
+                                 rho=0.9, nodes=64):
+    """(f_1, ..., f_orders): the Taylor coefficients in c of
+    F(c) = psi(0; c) / psi(0; 0), the wave of V + c U relative to that of V,
+    for piecewise-constant V and U given as (lo, hi, value) segments.
+
+    F is entire in c, so its coefficients are Cauchy integrals over any
+    circle.  The trapezoid rule on |c| = rho, at the `nodes` half-shifted
+    points c_j = rho e^(2 pi i (j + 1/2) / nodes), gives
+
+        f_n = mean(F(c_j) c_j^-n),
+
+    with an aliasing error of f_(n+nodes) rho^nodes and beyond.  The half
+    shift keeps every point off the real axis, where a point at
+    c = (k^2 - 2V) / (2U) would make kappa = 0 and the closed form of
+    :func:`transfer_matrix_wave` divide by zero.  Each F(c_j) crosses the
+    union of both potentials' edges, each region at its own V + c U.
+    """
+    edges = segment_edges([*v_segments, *u_segments], x_max)
+    regions = [(lo, hi, value_in(v_segments, lo, hi), value_in(u_segments, lo, hi))
+               for lo, hi in zip(edges, edges[1:])]
+
+    def psi0(c):
+        segments = [(lo, hi, v + c * u) for lo, hi, v, u in regions]
+        return transfer_matrix_wave(segments, k, x_max)[0]
+
+    background = psi0(0.0)
+    points = [rho * cmath.exp(2j * math.pi * (j + 0.5) / nodes)
+              for j in range(nodes)]
+    ratios = [psi0(c) / background for c in points]
+    return tuple(sum(F * c ** -n for F, c in zip(ratios, points)) / nodes
+                 for n in range(1, orders + 1))
 
 
 def principal_phase(psi0):

@@ -1,5 +1,6 @@
 import itertools
 import math
+from dataclasses import fields
 from fractions import Fraction
 
 import numpy as np
@@ -11,7 +12,6 @@ from phaseshift import (
     PartitionTuple,
     enumerate_partitions,
 )
-from phaseshift.partitions import partition_columns
 
 # partition numbers p(1) .. p(12)
 COUNTS = [1, 2, 3, 5, 7, 11, 15, 22, 30, 42, 56, 77]
@@ -129,13 +129,10 @@ def test_tables_are_memoised_tuples():
         assert enumerate_partitions(n) is table
 
 
-def test_factors_are_the_nonzero_multiplicities():
-    for n in range(1, MAX_ORDER + 1):
-        for t in enumerate_partitions(n):
-            assert t.factors == tuple(
-                (index, i) for index, i in enumerate(t.multiplicities) if i)
-            assert all(i > 0 for _, i in t.factors)
-    # derived, not compared: a rebuilt tuple equals the memoised one
+def test_a_tuple_is_its_multiplicities_and_coefficient():
+    # nothing else is stored: a rebuilt tuple equals the memoised one
+    assert [f.name for f in fields(PartitionTuple)] == [
+        "multiplicities", "coefficient"]
     t = enumerate_partitions(4)[1]
     assert PartitionTuple(t.multiplicities, t.coefficient) == t
 
@@ -151,33 +148,3 @@ def test_tuple_validation():
     with pytest.raises(AttributeError):
         t.j = 2
 
-
-def test_columns_are_memoised_read_only_views_of_the_tables():
-    for max_order in range(1, MAX_ORDER + 1):
-        cols = partition_columns(max_order)
-        assert partition_columns(max_order) is cols
-        arrays = (cols.coefficients, cols.positions, *cols.factor_slots)
-        assert not any(a.flags.writeable for a in arrays)
-        with pytest.raises(ValueError):
-            cols.coefficients[0] = 0.0
-
-        # decode every row back into its order, rank and factors
-        tables = [enumerate_partitions(n) for n in range(1, max_order + 1)]
-        assert cols.width == 1 + len(tables[-1])
-        rows = {}
-        for r, pos in enumerate(cols.positions):
-            n, column = divmod(int(pos), cols.width)
-            factors = tuple(cols.powers[slots[r]] for slots in cols.factor_slots
-                            if r < len(slots))
-            rows[n, column - 1] = (cols.coefficients[r], factors)
-        assert rows == {(n, j): (t.coefficient, t.factors)
-                        for n, table in enumerate(tables)
-                        for j, t in enumerate(table)}
-        # the rows that have a k-th factor are a prefix
-        lengths = [len(slots) for slots in cols.factor_slots]
-        assert lengths == sorted(lengths, reverse=True)
-        assert lengths[0] == len(cols.positions)
-    with pytest.raises(OrderOutOfRange):
-        partition_columns(0)
-    with pytest.raises(OrderOutOfRange):
-        partition_columns(MAX_ORDER + 1)

@@ -149,6 +149,21 @@ def test_only_refwave_names_the_chain_layout():
     assert leaks == []
 
 
+# Only series decides how the partition sum is laid out: partitions hands out
+# the tuples and their coefficients, and no other module names the plan.
+PLAN_NAMES = {"_partition_plan", "_PartitionPlan"}
+
+
+def test_only_series_names_the_partition_plan():
+    package = Path(phaseshift.__file__).resolve().parent
+    assert PLAN_NAMES <= _names(package / "series.py")
+    leaks = [f"{path.name}: {name}" for path in sorted(package.glob("*.py"))
+             if path.name != "series.py"
+             for name in sorted(_names(path) & PLAN_NAMES)]
+    assert leaks == []
+    assert {"numpy", "np"} & _names(package / "partitions.py") == set()
+
+
 # One owner for each decision on the way into an exact solve: only oracle
 # picks the oracle's grid (oracle.sweep_series), and only refwave._top_state
 # checks k.

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from phaseshift import (
+    MAX_ORDER,
     Grid,
     InsufficientFValues,
     NonFiniteResult,
@@ -16,11 +17,12 @@ from phaseshift import (
     assemble_series,
     compute_hierarchy,
     divergence_flag,
+    enumerate_partitions,
     evaluate_truncated,
     log_expansion_reference,
 )
 
-from phaseshift.series import assemble_corrections
+from phaseshift.series import _partition_plan, assemble_corrections
 
 from _oracles import BARRIER_TAYLOR, partition_sum_loop
 
@@ -84,6 +86,55 @@ def test_partition_sum_is_bit_identical_to_the_former_loop():
         want = [partition_sum_loop(values, n)
                 for n in range(1, max_order + 1)]
         assert same_bits(series.corrections, want)
+
+
+def test_the_plan_is_a_memoised_read_only_layout_of_the_tables():
+    for max_order in range(1, MAX_ORDER + 1):
+        plan = _partition_plan(max_order)
+        assert _partition_plan(max_order) is plan
+        arrays = (plan.coefficients, plan.positions, *plan.factor_slots)
+        assert not any(a.flags.writeable for a in arrays)
+        with pytest.raises(ValueError):
+            plan.coefficients[0] = 0.0
+
+        # decode every row back into its order, rank and factors, and each
+        # tuple's factors from its nonzero multiplicities, in increasing p
+        tables = [enumerate_partitions(n) for n in range(1, max_order + 1)]
+        assert plan.width == 1 + len(tables[-1])
+        rows = {}
+        for r, pos in enumerate(plan.positions):
+            n, column = divmod(int(pos), plan.width)
+            factors = tuple(plan.powers[slots[r]] for slots in plan.factor_slots
+                            if r < len(slots))
+            rows[n, column - 1] = (plan.coefficients[r], factors)
+        assert rows == {
+            (n, j): (t.coefficient,
+                     tuple((index, i)
+                           for index, i in enumerate(t.multiplicities) if i))
+            for n, table in enumerate(tables) for j, t in enumerate(table)}
+        # the rows that have a k-th factor are a prefix
+        lengths = [len(slots) for slots in plan.factor_slots]
+        assert lengths == sorted(lengths, reverse=True)
+        assert lengths[0] == len(plan.positions)
+
+
+def test_every_assembly_reads_the_tables_it_sums(monkeypatch):
+    # also once the plan is built, each call reads orders 1..N through
+    # enumerate_partitions, the function bench/spans.py traces
+    read = []
+
+    def recorded(n):
+        read.append(n)
+        return enumerate_partitions(n)
+
+    for max_order in (6, 3):
+        _partition_plan(max_order)  # built before: the reads are the call's own
+    monkeypatch.setattr("phaseshift.series.enumerate_partitions", recorded)
+    f = [0.5 + 0.25j] * 6
+    for max_order in (6, 6, 3):
+        read.clear()
+        assemble_corrections(f, max_order)
+        assert read == list(range(1, max_order + 1))
 
 
 def test_overflowing_products_are_non_finite_without_warnings():

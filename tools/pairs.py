@@ -27,6 +27,10 @@ Usage, from anywhere:
     python tools/pairs.py --base HEAD~1 --workload oracle_sweep --pairs 10 \\
         --seconds 55 --seed 41
 
+Each run starts in a session of its own.  On SIGTERM or Ctrl-C the script
+ends the running process group, waits for it and removes its temporary
+directory before it exits.
+
 Exit code 0 unless a run fails its checks or writes no result (1) or
 ``--pairs`` is not a positive even number (2).
 """
@@ -35,8 +39,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import resource
 import shutil
+import signal
 import statistics
 import subprocess
 import sys
@@ -75,19 +81,26 @@ def run_bench(tree: Path, workload: str, seconds: float, seed: int) -> dict:
     """{metric: value} of one untraced ``bench/run.py`` run in `tree`, and
     its minor page faults under FAULTS' name."""
     faults = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
-    done = subprocess.run(
+    proc = subprocess.Popen(
         [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", "0"],
-        cwd=tree, capture_output=True, text=True)
+        cwd=tree, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        start_new_session=True)
+    try:
+        stdout, stderr = proc.communicate()
+    finally:  # also on an interrupt: the run and its children are one group
+        if proc.poll() is None:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
     faults = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt - faults
-    lines = done.stdout.strip().splitlines()
+    lines = stdout.strip().splitlines()
     try:
         result = json.loads(lines[-1])
     except (IndexError, json.JSONDecodeError):
-        raise RunFailed(f"{tree.name}: no result line\n{done.stderr[-2000:]}") from None
-    if not result["correct"] or done.returncode != 0:
+        raise RunFailed(f"{tree.name}: no result line\n{stderr[-2000:]}") from None
+    if not result["correct"] or proc.returncode != 0:
         raise RunFailed(f"{tree.name}: checks failed ({result['failed']} of "
-                        f"{result['attempted']})\n{done.stderr[-2000:]}")
+                        f"{result['attempted']})\n{stderr[-2000:]}")
     return {**{name: entry["value"] for name, entry in result["metrics"].items()},
             FAULTS["name"]: faults}
 
@@ -150,6 +163,9 @@ def main(argv=None) -> int:
               f"first equally often; got {args.pairs}", file=sys.stderr)
         return 2
     metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"] + [FAULTS]
+    # a SIGTERM unwinds like Ctrl-C, so the running group and the
+    # temporary directory go with it
+    signal.signal(signal.SIGTERM, lambda *_: sys.exit(128 + signal.SIGTERM))
 
     with tempfile.TemporaryDirectory(prefix="pairs-") as tmp:
         base = extract(args.base, Path(tmp) / "a")
